@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,19 +52,19 @@ class NonFiniteError(ArithmeticError):
     """Raised when an operation produces NaN or Inf."""
 
 
-_grad_enabled = True
+# Grad mode is per thread (and per asyncio task): a `no_grad` block in one
+# thread never stops graph recording in another.
+_grad_enabled: ContextVar[bool] = ContextVar("ctxground_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (forward-only evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -190,7 +191,7 @@ def _make(out_values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     out = Tensor.__new__(Tensor)
     out.values = out_values
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -398,8 +399,18 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
 # -- model-facing fused ops ------------------------------------------------
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """`x` with its leading axes folded into one: [..., k] -> [rows, k]."""
+    return x if x.ndim == 2 else x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product [..., m, k] @ [..., k, n] -> [..., m, n]."""
+    """Batched matrix product [..., m, k] @ [..., k, n] -> [..., m, n].
+
+    A 2-d right operand (a linear layer's weight) is applied as one GEMM
+    over the leading axes folded together, in the forward pass and in both
+    gradient products, so no per-batch weight-gradient temporary is built.
+    """
     b = _as_tensor(b, a.dtype)
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise ShapeError(
@@ -407,14 +418,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+
+    if b.values.ndim == 2:
+        values = _rows(a.values) @ b.values
+        if a.values.ndim > 2:
+            values = values.reshape(a.shape[:-1] + b.shape[1:])
+
+        def backward_fn(g):
+            g2 = _rows(g)
+            if a.requires_grad:
+                _accumulate(a, (g2 @ b.values.T).reshape(a.shape))
+            if b.requires_grad:
+                _accumulate(b, _rows(a.values).T @ g2)
+
+        return _make(values, "matmul", (a, b), backward_fn)
+
     try:
         values = np.matmul(a.values, b.values)
     except ValueError as exc:
         raise ShapeError(f"matmul batch shapes not broadcastable: {a.shape} vs {b.shape}") from exc
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(np.matmul(g, b.values.swapaxes(-1, -2)), a.shape))
-        _accumulate(b, _unbroadcast(np.matmul(a.values.swapaxes(-1, -2), g), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, b.values.swapaxes(-1, -2)), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.matmul(a.values.swapaxes(-1, -2), g), b.shape))
 
     return _make(values, "matmul", (a, b), backward_fn)
 

@@ -367,7 +367,6 @@ def normalize_boxes(boxes: np.ndarray, sizes: np.ndarray,
 
 _ACTIVATIONS = {
     "gelu": gelu,
-    "identity": lambda t: t,
 }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -129,40 +130,97 @@ class StepMetrics:
     grad_norm: float  # global L2 norm before clipping
 
 
+# Elements per pass of the blocked clip and Adam loops: their working set
+# (a few float32 blocks and the float64 norm buffer) stays in cache.
+_BLOCK = 1 << 15
+
+
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float
                      ) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients jointly so their global L2 norm is at most
-    `max_norm`; direction is never changed. Returns the pre-clip norm."""
+    """Scale all gradients jointly, in place, so their global L2 norm is
+    at most `max_norm`; direction is never changed. Returns `grads` and
+    the pre-clip norm.
+
+    Squares are summed in float64, block by block. A non-finite partial
+    sum means the gradient holds a NaN or Inf (finite float32 squares
+    cannot overflow a float64 sum), which raises naming the parameter."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
+    buf = np.empty(_BLOCK, dtype=np.float64)
     total = 0.0
     for name, g in grads.items():
-        if not np.isfinite(g).all():
+        flat = g.reshape(-1)
+        sq = 0.0
+        for lo in range(0, flat.size, _BLOCK):
+            chunk = buf[:min(_BLOCK, flat.size - lo)]
+            chunk[...] = flat[lo:lo + _BLOCK]
+            sq += float(np.dot(chunk, chunk))
+        if not math.isfinite(sq):
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-        total += float((g.astype(np.float64) ** 2).sum())
+        total += sq
     norm = math.sqrt(total)
-    if norm <= max_norm:
-        return dict(grads), norm
-    scale = max_norm / norm
-    return {n: g * scale for n, g in grads.items()}, norm
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return grads, norm
 
 
 def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update, applied in place.
+
+    Parameters, moments and gradients are streamed in cache-sized blocks
+    through two scratch blocks, with the operations of the textbook
+    formula in the same order, so the result is bit-identical to
+    evaluating it on whole arrays. Parameters, moments and gradients
+    share one dtype, and parameters and moments must be C-contiguous so
+    that their flat views write through. Each block's update is checked
+    for NaN/Inf before it is applied."""
     state.step += 1
-    correct1 = 1.0 - state.beta1 ** state.step
-    correct2 = 1.0 - state.beta2 ** state.step
+    beta1, beta2 = float(state.beta1), float(state.beta2)
+    scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** state.step,
+               float(lr), 1.0 - beta2 ** state.step, float(state.eps))
+    # The scalars as 0-d arrays of each parameter dtype: the values the
+    # ufuncs would round Python floats to, at less dispatch cost per call.
+    typed: dict[np.dtype, tuple[np.ndarray, ...]] = {}
     for name, p in named_params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {name!r} {p.shape}")
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        update = lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
-        if not np.isfinite(update).all():
-            raise NonFiniteError(f"non-finite Adam update for parameter {name!r}")
-        p.values -= update.astype(p.dtype)
+        pv, m, v, g = p.values, state.m[name], state.v[name], grads[name]
+        if g.shape != pv.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match {name!r} {pv.shape}")
+        if not pv.dtype == m.dtype == v.dtype == g.dtype:
+            raise ValueError(f"parameter, moments and gradient of {name!r} differ in dtype: "
+                             f"{pv.dtype}, {m.dtype}, {v.dtype}, {g.dtype}")
+        if not (pv.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError(f"parameter {name!r} and its Adam moments must be C-contiguous")
+        if pv.dtype not in typed:
+            typed[pv.dtype] = tuple(np.array(x, dtype=pv.dtype) for x in scalars)
+        b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps = typed[pv.dtype]
+        pf, mf, vf, gf = pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
+        scratch = np.empty((2, min(_BLOCK, pf.size)), dtype=pv.dtype)
+        for lo in range(0, pf.size, _BLOCK):
+            hi = min(lo + _BLOCK, pf.size)
+            pb, mb, vb, gb = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
+            s1, s2 = scratch[:, :hi - lo]
+            # m = beta1 * m + (1 - beta1) * g
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, one_minus_b1, out=s1)
+            np.add(mb, s1, out=mb)
+            # v = beta2 * v + (1 - beta2) * (g * g)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, gb, out=s1)
+            np.multiply(s1, one_minus_b2, out=s1)
+            np.add(vb, s1, out=vb)
+            # update = lr * (m / correct1) / (sqrt(v / correct2) + eps)
+            np.divide(mb, correct1, out=s1)
+            np.multiply(s1, rate, out=s1)
+            np.divide(vb, correct2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            if not np.isfinite(s1).all():
+                raise NonFiniteError(f"non-finite Adam update for parameter {name!r}")
+            np.subtract(pb, s1, out=pb)
     return state
 
 
@@ -183,13 +241,15 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
         loss, _ = model.batch_loss(mb, training=True, rng=rng)
         backward(loss)
         losses.append(loss.item())
-    scale = 1.0 / len(micro_batches)
-    grads = {
-        n: (np.zeros_like(t.values) if t.grad is None else t.grad * scale)
-        for n, t in named.items()
-    }
-    clipped, norm = clip_global_norm(grads, cfg.clip_norm)
-    adam_step(named, clipped, state, cfg.learning_rate)
+    # The accumulated gradients are averaged, clipped and consumed in place.
+    grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
+             for n, t in named.items()}
+    if len(micro_batches) > 1:
+        scale = 1.0 / len(micro_batches)
+        for g in grads.values():
+            g *= scale
+    _, norm = clip_global_norm(grads, cfg.clip_norm)
+    adam_step(named, grads, state, cfg.learning_rate)
     zero_grads(named.values())
     return StepMetrics(loss=float(np.mean(losses)), grad_norm=norm)
 
@@ -248,11 +308,20 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "tensors": directory,
     }
     payload = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_GCKP_HEADER.pack(GCKP_MAGIC, GCKP_VERSION, len(payload)))
-        fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+    # Written beside the target and swapped in whole: a crash mid-write
+    # leaves the previous checkpoint at `path` intact.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_GCKP_HEADER.pack(GCKP_MAGIC, GCKP_VERSION, len(payload)))
+            fh.write(payload)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -349,9 +418,10 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     checkpoint with the best dev recall@1 and stop after `patience`
     epochs without improvement.
 
-    With `checkpoint_dir`, every epoch rewrites `last.gckp` (full resume
-    state) and `best.gckp` (best parameters so far); `resume=True` picks
-    up from those files and reproduces the uninterrupted run exactly.
+    With `checkpoint_dir`, every epoch rewrites `best.gckp` (best
+    parameters so far) and then `last.gckp` (full resume state), each
+    atomically; `resume=True` picks up from those files and reproduces
+    the uninterrupted run exactly.
     """
     if not train_records or not dev_records:
         raise ValueError("train and dev sets must be non-empty")
@@ -380,7 +450,14 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         history = list(last.history)
         best_metric = last.best_metric
         best_epoch = last.best_epoch
-        best_params = load_checkpoint(checkpoint_dir / BEST_CHECKPOINT).params
+        best = load_checkpoint(checkpoint_dir / BEST_CHECKPOINT)
+        if best.best_epoch != last.best_epoch:
+            raise ValueError(
+                f"{checkpoint_dir}: {BEST_CHECKPOINT} holds epoch {best.best_epoch} but "
+                f"{LAST_CHECKPOINT} expects epoch {last.best_epoch}; the pair is inconsistent "
+                f"(interrupted between the two writes?) and cannot be resumed"
+            )
+        best_params = best.params
         start_epoch = last.epoch + 1
 
     micro = cfg.micro_batch_size
@@ -410,17 +487,19 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
             best_params = _snapshot_params(named)
 
         if checkpoint_dir is not None:
+            # `last` is the commit point: it is written only once `best`
+            # agrees with it, and resume checks that the pair agrees.
+            save_checkpoint(Checkpoint(
+                params=best_params, config=config_snapshot,
+                epoch=best_epoch, best_metric=best_metric, best_epoch=best_epoch,
+                history=history,
+            ), checkpoint_dir / BEST_CHECKPOINT)
             save_checkpoint(Checkpoint(
                 params=_snapshot_params(named), config=config_snapshot,
                 epoch=epoch, best_metric=best_metric, best_epoch=best_epoch,
                 optimizer=state, rng_state=rng.bit_generator.state,
                 history=history,
             ), checkpoint_dir / LAST_CHECKPOINT)
-            save_checkpoint(Checkpoint(
-                params=best_params, config=config_snapshot,
-                epoch=best_epoch, best_metric=best_metric, best_epoch=best_epoch,
-                history=history,
-            ), checkpoint_dir / BEST_CHECKPOINT)
 
         if epoch - best_epoch > cfg.patience:
             break

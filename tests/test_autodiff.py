@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ def test_matmul_batched_gradients():
     w = rng.normal(size=(2, 3, 5))
     fdcheck(lambda t: (matmul(t, b) * w).sum(), a)
     fdcheck(lambda t: (matmul(a, t) * w).sum(), b)
+
+
+@pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)], ids=["BSk", "BHSk"])
+@pytest.mark.parametrize("trainable", ["left", "right", "both"])
+def test_matmul_folded_weight_gradients(lead, trainable):
+    # A 2-d right operand takes the folded single-GEMM path in both directions.
+    rng = np.random.default_rng(4)
+    make_a = parameter if trainable in ("left", "both") else constant
+    make_b = parameter if trainable in ("right", "both") else constant
+    a = make_a(rng.normal(size=lead + (4,)))
+    b = make_b(rng.normal(size=(4, 5)))
+    w = rng.normal(size=lead + (5,))
+    np.testing.assert_allclose(matmul(a, b).values, np.matmul(a.values, b.values),
+                               rtol=1e-12, atol=1e-12)
+    if a.requires_grad:
+        fdcheck(lambda t: (matmul(t, b) * w).sum(), a)
+    if b.requires_grad:
+        fdcheck(lambda t: (matmul(a, t) * w).sum(), b)
+    a.grad = b.grad = None
+    backward((matmul(a, b) * w).sum())
+    assert (a.grad is not None) == a.requires_grad
+    assert (b.grad is not None) == b.requires_grad
 
 
 # -- softmax -------------------------------------------------------------------
@@ -425,6 +448,32 @@ def test_no_grad_suppresses_graph_recording():
     assert not y.requires_grad
     with pytest.raises(ValueError):
         backward(y)
+
+
+def test_no_grad_in_one_thread_leaves_another_recording():
+    inside, release = threading.Event(), threading.Event()
+    seen_inside = []
+
+    def evaluator():
+        with no_grad():
+            seen_inside.append((parameter(np.ones(2)) * 2.0).requires_grad)
+            inside.set()
+            release.wait(timeout=10)
+
+    thread = threading.Thread(target=evaluator)
+    thread.start()
+    try:
+        assert inside.wait(timeout=10)
+        x = parameter(np.ones(3))
+        y = (x * 2.0).sum()
+        assert y.requires_grad
+        backward(y)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen_inside == [False]
 
 
 # -- error conditions ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from ctxground.training import (
     train_step,
 )
 from ctxground.data import FormatError
+from ctxground import training
 
 from oracles import adam_ref
 
@@ -115,6 +116,28 @@ def test_post_clip_norm_never_exceeds_max():
         assert total <= 0.25 + 1e-12
 
 
+def test_clip_names_the_non_finite_parameter_after_the_first():
+    rng = np.random.default_rng(5)
+    for bad in (np.nan, np.inf, -np.inf):
+        grads = {n: rng.normal(size=training._BLOCK + 7).astype(np.float32)
+                 for n in ("first", "second", "third")}
+        grads["third"][training._BLOCK + 3] = bad
+        with pytest.raises(NonFiniteError, match="'third'"):
+            clip_global_norm(grads, 0.25)
+        grads["third"][:] = 1.0
+        grads["second"][0] = bad
+        with pytest.raises(NonFiniteError, match="'second'"):
+            clip_global_norm(grads, 0.25)
+
+
+def test_clip_scales_in_place():
+    grads = {"w": np.array([3.0, 4.0], dtype=np.float32)}
+    before = grads["w"]
+    out, _ = clip_global_norm(grads, 1.0)
+    assert out["w"] is before
+    np.testing.assert_array_equal(before, np.array([3.0, 4.0], dtype=np.float32) * 0.2)
+
+
 # -- adam ----------------------------------------------------------------------------
 
 
@@ -161,6 +184,56 @@ def test_adam_two_identical_runs_identical_trajectories():
     a, b = run(), run()
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+
+
+def _adam_whole_array(p, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference for the blocked loop: the Adam formula on whole arrays."""
+    correct1 = 1.0 - beta1 ** step
+    correct2 = 1.0 - beta2 ** step
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    update = lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+    return p - update.astype(p.dtype), m, v
+
+
+def test_blocked_adam_is_bit_identical_to_whole_array_formula():
+    size = 2 * training._BLOCK + 123          # several blocks, the last one partial
+    rng = np.random.default_rng(8)
+    start = rng.normal(size=(3, size)).astype(np.float32)
+    p = parameter(start.copy())
+    small = parameter(np.array([0.25, -0.5]))    # float64: its own scalar dtype
+    named = {"p": p, "small": small}
+    state = AdamState.init(named)
+    want = {n: (t.values.copy(), np.zeros_like(t.values), np.zeros_like(t.values))
+            for n, t in named.items()}
+    for step in range(1, 6):
+        grads = {n: (rng.normal(size=t.shape) * 10.0 ** -step).astype(t.dtype)
+                 for n, t in named.items()}
+        adam_step(named, grads, state, lr=1e-3)
+        for n, t in named.items():
+            pw, mw, vw = want[n]
+            want[n] = _adam_whole_array(pw, grads[n], mw, vw, step, 1e-3)
+            assert np.array_equal(t.values, want[n][0]), (n, step)
+            assert np.array_equal(state.m[n], want[n][1]), (n, step)
+            assert np.array_equal(state.v[n], want[n][2]), (n, step)
+
+
+def test_adam_rejects_non_contiguous_parameter():
+    base = np.ones((4, 6), dtype=np.float32)
+    p = parameter(base)
+    p.values = base[:, ::2]
+    named = {"p": p}
+    state = AdamState.init(named)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(named, {"p": np.ones((4, 3), dtype=np.float32)}, state, lr=0.1)
+    np.testing.assert_array_equal(base, 1.0)
+
+
+def test_adam_rejects_mixed_dtypes():
+    p = parameter(np.ones(3, dtype=np.float32))
+    named = {"p": p}
+    with pytest.raises(ValueError, match="dtype"):
+        adam_step(named, {"p": np.ones(3)}, AdamState.init(named), lr=0.1)
 
 
 # -- train_step ------------------------------------------------------------------------
@@ -393,6 +466,50 @@ def test_split_run_training_equals_uninterrupted(tmp_path):
         assert full.best.params[name].tobytes() == split.best.params[name].tobytes(), name
     assert ((tmp_path / "full" / "last.gckp").read_bytes()
             == (tmp_path / "split" / "last.gckp").read_bytes())
+
+
+def test_crash_between_checkpoint_writes_is_detected_on_resume(tmp_path, monkeypatch):
+    records = tiny_records(8, seed=13)
+    real_save = training.save_checkpoint
+    crashed = []
+
+    def save_then_crash(ckpt, path):
+        # Crash on the first `last` write of an epoch that set a new best,
+        # after `best` for that epoch is already on disk.
+        if path.name == training.LAST_CHECKPOINT and 0 < ckpt.epoch == ckpt.best_epoch:
+            crashed.append(ckpt.epoch)
+            raise KeyboardInterrupt("simulated crash")
+        real_save(ckpt, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_crash)
+    with pytest.raises(KeyboardInterrupt):
+        fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=6, patience=50),
+            checkpoint_dir=tmp_path)
+    assert crashed, "no epoch improved on the best; the crash was never simulated"
+    monkeypatch.setattr(training, "save_checkpoint", real_save)
+    assert load_checkpoint(tmp_path / "last.gckp").epoch == crashed[0] - 1
+    with pytest.raises(ValueError, match="inconsistent"):
+        fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=6, patience=50),
+            checkpoint_dir=tmp_path, resume=True)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.gckp"
+    first = Checkpoint(params={"w": np.zeros(3, dtype=np.float32)}, config={},
+                       epoch=0, best_metric=0.0, best_epoch=0)
+    save_checkpoint(first, path)
+    before = path.read_bytes()
+
+    def fail_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(training.os, "replace", fail_replace)
+    second = Checkpoint(params={"w": np.ones(3, dtype=np.float32)}, config={},
+                        epoch=1, best_metric=1.0, best_epoch=1)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(second, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.gckp"]
 
 
 def test_resume_requires_checkpoint_dir():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,9 +112,16 @@ def _cmd_eval(args) -> int:
     data_path = Path(args.data)
     if not data_path.exists():
         raise FileNotFoundError(f"dataset file not found: {data_path}")
+    t0 = time.perf_counter()
     model = model_from_checkpoint(load_checkpoint(ckpt_path))
     records = parse_dataset(data_path)
+    t1 = time.perf_counter()
     report = evaluate(model, records, split=args.split)
+    t2 = time.perf_counter()
+    # Timing goes to stderr, so the report on stdout stays machine-readable.
+    print(f"eval timing: load {t1 - t0:.3f} s (checkpoint and data), "
+          f"evaluate {t2 - t1:.3f} s, {report.total_entities / (t2 - t1):.1f} entities/s",
+          file=sys.stderr)
     if args.out:
         emit_report(report, args.format, args.out)
         print(f"wrote {args.format} report to {args.out}")

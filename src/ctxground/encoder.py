@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,6 +45,11 @@ __all__ = [
     "TextBranchParams",
     "ImageBranchParams",
     "BranchInput",
+    "ParamMaker",
+    "random_params",
+    "unset_params",
+    "build_text_branch",
+    "build_image_branch",
     "init_text_branch",
     "init_image_branch",
     "embed_tokens",
@@ -210,65 +215,104 @@ class ImageBranchParams:
     layers: list[EncoderLayerParams] = field(default_factory=list)
 
 
-def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, dtype,
-                 std: float = INIT_STD, with_bias: bool = True) -> LinearParams:
-    weight = parameter(rng.normal(0.0, std, (fan_in, fan_out)), dtype=dtype)
-    bias = parameter(np.zeros(fan_out), dtype=dtype) if with_bias else None
-    return LinearParams(weight=weight, bias=bias)
+# Builds one parameter tensor of the given shape. `fill` names the value a
+# fresh model starts from: "normal" (a random weight), "zeros" (a bias) or
+# "ones" (a layer-norm gain). Builders call it in field order, which is
+# also the order of `named_parameters`.
+ParamMaker = Callable[[tuple, str], Tensor]
 
 
-def _init_layer_norm(dim: int, dtype) -> LayerNormParams:
-    return LayerNormParams(gain=parameter(np.ones(dim), dtype=dtype),
-                           bias=parameter(np.zeros(dim), dtype=dtype))
+def random_params(rng: np.random.Generator, dtype=np.float32,
+                  std: float = INIT_STD) -> ParamMaker:
+    """Fresh values: normal(0, std) weights drawn from `rng` in build
+    order, zero biases and unit gains."""
+    def make(shape, fill):
+        if fill == "normal":
+            values = rng.normal(0.0, std, shape)
+        else:
+            values = np.zeros(shape) if fill == "zeros" else np.ones(shape)
+        return parameter(values, dtype=dtype)
+    return make
 
 
-def _init_encoder_layer(rng, cfg: BranchConfig, dtype, std: float) -> EncoderLayerParams:
+def unset_params(dtype=np.float32) -> ParamMaker:
+    """Placeholders for a model whose values are assigned right after it
+    is built: each tensor is a read-only view of one zero, so building
+    draws nothing and allocates nothing the size of the model."""
+    def make(shape, fill):
+        tensor = parameter(np.zeros((), dtype=dtype))
+        tensor.values = np.broadcast_to(tensor.values, shape)
+        return tensor
+    return make
+
+
+def _init_linear(make: ParamMaker, fan_in: int, fan_out: int,
+                 with_bias: bool = True) -> LinearParams:
+    return LinearParams(weight=make((fan_in, fan_out), "normal"),
+                        bias=make((fan_out,), "zeros") if with_bias else None)
+
+
+def _init_layer_norm(make: ParamMaker, dim: int) -> LayerNormParams:
+    return LayerNormParams(gain=make((dim,), "ones"), bias=make((dim,), "zeros"))
+
+
+def _init_encoder_layer(make: ParamMaker, cfg: BranchConfig) -> EncoderLayerParams:
     d = cfg.hidden_dim
     return EncoderLayerParams(
         attention=AttentionParams(
-            query=_init_linear(rng, d, d, dtype, std),
+            query=_init_linear(make, d, d),
             # A key bias is inert under softmax (it shifts every logit in
             # a row equally), so the attention keeps none.
-            key=_init_linear(rng, d, d, dtype, std, with_bias=False),
-            value=_init_linear(rng, d, d, dtype, std),
-            output=_init_linear(rng, d, d, dtype, std),
+            key=_init_linear(make, d, d, with_bias=False),
+            value=_init_linear(make, d, d),
+            output=_init_linear(make, d, d),
         ),
-        attention_norm=_init_layer_norm(d, dtype),
-        ffn_in=_init_linear(rng, d, cfg.ffn_dim, dtype, std),
-        ffn_out=_init_linear(rng, cfg.ffn_dim, d, dtype, std),
-        ffn_norm=_init_layer_norm(d, dtype),
+        attention_norm=_init_layer_norm(make, d),
+        ffn_in=_init_linear(make, d, cfg.ffn_dim),
+        ffn_out=_init_linear(make, cfg.ffn_dim, d),
+        ffn_norm=_init_layer_norm(make, d),
     )
+
+
+def build_text_branch(cfg: BranchConfig, vocab_size: int, make: ParamMaker) -> TextBranchParams:
+    """Text branch whose parameter tensors come from `make`."""
+    if cfg.max_positions is None:
+        raise ValueError("text branch config needs max_positions")
+    d = cfg.hidden_dim
+    embeddings = TextEmbeddings(
+        token_table=make((vocab_size, d), "normal"),
+        position_table=make((cfg.max_positions, d), "normal"),
+        norm=_init_layer_norm(make, d),
+    )
+    layers = [_init_encoder_layer(make, cfg) for _ in range(cfg.num_layers)]
+    return TextBranchParams(embeddings=embeddings, layers=layers)
+
+
+def build_image_branch(cfg: BranchConfig, feature_dim: int, make: ParamMaker) -> ImageBranchParams:
+    """Image branch whose parameter tensors come from `make`; a learned
+    input projection is added only when the incoming RoI feature width
+    differs from the branch width."""
+    d = cfg.hidden_dim
+    input_proj = None if feature_dim == d else _init_linear(make, feature_dim, d)
+    spatial = None
+    if cfg.use_spatial:
+        spatial = SpatialMLP(fc1=_init_linear(make, 5, d), fc2=_init_linear(make, d, d))
+    embed_norm = _init_layer_norm(make, d)
+    layers = [_init_encoder_layer(make, cfg) for _ in range(cfg.num_layers)]
+    return ImageBranchParams(input_proj=input_proj, spatial=spatial,
+                             embed_norm=embed_norm, layers=layers)
 
 
 def init_text_branch(cfg: BranchConfig, vocab_size: int, rng: np.random.Generator,
                      dtype=np.float32, std: float = INIT_STD) -> TextBranchParams:
     """Randomly initialized text branch (normal, std 0.02); no pretrained import."""
-    if cfg.max_positions is None:
-        raise ValueError("text branch config needs max_positions")
-    d = cfg.hidden_dim
-    embeddings = TextEmbeddings(
-        token_table=parameter(rng.normal(0.0, std, (vocab_size, d)), dtype=dtype),
-        position_table=parameter(rng.normal(0.0, std, (cfg.max_positions, d)), dtype=dtype),
-        norm=_init_layer_norm(d, dtype),
-    )
-    layers = [_init_encoder_layer(rng, cfg, dtype, std) for _ in range(cfg.num_layers)]
-    return TextBranchParams(embeddings=embeddings, layers=layers)
+    return build_text_branch(cfg, vocab_size, random_params(rng, dtype, std))
 
 
 def init_image_branch(cfg: BranchConfig, feature_dim: int, rng: np.random.Generator,
                       dtype=np.float32, std: float = INIT_STD) -> ImageBranchParams:
-    """Image branch; a learned input projection is added only when the
-    incoming RoI feature width differs from the branch width."""
-    d = cfg.hidden_dim
-    input_proj = None if feature_dim == d else _init_linear(rng, feature_dim, d, dtype, std)
-    spatial = None
-    if cfg.use_spatial:
-        spatial = SpatialMLP(fc1=_init_linear(rng, 5, d, dtype, std),
-                             fc2=_init_linear(rng, d, d, dtype, std))
-    embed_norm = _init_layer_norm(d, dtype)
-    layers = [_init_encoder_layer(rng, cfg, dtype, std) for _ in range(cfg.num_layers)]
-    return ImageBranchParams(input_proj=input_proj, spatial=spatial,
-                             embed_norm=embed_norm, layers=layers)
+    """Randomly initialized image branch (normal, std 0.02)."""
+    return build_image_branch(cfg, feature_dim, random_params(rng, dtype, std))
 
 
 # -- inputs -------------------------------------------------------------------

@@ -16,13 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, bce_with_logits, matmul, parameter, take_rows
-from .encoder import LinearParams
+from .autodiff import Tensor, bce_with_logits, matmul, take_rows
+from .encoder import LinearParams, ParamMaker, random_params
 
 __all__ = [
     "PhraseSpan",
     "GroundingLogits",
     "HeadParams",
+    "build_head",
     "init_head",
     "extract_entity_states",
     "cross_modal_logits",
@@ -94,13 +95,18 @@ class HeadParams:
         return self.query.weight.shape[1]
 
 
-def init_head(d_text: int, d_image: int, d_joint: int, rng: np.random.Generator,
-              dtype=np.float32, std: float = 0.02) -> HeadParams:
+def build_head(d_text: int, d_image: int, d_joint: int, make: ParamMaker) -> HeadParams:
+    """Head whose parameter tensors come from `make`."""
     def lin(fan_in):
-        return LinearParams(weight=parameter(rng.normal(0.0, std, (fan_in, d_joint)), dtype=dtype),
-                            bias=parameter(np.zeros(d_joint), dtype=dtype))
+        return LinearParams(weight=make((fan_in, d_joint), "normal"),
+                            bias=make((d_joint,), "zeros"))
 
     return HeadParams(query=lin(d_text), key=lin(d_image))
+
+
+def init_head(d_text: int, d_image: int, d_joint: int, rng: np.random.Generator,
+              dtype=np.float32, std: float = 0.02) -> HeadParams:
+    return build_head(d_text, d_image, d_joint, random_params(rng, dtype, std))
 
 
 def extract_entity_states(text_hidden: Tensor, spans: Sequence[PhraseSpan]) -> Tensor:

@@ -15,20 +15,22 @@ from .encoder import (
     BranchConfig,
     BranchInput,
     ImageBranchParams,
+    ParamMaker,
     TextBranchParams,
+    build_image_branch,
+    build_text_branch,
     default_image_config,
     default_text_config,
     encode_branch,
-    init_image_branch,
-    init_text_branch,
     model_label,
+    random_params,
 )
 from .head import (
     GroundingLogits,
     HeadParams,
+    build_head,
     cross_modal_logits,
     extract_entity_states,
-    init_head,
     per_entity_bce,
 )
 
@@ -118,14 +120,20 @@ class GroundingModel:
         self.params = params
 
     @classmethod
+    def build(cls, config: ModelConfig, make: ParamMaker) -> "GroundingModel":
+        """Model of `config` whose parameter tensors come from `make`,
+        called in `named_parameters` order."""
+        text = build_text_branch(config.text, config.vocab_size, make)
+        image = build_image_branch(config.image, config.feature_dim, make)
+        head = build_head(config.text.hidden_dim, config.image.hidden_dim, config.d_joint, make)
+        return cls(config, ModelParams(text=text, image=image, head=head))
+
+    @classmethod
     def initialize(cls, config: ModelConfig, seed: int, dtype=np.float32,
                    init_std: float = 0.02) -> "GroundingModel":
-        rng = np.random.default_rng(seed)
-        text = init_text_branch(config.text, config.vocab_size, rng, dtype, init_std)
-        image = init_image_branch(config.image, config.feature_dim, rng, dtype, init_std)
-        head = init_head(config.text.hidden_dim, config.image.hidden_dim,
-                         config.d_joint, rng, dtype, init_std)
-        return cls(config, ModelParams(text=text, image=image, head=head))
+        """Fresh model: normal(0, init_std) weights drawn from one
+        generator seeded with `seed`, zero biases, unit gains."""
+        return cls.build(config, random_params(np.random.default_rng(seed), dtype, init_std))
 
     @property
     def label(self) -> str:

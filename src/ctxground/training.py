@@ -22,6 +22,7 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, backward, zero_grads
 from .data import FormatError, SampleRecord, collate_batch
+from .encoder import unset_params
 from .evaluate import evaluate
 from .model import GroundingModel, ModelConfig
 
@@ -324,34 +325,105 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
-def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if len(blob) < _GCKP_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, manifest_len = _GCKP_HEADER.unpack_from(blob)
-    if magic != GCKP_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != GCKP_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    start = _GCKP_HEADER.size
-    if len(blob) < start + manifest_len:
-        raise FormatError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(blob[start:start + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt manifest: {exc}") from exc
-    payload = blob[start + manifest_len:]
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        lo = entry["offset"]
-        hi = lo + count * 4
-        if hi > len(payload):
-            raise FormatError(f"{path}: truncated payload for tensor {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
-            payload[lo:hi], dtype="<f4").reshape(shape).copy()
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_manifest(manifest, payload_size: int, where) -> list[tuple[str, tuple, int]]:
+    """Validate a GCKP manifest against a payload of `payload_size` bytes
+    and return its tensor directory as (name, shape, offset) triples.
+    Anything malformed raises FormatError."""
+    def bad(message):
+        return FormatError(f"{where}: {message}")
+
+    if not isinstance(manifest, dict):
+        raise bad("manifest is not a JSON object")
+    for key, check, what in (("config", lambda x: isinstance(x, dict), "an object"),
+                             ("epoch", _is_int, "an integer"),
+                             ("best_metric", _is_number, "a number"),
+                             ("best_epoch", _is_int, "an integer"),
+                             ("tensors", lambda x: isinstance(x, list), "a list")):
+        if key not in manifest:
+            raise bad(f"manifest has no {key!r}")
+        if not check(manifest[key]):
+            raise bad(f"manifest {key!r} is not {what}")
+    if not isinstance(manifest.get("rng_state"), (dict, type(None))):
+        raise bad("manifest 'rng_state' is not an object")
+    if not isinstance(manifest.get("history", []), list):
+        raise bad("manifest 'history' is not a list")
+
+    entries = []
+    for i, entry in enumerate(manifest["tensors"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise bad(f"tensor entry {i} has no string name")
+        name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
+        if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+            raise bad(f"tensor {name!r} shape {shape!r} is not a list of non-negative integers")
+        if not _is_int(offset) or offset < 0:
+            raise bad(f"tensor {name!r} offset {offset!r} is not a non-negative integer")
+        if offset + 4 * math.prod(shape) > payload_size:
+            raise bad(f"truncated payload for tensor {name!r}")
+        entries.append((name, tuple(shape), offset))
+    names = [name for name, _, _ in entries]
+    if len(set(names)) != len(names):
+        raise bad("duplicate tensor names")
+
+    params = {n for n in names if not n.startswith("adam.")}
+    opt = manifest.get("optimizer")
+    if opt is None:
+        if len(params) != len(names):
+            raise bad("Adam moment tensors without an optimizer block")
+        return entries
+    if not isinstance(opt, dict):
+        raise bad("manifest 'optimizer' is not an object")
+    for key, check in (("step", _is_int), ("beta1", _is_number),
+                       ("beta2", _is_number), ("eps", _is_number)):
+        if not check(opt.get(key)):
+            raise bad(f"optimizer {key!r} is missing or not a number")
+    moments = {f"adam.{kind}.{n}" for kind in "mv" for n in params}
+    if set(names) != params | moments:
+        raise bad("Adam moment tensors do not match the parameters")
+    return entries
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a GCKP file. The manifest is validated first; then each
+    tensor is read once, straight from its offset into the fresh
+    float32 array that the returned checkpoint holds. A malformed or
+    truncated file raises FormatError."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_GCKP_HEADER.size)
+        if len(header) < _GCKP_HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, manifest_len = _GCKP_HEADER.unpack(header)
+        if magic != GCKP_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != GCKP_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        start = _GCKP_HEADER.size + manifest_len
+        if start > size:
+            raise FormatError(f"{path}: truncated manifest")
+        try:
+            manifest = json.loads(fh.read(manifest_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deeply nested
+            raise FormatError(f"{path}: corrupt manifest: {exc}") from exc
+        entries = _check_manifest(manifest, size - start, path)
+
+        arrays: dict[str, np.ndarray] = {}
+        for name, shape, offset in entries:
+            try:
+                arr = np.empty(shape, dtype="<f4")
+            except ValueError as exc:  # a zero-size shape beyond numpy's limits
+                raise FormatError(f"{path}: tensor {name!r}: {exc}") from exc
+            fh.seek(start + offset)
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"{path}: truncated payload for tensor {name!r}")
+            arrays[name] = arr
 
     params = {n: a for n, a in arrays.items() if not n.startswith("adam.")}
     optimizer = None
@@ -375,25 +447,37 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> GroundingModel:
-    """Rebuild a model from a checkpoint's config snapshot and parameters."""
+    """Rebuild a model from a checkpoint's config snapshot and parameters,
+    with no random initialization.
+
+    The model takes ownership of the checkpoint's float32 arrays: they
+    become its parameter values without a copy, so an in-place update of
+    the model (an optimizer step) also changes `ckpt.params`."""
     config = ModelConfig.from_dict(ckpt.config["model"])
-    model = GroundingModel.initialize(config, seed=0, dtype=np.float32)
+    model = GroundingModel.build(config, unset_params(np.float32))
     _restore_params(model, ckpt.params)
     return model
 
 
 def _restore_params(model: GroundingModel, params: dict[str, np.ndarray]) -> None:
+    """Make `params` the model's parameter values. An array of the
+    parameter's dtype that is C-contiguous and writable is adopted as it
+    is; any other is converted with one copy. Names and shapes are
+    checked before any parameter changes."""
     named = model.named_parameters()
     if set(named) != set(params):
         missing = set(named) ^ set(params)
         raise ValueError(f"checkpoint parameter names do not match the model: {sorted(missing)}")
     for name, tensor in named.items():
-        arr = params[name]
-        if arr.shape != tensor.shape:
+        if params[name].shape != tensor.shape:
             raise ValueError(
-                f"checkpoint shape {arr.shape} does not match {name!r} {tensor.shape}"
+                f"checkpoint shape {params[name].shape} does not match {name!r} {tensor.shape}"
             )
-        tensor.values = arr.astype(tensor.dtype).copy()
+    for name, tensor in named.items():
+        arr = params[name]
+        if not (arr.dtype == tensor.dtype and arr.flags.c_contiguous and arr.flags.writeable):
+            arr = np.array(arr, dtype=tensor.dtype, order="C")
+        tensor.values = arr
         tensor.grad = None
 
 

@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 
 from ctxground.cli import RunConfig, cli_main
 from ctxground.data import parse_dataset
-from ctxground.evaluate import load_report
-from ctxground.training import load_checkpoint
+from ctxground.evaluate import evaluate, load_report
+from ctxground.training import load_checkpoint, model_from_checkpoint
 
 SYNTH_SPEC = {
     "seed": 7, "num_samples": 12, "vocab_size": 20, "tokens_per_sample": 6,
@@ -73,8 +74,17 @@ def test_eval_prints_json_without_out(pipeline_dir, capsys):
     assert cli_main(["eval", "--checkpoint", str(root / "run" / "best.gckp"),
                      "--data", str(root / "ds" / "data.jsonl"),
                      "--split", "synthetic"]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["split"] == "synthetic"
+    captured = capsys.readouterr()
+    expected = evaluate(model_from_checkpoint(load_checkpoint(root / "run" / "best.gckp")),
+                        parse_dataset(root / "ds" / "data.jsonl"), split="synthetic")
+    # stdout is exactly the report JSON, in the documented key order
+    assert captured.out == json.dumps(expected.to_dict(), indent=2) + "\n"
+    assert list(json.loads(captured.out)) == [
+        "split", "recall_at_1", "recall_at_5", "recall_at_10", "upper_bound",
+        "per_type", "total_entities", "model_label"]
+    # timing is one stderr line
+    assert re.fullmatch(r"eval timing: load \d+\.\d{3} s \(checkpoint and data\), "
+                        r"evaluate \d+\.\d{3} s, \d+\.\d entities/s\n", captured.err)
 
 
 def test_train_resume_from_checkpoints(pipeline_dir):

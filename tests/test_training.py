@@ -1,7 +1,12 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxground.autodiff import NonFiniteError, parameter
 from ctxground.data import SyntheticSpec, collate_batch, generate_synthetic
@@ -439,6 +444,138 @@ def test_model_from_checkpoint_restores_behavior(tmp_path):
     restored = model_from_checkpoint(load_checkpoint(path))
     loss_after, _ = restored.batch_loss(batch, training=False)
     assert loss_before.item() == loss_after.item()
+
+
+def _small_checkpoint() -> Checkpoint:
+    params = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+              "b": np.ones(3, dtype=np.float32)}
+    state = AdamState(m={n: a * 0.5 for n, a in params.items()},
+                      v={n: a * 0.25 for n, a in params.items()}, step=2)
+    return Checkpoint(params=params, config={"model": {}}, epoch=1, best_metric=50.0,
+                      best_epoch=1, optimizer=state,
+                      rng_state=np.random.default_rng(0).bit_generator.state,
+                      history=[{"epoch": 0, "train_loss": 0.5, "dev_recall_at_1": 50.0}])
+
+
+def _split_gckp(blob: bytes) -> tuple[dict, bytes]:
+    _, _, manifest_len = training._GCKP_HEADER.unpack_from(blob)
+    start = training._GCKP_HEADER.size
+    return json.loads(blob[start:start + manifest_len]), blob[start + manifest_len:]
+
+
+def _join_gckp(manifest, payload: bytes) -> bytes:
+    text = json.dumps(manifest).encode("utf-8")
+    return training._GCKP_HEADER.pack(b"GCKP", 1, len(text)) + text + payload
+
+
+def _without(key):
+    return lambda m: {k: v for k, v in m.items() if k != key}
+
+
+def _tensor_field(key, value):
+    return lambda m: {**m, "tensors": [{**m["tensors"][0], key: value}] + m["tensors"][1:]}
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_without("tensors"), id="no-tensors"),
+    pytest.param(lambda m: [m], id="manifest-is-a-list"),
+    pytest.param(_tensor_field("offset", -4), id="negative-offset"),
+    pytest.param(_tensor_field("shape", "2,3"), id="string-shape"),
+    pytest.param(_without("epoch"), id="no-epoch"),
+    pytest.param(lambda m: {**m, "optimizer": _without("beta1")(m["optimizer"])},
+                 id="optimizer-without-beta1"),
+    pytest.param(_tensor_field("shape", [-1]), id="negative-dim"),
+])
+def test_load_checkpoint_rejects_malformed_manifest(tmp_path, edit):
+    path = tmp_path / "model.gckp"
+    save_checkpoint(_small_checkpoint(), path)
+    manifest, payload = _split_gckp(path.read_bytes())
+    path.write_bytes(_join_gckp(edit(manifest), payload))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+_FUZZ_BLOB = []
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_load_checkpoint_fuzz_raises_only_format_error(data):
+    if not _FUZZ_BLOB:
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(_small_checkpoint(), Path(tmp) / "seed.gckp")
+            _FUZZ_BLOB.append((Path(tmp) / "seed.gckp").read_bytes())
+    blob = bytearray(_FUZZ_BLOB[0])
+    kind = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if kind == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif kind == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    else:
+        at = data.draw(st.integers(0, len(blob)))
+        blob[at:at] = data.draw(st.binary(min_size=1, max_size=16))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.gckp"
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except FormatError:
+            pass
+
+
+def test_model_from_checkpoint_adopts_arrays_without_initializing(tmp_path, monkeypatch):
+    model = tiny_model(seed=10)
+    saved = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    path = tmp_path / "model.gckp"
+    save_checkpoint(Checkpoint(params=saved, config={"model": model.config.to_dict()},
+                               epoch=0, best_metric=0.0, best_epoch=0), path)
+
+    def no_initialize(*args, **kwargs):
+        raise AssertionError("model_from_checkpoint drew a random initialization")
+
+    monkeypatch.setattr(GroundingModel, "initialize", no_initialize)
+    ckpt = load_checkpoint(path)
+    restored = model_from_checkpoint(ckpt)
+    named = restored.named_parameters()
+    assert list(named) == list(saved)
+    for name, t in named.items():
+        assert np.array_equal(t.values, saved[name])
+        assert t.dtype == np.float32
+        assert t.values.flags.c_contiguous and t.values.flags.writeable
+        assert t.values is ckpt.params[name]  # adopted, not copied
+    grads = {n: np.full_like(t.values, 0.1) for n, t in named.items()}
+    adam_step(named, grads, AdamState.init(named), lr=1e-3)
+    for name, t in named.items():
+        assert not np.array_equal(t.values, saved[name]), name
+
+
+def test_restore_params_converts_other_dtypes(tmp_path):
+    source = tiny_model(seed=10)
+    saved = {n: t.values.copy() for n, t in source.named_parameters().items()}
+    target = tiny_model(dtype=np.float64, seed=1)
+    training._restore_params(target, saved)
+    for name, t in target.named_parameters().items():
+        assert t.dtype == np.float64
+        assert np.array_equal(t.values, saved[name].astype(np.float64))
+
+
+@pytest.mark.parametrize("edit,message", [
+    ("rename", "names do not match"),
+    ("reshape", "shape"),
+])
+def test_model_from_checkpoint_rejects_mismatched_params(edit, message):
+    model = tiny_model()
+    params = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    name = next(iter(params))
+    if edit == "rename":
+        params["not.a.parameter"] = params.pop(name)
+    else:
+        params[name] = params[name].reshape(-1)
+    ckpt = Checkpoint(params=params, config={"model": model.config.to_dict()},
+                      epoch=0, best_metric=0.0, best_epoch=0)
+    with pytest.raises(ValueError, match=message):
+        model_from_checkpoint(ckpt)
 
 
 def test_split_run_training_equals_uninterrupted(tmp_path):

@@ -3,8 +3,9 @@
 Tensors wrap numpy arrays (float32 or float64) and record the operations
 applied to them so that `backward` can replay the graph in reverse
 topological order. The op set is exactly what the grounding model needs:
-broadcasting arithmetic, batched matmul, masked softmax, layer norm,
-GELU, dropout, binary cross entropy on logits, gathers and reductions.
+broadcasting arithmetic, batched matmul, fused linear layers, masked
+softmax, layer norm, GELU, dropout, binary cross entropy on logits,
+gathers and reductions.
 
 Non-finite results are an error, never silent: every op validates its
 output and raises :class:`NonFiniteError` on NaN/Inf.
@@ -28,13 +29,13 @@ __all__ = [
     "constant",
     "parameter",
     "matmul",
+    "linear",
     "softmax_lastdim",
     "layer_norm",
     "bce_with_logits",
     "dropout",
     "gelu",
     "take_rows",
-    "concat_rows",
     "backward",
     "topo_order",
     "zero_grads",
@@ -160,10 +161,6 @@ class Tensor:
         order = list(range(self.values.ndim))
         order[-2], order[-1] = order[-1], order[-2]
         return transpose(self, order)
-
-    def row(self, index: int):
-        """Select one slice along axis 0, dropping the axis."""
-        return take_rows(self, np.asarray([index])).reshape(self.shape[1:])
 
     def backward(self):
         backward(self)
@@ -380,22 +377,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _make(a.values[idx], "take_rows", (a,), backward_fn)
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 0."""
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ValueError("concat_rows needs at least one tensor")
-    sizes = [t.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, g[lo:hi])
-
-    values = np.concatenate([t.values for t in tensors], axis=0)
-    return _make(values, "concat_rows", tensors, backward_fn)
-
-
 # -- model-facing fused ops ------------------------------------------------
 
 
@@ -404,12 +385,41 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x if x.ndim == 2 else x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """`x @ weight + bias` as one node: [..., k] @ [k, n] -> [..., n].
+
+    The leading axes of `x` fold into one GEMM, forward and in both
+    gradient products. The bias is added in place into the GEMM output and
+    its gradient is reduced as `add` reduces it, so values and gradients
+    equal those of `matmul(x, weight) + bias` bit for bit."""
+    if weight.values.ndim != 2 or x.values.ndim < 1 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear shapes disagree: {x.shape} @ {weight.shape}")
+    if bias is not None and bias.shape != weight.shape[1:]:
+        raise ShapeError(f"linear bias shape {bias.shape} does not match {weight.shape}")
+    values = _rows(x.values) @ weight.values
+    if x.values.ndim != 2:
+        values = values.reshape(x.shape[:-1] + weight.shape[1:])
+    if bias is not None:
+        in_place = np.result_type(values, bias.values) == values.dtype
+        values = np.add(values, bias.values, out=values if in_place else None)
+
+    def backward_fn(g):
+        g2 = _rows(g)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ weight.values.T).reshape(x.shape))
+        if weight.requires_grad:
+            _accumulate(weight, _rows(x.values).T @ g2)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _make(values, "linear", parents, backward_fn)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product [..., m, k] @ [..., k, n] -> [..., m, n].
 
-    A 2-d right operand (a linear layer's weight) is applied as one GEMM
-    over the leading axes folded together, in the forward pass and in both
-    gradient products, so no per-batch weight-gradient temporary is built.
+    A 2-d right operand (a linear layer's weight) goes through `linear`.
     """
     b = _as_tensor(b, a.dtype)
     if a.values.ndim < 2 or b.values.ndim < 2:
@@ -418,20 +428,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-
     if b.values.ndim == 2:
-        values = _rows(a.values) @ b.values
-        if a.values.ndim > 2:
-            values = values.reshape(a.shape[:-1] + b.shape[1:])
-
-        def backward_fn(g):
-            g2 = _rows(g)
-            if a.requires_grad:
-                _accumulate(a, (g2 @ b.values.T).reshape(a.shape))
-            if b.requires_grad:
-                _accumulate(b, _rows(a.values).T @ g2)
-
-        return _make(values, "matmul", (a, b), backward_fn)
+        return linear(a, b)
 
     try:
         values = np.matmul(a.values, b.values)

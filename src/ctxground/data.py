@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import PAD_BOX
+from .encoder import PAD_BOX, check_boxes
 from .head import PhraseSpan
 
 __all__ = [
@@ -62,24 +62,9 @@ class FormatError(ValueError):
 # -- geometry ------------------------------------------------------------------
 
 
-def _check_rect(box, name: str = "box") -> tuple[float, float, float, float]:
-    x1, y1, x2, y2 = (float(v) for v in box)
-    if x2 <= x1 or y2 <= y1:
-        raise ValueError(f"degenerate {name} {(x1, y1, x2, y2)}")
-    return x1, y1, x2, y2
-
-
 def iou(a, b) -> float:
     """Intersection over union of two corner-form rectangles, in [0, 1]."""
-    ax1, ay1, ax2, ay2 = _check_rect(a)
-    bx1, by1, bx2, by2 = _check_rect(b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+    return float(iou_matrix(check_boxes(a), check_boxes(b))[0, 0])
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,21 +79,21 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def label_positives(proposals: np.ndarray, gt_boxes: np.ndarray,
                     threshold: float = IOU_THRESHOLD) -> np.ndarray:
     """Binary vector marking proposals whose best IoU against any
     ground-truth box reaches the threshold."""
-    proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
+    proposals = np.reshape(proposals, (-1, 4))
     if proposals.shape[0] == 0:
         raise ValueError("no proposals to label")
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    for p in proposals:
-        _check_rect(p, "proposal")
-    gt = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    for g in gt:
-        _check_rect(g, "gt box")
-    best = iou_matrix(proposals, gt).max(axis=1)
+    _check_threshold(threshold)
+    best = iou_matrix(check_boxes(proposals, "proposal"),
+                      check_boxes(np.reshape(gt_boxes, (-1, 4)), "gt box")).max(axis=1)
     return (best >= threshold).astype(np.float64)
 
 
@@ -117,7 +102,12 @@ def label_positives(proposals: np.ndarray, gt_boxes: np.ndarray,
 
 @dataclass
 class SampleRecord:
-    """One caption-image pair with phrases, proposals, and RoI features."""
+    """One caption-image pair with phrases, proposals, and RoI features.
+
+    `phrase_ious` caches each phrase's best IoU per proposal. It is
+    computed on first use and recomputed once `proposals` or `phrases`
+    has been reassigned; changing that array or list in place goes
+    unnoticed, so a caller that edits a record reassigns the field."""
 
     image_id: str
     width: int
@@ -146,8 +136,6 @@ class SampleRecord:
             raise ValueError(
                 f"feature rows {self.features.shape} do not match {self.proposals.shape[0]} proposals"
             )
-        for box in self.proposals:
-            self._check_in_bounds(box, "proposal")
         for phrase in self.phrases:
             if phrase.last_token >= self.token_ids.size:
                 raise ValueError(
@@ -156,16 +144,19 @@ class SampleRecord:
                 )
             if phrase.entity_type not in ENTITY_TYPES:
                 raise ValueError(f"unknown entity type {phrase.entity_type!r}")
-            for box in phrase.gt_boxes:
-                self._check_in_bounds(box, "gt box")
+        check_boxes(np.concatenate([self.proposals, *(p.gt_boxes for p in self.phrases)]),
+                    "proposal or gt box", (self.width, self.height))
 
-    def _check_in_bounds(self, box, name: str) -> None:
-        x1, y1, x2, y2 = _check_rect(box, name)
-        if x1 < 0 or y1 < 0 or x2 > self.width or y2 > self.height:
-            raise ValueError(
-                f"{name} {(x1, y1, x2, y2)} outside image bounds "
-                f"{(self.width, self.height)}"
-            )
+    @property
+    def phrase_ious(self) -> np.ndarray:
+        """[phrases, objects]: each proposal's best IoU against the
+        phrase's ground-truth boxes (max over boxes, not their union)."""
+        cached = self.__dict__.get("_ious")
+        if cached is None or cached[0] is not self.proposals or cached[1] is not self.phrases:
+            rows = [iou_matrix(self.proposals, p.gt_boxes).max(axis=1) for p in self.phrases]
+            ious = np.reshape(rows, (len(rows), self.num_objects))
+            cached = self._ious = (self.proposals, self.phrases, ious)
+        return cached[2]
 
     @property
     def num_objects(self) -> int:
@@ -339,10 +330,6 @@ class Batch:
     def num_entities(self) -> int:
         return len(self.spans)
 
-    def spans_of(self, b: int) -> list[PhraseSpan]:
-        lo, hi = self.sample_offsets[b], self.sample_offsets[b + 1]
-        return self.spans[lo:hi]
-
     def targets_of(self, b: int) -> np.ndarray:
         lo, hi = self.sample_offsets[b], self.sample_offsets[b + 1]
         return self.targets[lo:hi]
@@ -351,12 +338,13 @@ class Batch:
         """Unpadded views of sample `b` (slicing inverse of collation)."""
         s = int(self.text_mask[b].sum())
         o = int(self.object_mask[b].sum())
+        lo, hi = self.sample_offsets[b], self.sample_offsets[b + 1]
         return {
             "token_ids": self.token_ids[b, :s],
             "features": self.features[b, :o],
             "boxes": self.boxes[b, :o],
             "size": (self.sizes[b, 0], self.sizes[b, 1]),
-            "spans": self.spans_of(b),
+            "spans": self.spans[lo:hi],
             "targets": self.targets_of(b)[:, :o],
         }
 
@@ -364,10 +352,12 @@ class Batch:
 def collate_batch(records, threshold: float = IOU_THRESHOLD,
                   feature_dtype=np.float32) -> Batch:
     """Pad token and object axes to the batch maxima, build masks, and
-    compute supervision targets for every phrase."""
+    mark each phrase's proposals whose cached best IoU reaches the
+    threshold as its supervision targets."""
     records = list(records)
     if not records:
         raise ValueError("cannot collate an empty batch")
+    _check_threshold(threshold)
     d_feat = records[0].features.shape[1]
     for r in records:
         if r.features.shape[1] != d_feat:
@@ -377,6 +367,7 @@ def collate_batch(records, threshold: float = IOU_THRESHOLD,
     batch = len(records)
     max_seq = max(r.token_ids.size for r in records)
     max_obj = max(r.num_objects for r in records)
+    offsets = np.cumsum([0] + [len(r.phrases) for r in records])
 
     token_ids = np.zeros((batch, max_seq), dtype=np.int64)
     text_mask = np.zeros((batch, max_seq), dtype=bool)
@@ -384,29 +375,18 @@ def collate_batch(records, threshold: float = IOU_THRESHOLD,
     boxes = np.tile(np.asarray(PAD_BOX, dtype=np.float64), (batch, max_obj, 1))
     sizes = np.zeros((batch, 2), dtype=np.float64)
     object_mask = np.zeros((batch, max_obj), dtype=bool)
+    targets = np.zeros((offsets[-1], max_obj), dtype=np.float64)
 
-    spans: list[PhraseSpan] = []
-    span_sample: list[int] = []
-    offsets = [0]
-    target_rows: list[np.ndarray] = []
     for b, r in enumerate(records):
         s, o = r.token_ids.size, r.num_objects
         token_ids[b, :s] = r.token_ids
         text_mask[b, :s] = True
-        features[b, :o] = r.features.astype(feature_dtype)
+        features[b, :o] = r.features
         boxes[b, :o] = r.proposals
         sizes[b] = (r.width, r.height)
         object_mask[b, :o] = True
-        for phrase in r.phrases:
-            spans.append(phrase)
-            span_sample.append(b)
-            row = np.zeros(max_obj, dtype=np.float64)
-            row[:o] = label_positives(r.proposals, phrase.gt_boxes, threshold)
-            target_rows.append(row)
-        offsets.append(len(spans))
+        targets[offsets[b]:offsets[b + 1], :o] = r.phrase_ious >= threshold
 
-    targets = (np.stack(target_rows) if target_rows
-               else np.zeros((0, max_obj), dtype=np.float64))
     return Batch(
         token_ids=token_ids,
         text_mask=text_mask,
@@ -414,9 +394,9 @@ def collate_batch(records, threshold: float = IOU_THRESHOLD,
         boxes=boxes,
         sizes=sizes,
         object_mask=object_mask,
-        spans=spans,
-        span_sample=np.asarray(span_sample, dtype=np.intp),
-        sample_offsets=np.asarray(offsets, dtype=np.intp),
+        spans=[p for r in records for p in r.phrases],
+        span_sample=np.repeat(np.arange(batch), np.diff(offsets)),
+        sample_offsets=offsets,
         targets=targets,
     )
 

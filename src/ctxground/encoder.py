@@ -24,6 +24,7 @@ from .autodiff import (
     dropout,
     gelu,
     layer_norm,
+    linear,
     matmul,
     parameter,
     softmax_lastdim,
@@ -45,6 +46,7 @@ __all__ = [
     "TextBranchParams",
     "ImageBranchParams",
     "BranchInput",
+    "check_boxes",
     "ParamMaker",
     "random_params",
     "unset_params",
@@ -344,13 +346,8 @@ class BranchInput:
             if self.boxes is None or self.sizes is None:
                 raise ValueError("image input needs boxes and sizes")
             self.features = np.asarray(self.features)
-            self.boxes = np.asarray(self.boxes, dtype=np.float64)
             self.sizes = np.asarray(self.sizes, dtype=np.float64)
-            for b in range(self.boxes.shape[0]):
-                w, h = self.sizes[b]
-                for o in range(self.boxes.shape[1]):
-                    if self.valid_mask[b, o]:
-                        _validate_box(self.boxes[b, o], w, h)
+            self.boxes = check_boxes(self.boxes, "box", self.sizes[:, None, :], self.valid_mask)
         else:
             self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
 
@@ -359,52 +356,51 @@ class BranchInput:
         return self.token_ids is not None
 
 
-def _validate_box(box, width: float, height: float) -> None:
-    x1, y1, x2, y2 = (float(v) for v in box)
-    if x2 <= x1 or y2 <= y1:
-        raise ValueError(f"degenerate box {(x1, y1, x2, y2)}")
-    if x1 < 0 or y1 < 0 or x2 > width or y2 > height:
-        raise ValueError(
-            f"box {(x1, y1, x2, y2)} outside image bounds {(width, height)}"
-        )
+def check_boxes(boxes, name: str = "box", sizes=None, valid=None) -> np.ndarray:
+    """Validate corner-form rectangles [..., 4]; returns them as float64.
+
+    A box passes when its coordinates are finite, x2 > x1 and y2 > y1,
+    and, given `sizes` ((width, height), broadcastable to the boxes'
+    leading axes), when x1, y1 >= 0, x2 <= width and y2 <= height. The
+    tests are written in positive form, so a NaN coordinate fails them.
+    Only the boxes marked in `valid` are checked; the first failing box
+    raises ValueError.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64)
+    lo, hi = boxes[..., :2], boxes[..., 2:]
+    ok = (hi > lo) & np.isfinite(boxes).all(axis=-1, keepdims=True)
+    if sizes is not None:
+        ok &= (lo >= 0) & (hi <= np.asarray(sizes, dtype=np.float64))
+    ok = ok.all(axis=-1)
+    if valid is not None:
+        ok |= ~np.asarray(valid, dtype=bool)
+    if ok.all():
+        return boxes
+    i = np.unravel_index(np.argmin(ok), ok.shape)
+    box = tuple(float(v) for v in boxes[i])
+    if not np.isfinite(box).all():
+        raise ValueError(f"non-finite {name} {box}")
+    if not (hi[i] > lo[i]).all():
+        raise ValueError(f"degenerate {name} {box}")
+    size = tuple(float(v) for v in np.broadcast_to(sizes, hi.shape)[i])
+    raise ValueError(f"{name} {box} outside image bounds {size}")
 
 
 def normalize_box(box, width: float, height: float) -> np.ndarray:
     """Scale-free 5-d descriptor: corners over image size plus relative area."""
-    _validate_box(box, width, height)
-    x1, y1, x2, y2 = (float(v) for v in box)
-    return np.array([
-        x1 / width,
-        y1 / height,
-        x2 / width,
-        y2 / height,
-        (x2 - x1) * (y2 - y1) / (width * height),
-    ])
+    box = check_boxes(np.reshape(box, (1, 1, 4)), "box", (width, height))
+    return normalize_boxes(box, [[width, height]])[0, 0]
 
 
-def normalize_boxes(boxes: np.ndarray, sizes: np.ndarray,
-                    valid_mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorized :func:`normalize_box` over [batch, objects, 4] boxes.
-
-    Only positions marked valid are validated; padded slots are assumed
-    to carry :data:`PAD_BOX`.
-    """
+def normalize_boxes(boxes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """:func:`normalize_box` over [batch, objects, 4] boxes and [batch, 2]
+    sizes, without validation: a `BranchInput` has checked its boxes, and
+    padded slots carry :data:`PAD_BOX`."""
     boxes = np.asarray(boxes, dtype=np.float64)
-    sizes = np.asarray(sizes, dtype=np.float64)
-    w = sizes[:, 0][:, None]
-    h = sizes[:, 1][:, None]
-    if valid_mask is not None:
-        for b in range(boxes.shape[0]):
-            for o in range(boxes.shape[1]):
-                if valid_mask[b, o]:
-                    _validate_box(boxes[b, o], sizes[b, 0], sizes[b, 1])
-    out = np.empty(boxes.shape[:-1] + (5,), dtype=np.float64)
-    out[..., 0] = boxes[..., 0] / w
-    out[..., 1] = boxes[..., 1] / h
-    out[..., 2] = boxes[..., 2] / w
-    out[..., 3] = boxes[..., 3] / h
-    out[..., 4] = (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1]) / (w * h)
-    return out
+    sizes = np.asarray(sizes, dtype=np.float64)[:, None, :]
+    w, h = sizes[..., 0], sizes[..., 1]
+    area = (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1]) / (w * h)
+    return np.concatenate([boxes / np.tile(sizes, 2), area[..., None]], axis=-1)
 
 
 # -- forward ------------------------------------------------------------------
@@ -415,8 +411,7 @@ _ACTIVATIONS = {
 
 
 def _linear(x: Tensor, p: LinearParams) -> Tensor:
-    out = matmul(x, p.weight)
-    return out if p.bias is None else out + p.bias
+    return linear(x, p.weight, p.bias)
 
 
 def spatial_embed(nbox, mlp: SpatialMLP) -> Tensor:
@@ -528,7 +523,7 @@ def encode_branch(inputs: BranchInput, cfg: BranchConfig, params, training: bool
         if cfg.use_spatial:
             if params.spatial is None:
                 raise ValueError("use_spatial set but no spatial MLP parameters")
-            nboxes = normalize_boxes(inputs.boxes, inputs.sizes, inputs.valid_mask)
+            nboxes = normalize_boxes(inputs.boxes, inputs.sizes)
             x = x + spatial_embed(nboxes, params.spatial)
         x = layer_norm(x, params.embed_norm.gain, params.embed_norm.bias, eps=LN_EPS)
         if training and cfg.dropout_p > 0.0:

@@ -11,9 +11,12 @@ with two decimal places.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -68,12 +71,32 @@ CSV_TYPE_HEADER = ["entity_type", "recall_at_1", "count"]
 
 @dataclass
 class EntityResult:
-    """Everything needed to score one phrase occurrence."""
+    """Everything needed to score one phrase occurrence; `ious` (each
+    proposal's best IoU against the ground-truth boxes) is computed from
+    `proposals` and `gt_boxes` when it is not given."""
 
     ranking: list[int]        # valid proposal indices, best first
     proposals: np.ndarray     # [objects, 4] boxes of this entity's sample
     gt_boxes: np.ndarray      # [boxes, 4]
     entity_type: str
+    ious: Optional[np.ndarray] = field(default=None, repr=False)  # [objects]
+    _hit: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.ious is None:
+            self.ious = iou_matrix(self.proposals, self.gt_boxes).max(axis=1)
+
+    def first_hit(self, threshold: float = IOU_THRESHOLD) -> float:
+        """0-based rank of the first ranked proposal with IoU >= threshold,
+        or inf when none qualifies; kept for the last threshold asked."""
+        if self._hit is None or self._hit[0] != threshold:
+            self._hit = (threshold, _first_hit(self.ranking, self.ious, threshold))
+        return self._hit[1]
+
+
+def _first_hit(ranking, ious: np.ndarray, threshold: float) -> float:
+    hits = np.flatnonzero(ious[np.asarray(ranking, dtype=np.intp)] >= threshold)
+    return int(hits[0]) if hits.size else math.inf
 
 
 @dataclass(frozen=True)
@@ -145,11 +168,8 @@ def entity_hit(ranking, proposals: np.ndarray, gt_boxes: np.ndarray,
     with IoU >= threshold."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    top = list(ranking)[:k]
-    if not top:
-        return False
-    best = iou_matrix(np.asarray(proposals)[top], gt_boxes).max()
-    return bool(best >= threshold)
+    ious = iou_matrix(proposals, gt_boxes).max(axis=1)
+    return _first_hit(ranking, ious, threshold) < k
 
 
 def recall_at_k(results, k: int, threshold: float = IOU_THRESHOLD) -> float:
@@ -157,8 +177,7 @@ def recall_at_k(results, k: int, threshold: float = IOU_THRESHOLD) -> float:
     results = list(results)
     if not results:
         raise ValueError("cannot compute recall on an empty split")
-    hits = sum(entity_hit(r.ranking, r.proposals, r.gt_boxes, k, threshold)
-               for r in results)
+    hits = sum(r.first_hit(threshold) < k for r in results)
     return 100.0 * hits / len(results)
 
 
@@ -168,10 +187,7 @@ def upper_bound(results, threshold: float = IOU_THRESHOLD) -> float:
     results = list(results)
     if not results:
         raise ValueError("cannot compute the upper bound on an empty split")
-    hits = 0
-    for r in results:
-        if r.proposals.shape[0] and iou_matrix(r.proposals, r.gt_boxes).max() >= threshold:
-            hits += 1
+    hits = sum(bool(r.ious.size) and r.ious.max() >= threshold for r in results)
     return 100.0 * hits / len(results)
 
 
@@ -203,16 +219,16 @@ def collect_entity_results(model: GroundingModel, records: list[SampleRecord],
     with no_grad():
         for lo in range(0, len(records), batch_size):
             chunk = records[lo:lo + batch_size]
-            batch = collate_batch(chunk)
-            logits = model.batch_scores(batch, training=False)
-            for b, sample_logits in enumerate(logits):
-                spans = batch.spans_of(b)
-                for e, span in enumerate(spans):
+            logits = model.batch_scores(collate_batch(chunk), training=False)
+            entity = itertools.count()
+            for record in chunk:
+                for span, ious in zip(record.phrases, record.phrase_ious):
                     results.append(EntityResult(
-                        ranking=rank_objects(sample_logits, e),
-                        proposals=chunk[b].proposals,
+                        ranking=rank_objects(logits, next(entity)),
+                        proposals=record.proposals,
                         gt_boxes=span.gt_boxes,
                         entity_type=span.entity_type,
+                        ious=ious,
                     ))
     return results
 

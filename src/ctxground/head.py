@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, bce_with_logits, matmul, take_rows
+from .autodiff import Tensor, bce_with_logits, linear, matmul, take_rows
 from .encoder import LinearParams, ParamMaker, random_params
 
 __all__ = [
@@ -63,19 +63,21 @@ class PhraseSpan:
 
 @dataclass
 class GroundingLogits:
-    """Entity x object score matrix for one sample. Columns of masked
-    (padded) objects are never read by the loss or the ranking."""
+    """Entity x object scores: row e against the objects of entity e's
+    sample. `object_mask` ([entities, objects], or [objects] for every
+    row) marks real objects; the loss and the ranking read no other."""
 
     scores: Tensor                # [entities, objects]
-    object_mask: np.ndarray       # [objects] bool
+    object_mask: np.ndarray       # [entities, objects] bool
     entity_count: int = field(init=False)
 
     def __post_init__(self):
-        self.object_mask = np.asarray(self.object_mask, dtype=bool)
-        if self.scores.shape[1] != self.object_mask.shape[0]:
+        mask = np.asarray(self.object_mask, dtype=bool)
+        if mask.shape not in (self.scores.shape, self.scores.shape[1:]):
             raise ValueError(
-                f"score columns {self.scores.shape[1]} do not match mask size {self.object_mask.shape[0]}"
+                f"object mask {mask.shape} does not match score columns {self.scores.shape}"
             )
+        self.object_mask = np.broadcast_to(mask, self.scores.shape)
         self.entity_count = self.scores.shape[0]
 
 
@@ -109,27 +111,44 @@ def init_head(d_text: int, d_image: int, d_joint: int, rng: np.random.Generator,
     return build_head(d_text, d_image, d_joint, random_params(rng, dtype, std))
 
 
-def extract_entity_states(text_hidden: Tensor, spans: Sequence[PhraseSpan]) -> Tensor:
-    """Row i is the hidden state at spans[i].last_token (last-subword rule)."""
-    seq_len = text_hidden.shape[0]
-    last = np.asarray([s.last_token for s in spans], dtype=np.intp)
+def extract_entity_states(text_hidden: Tensor, spans: Sequence[PhraseSpan],
+                          span_sample=None) -> Tensor:
+    """Row i is the hidden state at spans[i].last_token (last-subword
+    rule) of sample span_sample[i]; one gather over the [batch*seq, d]
+    text states. A 2-d [seq, d] input is one sample."""
+    if len(text_hidden.shape) == 2:
+        text_hidden = text_hidden.reshape((1,) + text_hidden.shape)
+    batch, seq_len, d = text_hidden.shape
+    last = np.fromiter((s.last_token for s in spans), dtype=np.intp, count=len(spans))
     if last.size and last.max() >= seq_len:
         raise ValueError(
             f"span last token {int(last.max())} out of range for sequence of length {seq_len}"
         )
-    return take_rows(text_hidden, last)
+    sample = 0 if span_sample is None else np.asarray(span_sample, dtype=np.intp)
+    return take_rows(text_hidden.reshape((batch * seq_len, d)), sample * seq_len + last)
 
 
 def cross_modal_logits(entities: Tensor, objects: Tensor, object_mask,
-                       params: HeadParams) -> GroundingLogits:
-    """Scaled dot products between projected entities and projected objects."""
-    object_mask = np.asarray(object_mask, dtype=bool)
-    if not object_mask.any():
+                       params: HeadParams, entity_sample=None) -> GroundingLogits:
+    """Scaled dot products between projected entities and the projected
+    objects ([batch, objects, d] with an [batch, objects] mask, or one
+    sample's [objects, d]) of each entity's sample `entity_sample[e]`.
+    All queries meet all keys in one product; each row keeps its block."""
+    num_objects = objects.shape[-2]
+    object_mask = np.asarray(object_mask, dtype=bool).reshape(-1, num_objects)
+    if not object_mask.any(axis=1).all():
         raise ValueError("no valid objects to score against")
-    q = matmul(entities, params.query.weight) + params.query.bias
-    k = matmul(objects, params.key.weight) + params.key.bias
-    scores = matmul(q, k.swap_last_axes()) * (1.0 / math.sqrt(params.d_joint))
-    return GroundingLogits(scores=scores, object_mask=object_mask)
+    batch = object_mask.shape[0]
+    if len(objects.shape) == 3:
+        objects = objects.reshape((batch * num_objects, objects.shape[2]))
+    sample = (np.zeros(entities.shape[0], dtype=np.intp) if entity_sample is None
+              else np.asarray(entity_sample, dtype=np.intp))
+    q = linear(entities, params.query.weight, params.query.bias)
+    k = linear(objects, params.key.weight, params.key.bias)
+    every = matmul(q, k.swap_last_axes()).reshape((entities.shape[0] * batch, num_objects))
+    own = take_rows(every, np.arange(sample.size) * batch + sample)
+    return GroundingLogits(scores=own * (1.0 / math.sqrt(params.d_joint)),
+                           object_mask=object_mask[sample])
 
 
 def per_entity_bce(logits: GroundingLogits, targets) -> Tensor:
@@ -139,12 +158,11 @@ def per_entity_bce(logits: GroundingLogits, targets) -> Tensor:
         raise ValueError(
             f"targets shape {targets.shape} does not match scores {logits.scores.shape}"
         )
-    mask = logits.object_mask.astype(logits.scores.dtype)
     if ((targets > 0) & ~logits.object_mask).any():
         raise ValueError("positive target on a masked object")
+    mask = logits.object_mask.astype(logits.scores.dtype)
     elementwise = bce_with_logits(logits.scores, targets * mask)
-    count = float(logits.object_mask.sum())
-    return (elementwise * mask).sum(axis=1) * (1.0 / count)
+    return (elementwise * mask).sum(axis=1) * (1.0 / logits.object_mask.sum(axis=1))
 
 
 def grounding_loss(logits: GroundingLogits, targets) -> Tensor:
@@ -159,7 +177,5 @@ def rank_objects(logits: GroundingLogits, entity: int) -> list[int]:
     """Valid object indices by descending score; ties broken by ascending index."""
     if not 0 <= entity < logits.entity_count:
         raise IndexError(f"entity {entity} out of range ({logits.entity_count} entities)")
-    row = logits.scores.values[entity]
-    valid = np.flatnonzero(logits.object_mask)
-    order = sorted(valid.tolist(), key=lambda o: (-row[o], o))
-    return order
+    order = np.argsort(-logits.scores.values[entity], kind="stable")
+    return order[logits.object_mask[entity][order]].tolist()

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, concat_rows, zero_grads
+from .autodiff import Tensor, zero_grads
 from .data import Batch
 from .encoder import (
     BranchConfig,
@@ -31,7 +31,7 @@ from .head import (
     build_head,
     cross_modal_logits,
     extract_entity_states,
-    per_entity_bce,
+    grounding_loss,
 )
 
 __all__ = ["ModelConfig", "ModelParams", "GroundingModel", "named_parameters", "default_model_config"]
@@ -155,27 +155,19 @@ class GroundingModel:
         return text_hidden, image_hidden
 
     def batch_scores(self, batch: Batch, training: bool = False,
-                     rng: Optional[np.random.Generator] = None) -> list[GroundingLogits]:
-        """Per-sample grounding logits, in batch order."""
+                     rng: Optional[np.random.Generator] = None) -> GroundingLogits:
+        """Grounding logits of every entity in the batch, in span order:
+        row e scores entity e against the objects of its own sample."""
         text_hidden, image_hidden = self.encode(batch, training, rng)
-        out = []
-        for b in range(batch.size):
-            spans = batch.spans_of(b)
-            entities = extract_entity_states(text_hidden.row(b), spans)
-            out.append(cross_modal_logits(entities, image_hidden.row(b),
-                                          batch.object_mask[b], self.params.head))
-        return out
+        entities = extract_entity_states(text_hidden, batch.spans, batch.span_sample)
+        return cross_modal_logits(entities, image_hidden, batch.object_mask,
+                                  self.params.head, batch.span_sample)
 
     def batch_loss(self, batch: Batch, training: bool = False,
                    rng: Optional[np.random.Generator] = None
-                   ) -> tuple[Tensor, list[GroundingLogits]]:
+                   ) -> tuple[Tensor, GroundingLogits]:
         """Mean per-entity BCE over every entity in the batch."""
-        logits = self.batch_scores(batch, training, rng)
-        rows = []
-        for b, sample_logits in enumerate(logits):
-            if sample_logits.entity_count == 0:
-                continue
-            rows.append(per_entity_bce(sample_logits, batch.targets_of(b)))
-        if not rows:
+        if batch.num_entities == 0:
             raise ValueError("batch contains no entities")
-        return concat_rows(rows).mean(), logits
+        logits = self.batch_scores(batch, training, rng)
+        return grounding_loss(logits, batch.targets), logits

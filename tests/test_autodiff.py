@@ -12,12 +12,12 @@ from ctxground.autodiff import (
     Tensor,
     backward,
     bce_with_logits,
-    concat_rows,
     constant,
     dropout,
     finite_diff_check,
     gelu,
     layer_norm,
+    linear,
     matmul,
     no_grad,
     parameter,
@@ -114,6 +114,46 @@ def test_matmul_folded_weight_gradients(lead, trainable):
     backward((matmul(a, b) * w).sum())
     assert (a.grad is not None) == a.requires_grad
     assert (b.grad is not None) == b.requires_grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_equals_matmul_plus_bias_bit_for_bit(dtype):
+    # The fused op is one node; values and every gradient match the two-node graph exactly.
+    rng = np.random.default_rng(8)
+    x0, w0, b0 = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    g = rng.normal(size=(2, 3, 5))
+
+    def run(fused):
+        x, w, b = (parameter(v, dtype=dtype) for v in (x0, w0, b0))
+        out = linear(x, w, b) if fused else matmul(x, w) + b
+        loss = (out * g).sum()
+        nodes = len(topo_order(loss))
+        backward(loss)
+        return out.values, [x.grad, w.grad, b.grad], nodes
+
+    fused, fused_grads, fused_nodes = run(True)
+    plain, plain_grads, plain_nodes = run(False)
+    assert fused.dtype == dtype and fused.shape == (2, 3, 5)
+    assert np.array_equal(fused, plain)
+    for a, b in zip(fused_grads, plain_grads):
+        assert a.dtype == dtype and np.array_equal(a, b)
+    assert fused_nodes == plain_nodes - 1
+
+
+def test_linear_gradients_and_shapes():
+    rng = np.random.default_rng(9)
+    x = parameter(rng.normal(size=(2, 3, 4)))
+    w = parameter(rng.normal(size=(4, 5)))
+    b = parameter(rng.normal(size=5))
+    g = rng.normal(size=(2, 3, 5))
+    fdcheck(lambda t: (linear(t, w, b) * g).sum(), x)
+    fdcheck(lambda t: (linear(x, t, b) * g).sum(), w)
+    fdcheck(lambda t: (linear(x, w, t) * g).sum(), b)
+    assert np.array_equal(linear(x, w).values, matmul(x, w).values)
+    with pytest.raises(ShapeError):
+        linear(x, w, parameter(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        linear(x, parameter(np.zeros((3, 5))))
 
 
 # -- softmax -------------------------------------------------------------------
@@ -369,16 +409,6 @@ def test_take_rows_gradient():
     idx = np.array([0, 3, 3, 1])
     w = np.random.default_rng(17).normal(size=(4, 3))
     fdcheck(lambda t: (take_rows(t, idx) * w).sum(), x)
-
-
-def test_concat_rows_values_and_gradient():
-    a = parameter(np.ones((2, 3)))
-    b = parameter(np.full((1, 3), 2.0))
-    out = concat_rows([a, b])
-    assert out.shape == (3, 3)
-    w = np.random.default_rng(18).normal(size=(3, 3))
-    fdcheck(lambda t: (concat_rows([t, b]) * w).sum(), a)
-    fdcheck(lambda t: (concat_rows([a, t]) * w).sum(), b)
 
 
 # -- backward pass ----------------------------------------------------------------

@@ -248,6 +248,21 @@ def test_invalid_box_names_image(tmp_path):
         parse_dataset(path)
 
 
+@pytest.mark.parametrize("where", ["proposal", "gt box"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_box_in_jsonl_rejected(tmp_path, where, bad):
+    # json writes NaN/Infinity and reads them back as floats
+    path = tmp_path / "bad.jsonl"
+    write_dataset([make_record("img-N")], path)
+    obj = json.loads(path.read_text())
+    box = obj["boxes"][0] if where == "proposal" else obj["phrases"][0]["gt_boxes"][0]
+    box[1] = bad
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(DatasetError, match="img-N"):
+        parse_dataset(path)
+
+
 def test_span_outside_tokens_rejected(tmp_path):
     record = make_record()
     path = tmp_path / "bad.jsonl"
@@ -329,6 +344,33 @@ def test_collate_targets_match_per_record_labels():
             want = label_positives(record.proposals, phrase.gt_boxes)
             np.testing.assert_array_equal(row[:record.num_objects], want)
             assert not row[record.num_objects:].any()
+
+
+def test_phrase_ious_are_best_iou_per_proposal_and_cached():
+    record = make_record(num_objects=4)
+    record.phrases = record.phrases + [PhraseSpan(
+        first_token=2, last_token=3, entity_type="scene",
+        gt_boxes=np.array([[12.0, 5.0, 18.0, 15.0], [20.0, 5.0, 26.0, 13.0]]))]
+    ious = record.phrase_ious
+    assert ious.shape == (2, 4)
+    for row, phrase in zip(ious, record.phrases):
+        np.testing.assert_array_equal(row, iou_matrix(record.proposals, phrase.gt_boxes).max(axis=1))
+    assert record.phrase_ious is ious
+
+
+def test_reassigned_proposals_or_phrases_change_the_next_targets():
+    record = make_record(num_objects=3)          # the phrase's gt box is proposal 0
+    np.testing.assert_array_equal(collate_batch([record]).targets, [[1, 0, 0]])
+    record.proposals = record.proposals[::-1].copy()
+    np.testing.assert_array_equal(collate_batch([record]).targets, [[0, 0, 1]])
+    record.phrases = [PhraseSpan(first_token=0, last_token=0, entity_type="people",
+                                 gt_boxes=record.proposals[1:2].copy())]
+    np.testing.assert_array_equal(collate_batch([record]).targets, [[0, 1, 0]])
+
+
+def test_collate_threshold_validated():
+    with pytest.raises(ValueError, match="threshold"):
+        collate_batch([make_record()], threshold=0.0)
 
 
 def test_collate_rejects_empty_and_mixed_dims():

@@ -7,6 +7,7 @@ from ctxground.autodiff import backward, constant, parameter
 from ctxground.encoder import (
     BranchConfig,
     BranchInput,
+    check_boxes,
     LinearParams,
     SpatialMLP,
     default_image_config,
@@ -421,3 +422,31 @@ def test_branch_input_validation():
                     features=np.zeros((1, 1, 4)),
                     boxes=np.array([[[5.0, 5.0, 5.0, 9.0]]]),
                     sizes=np.array([[10.0, 10.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_branch_input_rejects_non_finite_box(bad):
+    boxes = np.array([[[1.0, 1.0, 5.0, 5.0], [2.0, 2.0, 6.0, 6.0]]])
+    boxes[0, 1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BranchInput(valid_mask=np.ones((1, 2), bool), features=np.zeros((1, 2, 4)),
+                    boxes=boxes, sizes=np.array([[10.0, 10.0]]))
+
+
+def test_check_boxes_positive_form():
+    size = (10.0, 10.0)
+    good = np.array([[0.0, 0.0, 10.0, 10.0], [2.0, 3.0, 4.0, 5.0]])
+    assert np.array_equal(check_boxes(good, "box", size), good)
+    for box, message in (([np.nan, 0, 5, 5], "non-finite"), ([0, 0, np.inf, 5], "non-finite"),
+                         ([5, 0, 5, 5], "degenerate"), ([0, 6, 5, 5], "degenerate"),
+                         ([-1, 0, 5, 5], "bounds"), ([0, 0, 5, 11], "bounds")):
+        with pytest.raises(ValueError, match=message):
+            check_boxes(np.array([good[0], box]), "box", size)
+    with pytest.raises(ValueError, match="non-finite"):
+        check_boxes([np.nan, 0.0, 1.0, 1.0])
+    # unchecked slots may hold anything; the bounds follow each sample's size
+    boxes = np.array([[[0.0, 0.0, 8.0, 8.0], [np.nan] * 4], [[0.0, 0.0, 12.0, 12.0], [5.0, 5.0, 5.0, 5.0]]])
+    valid = np.array([[True, False], [True, False]])
+    check_boxes(boxes, "box", np.array([[[8.0, 8.0]], [[12.0, 12.0]]]), valid)
+    with pytest.raises(ValueError, match=r"outside image bounds \(8.0, 8.0\)"):
+        check_boxes(boxes[::-1], "box", np.array([[[8.0, 8.0]], [[12.0, 12.0]]]), valid)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ctxground.data import ENTITY_TYPES, SyntheticSpec, generate_synthetic
+from ctxground.data import ENTITY_TYPES, SampleRecord, SyntheticSpec, generate_synthetic
 from ctxground.encoder import BranchConfig
 from ctxground.evaluate import (
     CSV_SUMMARY_HEADER,
@@ -22,6 +22,7 @@ from ctxground.evaluate import (
     recall_at_k,
     upper_bound,
 )
+from ctxground.head import PhraseSpan
 from ctxground.model import GroundingModel, ModelConfig
 
 from oracles import recall_ref, upper_bound_ref
@@ -151,6 +152,57 @@ def test_metrics_match_brute_force_oracle():
         assert upper_bound(split) == upper_bound_ref(triples, 0.5)
         values = [recall_at_k(split, k) for k in (1, 5, 10)] + [upper_bound(split)]
         assert values == sorted(values)
+
+
+def test_first_hit_rank_drives_every_k():
+    r = result([1, 2, 0], HIT_SET, GT)  # the qualifying proposal is ranked third
+    assert r.first_hit() == 2
+    assert [recall_at_k([r], k) for k in (1, 2, 3)] == [0.0, 0.0, 100.0]
+    assert result([1, 2], HIT_SET, GT).first_hit() == float("inf")  # never ranked
+
+
+def random_boxes(rng, n):
+    boxes = np.zeros((n, 4))
+    boxes[:, :2] = rng.uniform(0, 60, (n, 2))
+    boxes[:, 2:] = boxes[:, :2] + rng.uniform(1, 50, (n, 2))
+    return boxes
+
+
+def oracle_records(rng):
+    """An AC-5 micro-split (1-8 proposals, 1-4 phrases of 1-2 boxes per
+    sample) as records the tiny model can score."""
+    records = []
+    for s in range(int(rng.integers(1, 11))):
+        objects = int(rng.integers(1, 9))
+        phrases = [PhraseSpan(first_token=e, last_token=e, entity_type=str(rng.choice(ENTITY_TYPES)),
+                              gt_boxes=random_boxes(rng, int(rng.integers(1, 3))))
+                   for e in range(int(rng.integers(1, 5)))]
+        records.append(SampleRecord(
+            image_id=f"oracle-{s}", width=120, height=120, token_ids=rng.integers(0, 12, 5),
+            phrases=phrases, proposals=random_boxes(rng, objects),
+            features=rng.normal(size=(objects, 6)).astype(np.float32)))
+    return records
+
+
+def test_evaluate_agrees_with_metric_primitives_on_oracle_splits():
+    # Results as evaluate builds them (IoU rows from the record cache) score
+    # exactly like rebuilt ones that recompute the rows, and like the oracle.
+    model, _ = tiny_model_and_records()
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        records = oracle_records(rng)
+        report = evaluate(model, records, split="synthetic")
+        results = collect_entity_results(model, records)
+        bare = [EntityResult(ranking=r.ranking, proposals=r.proposals, gt_boxes=r.gt_boxes,
+                             entity_type=r.entity_type) for r in results]
+        for r, b in zip(results, bare):
+            assert np.array_equal(r.ious, b.ious)
+        triples = [(r.ranking, r.proposals.tolist(), r.gt_boxes.tolist()) for r in bare]
+        for k, got in ((1, report.recall_at_1), (5, report.recall_at_5), (10, report.recall_at_10)):
+            assert got == round(recall_at_k(bare, k), 2) == round(recall_ref(triples, k, 0.5), 2)
+        assert report.upper_bound == round(upper_bound(bare), 2) == round(
+            upper_bound_ref(triples, 0.5), 2)
+        assert report.per_type == per_type_breakdown(bare)
 
 
 # -- report ---------------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ctxground.autodiff import backward
+from ctxground.autodiff import backward, constant, take_rows
 from ctxground.data import SyntheticSpec, collate_batch, generate_synthetic
 from ctxground.encoder import BranchConfig
-from ctxground.head import grounding_loss
+from ctxground.head import cross_modal_logits, extract_entity_states, grounding_loss, rank_objects
 from ctxground.model import GroundingModel, ModelConfig, default_model_config
 
 
@@ -81,13 +81,12 @@ def test_batch_loss_matches_per_sample_grounding_loss():
     batch = tiny_batch()
     loss, logits = model.batch_loss(batch, training=False)
     per_entity = []
-    for b, sample_logits in enumerate(logits):
-        for e in range(sample_logits.entity_count):
-            single = grounding_loss(
-                type(sample_logits)(scores=sample_logits.scores.row(e).reshape(1, -1),
-                                    object_mask=sample_logits.object_mask),
-                batch.targets_of(b)[e:e + 1])
-            per_entity.append(single.item())
+    for e in range(logits.entity_count):
+        single = grounding_loss(
+            type(logits)(scores=take_rows(logits.scores, [e]),
+                         object_mask=logits.object_mask[e:e + 1]),
+            batch.targets[e:e + 1])
+        per_entity.append(single.item())
     np.testing.assert_allclose(loss.item(), np.mean(per_entity), atol=1e-12)
 
 
@@ -141,14 +140,53 @@ def test_padded_object_features_do_not_affect_outputs():
     assert not batch.object_mask[0, 3]
 
     loss_a, logits_a = model.batch_loss(batch, training=False)
-    rank_a = [s.scores.values.copy() for s in logits_a]
+    rank_a = logits_a.scores.values.copy()
 
     batch.features[0, 3] = 99.0  # padded slot
     loss_b, logits_b = model.batch_loss(batch, training=False)
     assert loss_a.item() == loss_b.item()
-    for a, b, m in zip(rank_a, (s.scores.values for s in logits_b),
-                       batch.object_mask):
-        assert np.array_equal(a[:, m], b[:, m])
+    for a, b, m in zip(rank_a, logits_b.scores.values, logits_b.object_mask):
+        assert np.array_equal(a[m], b[m])
+
+
+def ragged_records():
+    """Three samples with 4/6/3 objects, 2/3/1 entities and 5/7/4 tokens."""
+    shapes = [(4, 2, 5), (6, 3, 7), (3, 1, 4)]
+    return [generate_synthetic(SyntheticSpec(
+        seed=20 + i, num_samples=1, vocab_size=12, tokens_per_sample=tokens,
+        objects_per_sample=objects, entities_per_sample=entities, d_feat=6,
+        entity_vocab_size=4, image_size=32))[0]
+        for i, (objects, entities, tokens) in enumerate(shapes)]
+
+
+def test_batched_scores_match_per_sample_head_on_ragged_batch():
+    records = ragged_records()
+    batch = collate_batch(records, feature_dtype=np.float64)
+    model = tiny_model()
+    logits = model.batch_scores(batch, training=False)
+    assert logits.scores.shape == (6, 6) and logits.object_mask.shape == (6, 6)
+    text_hidden, image_hidden = model.encode(batch, training=False)
+    for b, record in enumerate(records):
+        lo, hi = batch.sample_offsets[b], batch.sample_offsets[b + 1]
+        o = record.num_objects
+        entities = extract_entity_states(constant(text_hidden.values[b]), batch.spans[lo:hi])
+        single = cross_modal_logits(entities, constant(image_hidden.values[b, :o]),
+                                    np.ones(o, bool), model.params.head)
+        np.testing.assert_allclose(logits.scores.values[lo:hi, :o], single.scores.values,
+                                   rtol=0, atol=1e-12)
+        assert (logits.object_mask[lo:hi].sum(axis=1) == o).all()
+
+
+def test_padded_objects_never_rank_and_never_get_a_positive_target():
+    records = ragged_records()
+    batch = collate_batch(records, feature_dtype=np.float64)
+    batch.features[~batch.object_mask] = 50.0
+    logits = tiny_model().batch_scores(batch, training=False)
+    assert not batch.targets[~logits.object_mask].any()
+    assert batch.targets.sum(axis=1).min() >= 1
+    for e in range(logits.entity_count):
+        ranking = rank_objects(logits, e)
+        assert sorted(ranking) == np.flatnonzero(logits.object_mask[e]).tolist()
 
 
 def test_batch_without_entities_raises():

@@ -237,18 +237,20 @@ def parse_dataset(path) -> list[SampleRecord]:
     path = Path(path)
     base_dir = path.parent
     records: list[SampleRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deeply nested
                 raise DatasetError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             image_id = obj.get("image_id", "<unknown>") if isinstance(obj, dict) else "<unknown>"
+            # OverflowError: a number too large for an int or an int64;
+            # OSError: a feature file that cannot be read.
             try:
                 records.append(_record_from_json(obj, base_dir))
-            except (KeyError, TypeError, ValueError, FormatError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
                 raise DatasetError(
                     f"{path}:{lineno}: invalid record for image {image_id!r}: {exc}"
                 ) from exc

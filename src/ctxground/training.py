@@ -32,6 +32,7 @@ __all__ = [
     "StepMetrics",
     "Checkpoint",
     "FitResult",
+    "global_norm",
     "clip_global_norm",
     "adam_step",
     "train_step",
@@ -127,26 +128,22 @@ class AdamState:
 
 @dataclass
 class StepMetrics:
-    loss: float       # mean of the micro-batch losses
-    grad_norm: float  # global L2 norm before clipping
+    loss: float        # mean of the micro-batch losses
+    grad_norm: float   # global L2 norm before clipping
+    clip_scale: float  # factor the gradients were clipped by; 1.0 if not clipped
 
 
-# Elements per pass of the blocked clip and Adam loops: their working set
+# Elements per pass of the blocked norm and Adam loops: their working set
 # (a few float32 blocks and the float64 norm buffer) stays in cache.
 _BLOCK = 1 << 15
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float
-                     ) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients jointly, in place, so their global L2 norm is
-    at most `max_norm`; direction is never changed. Returns `grads` and
-    the pre-clip norm.
+def global_norm(grads: dict[str, np.ndarray]) -> float:
+    """The global L2 norm of all gradients.
 
     Squares are summed in float64, block by block. A non-finite partial
     sum means the gradient holds a NaN or Inf (finite float32 squares
     cannot overflow a float64 sum), which raises naming the parameter."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
     buf = np.empty(_BLOCK, dtype=np.float64)
     total = 0.0
     for name, g in grads.items():
@@ -159,29 +156,47 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float
         if not math.isfinite(sq):
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
         total += sq
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
+    return math.sqrt(total)
+
+
+def _clip_scale(norm: float, max_norm: float) -> float:
+    return max_norm / norm if norm > max_norm else 1.0
+
+
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float
+                     ) -> tuple[dict[str, np.ndarray], float]:
+    """Scale all gradients jointly, in place, so their global L2 norm is
+    at most `max_norm`; direction is never changed. Returns `grads` and
+    the pre-clip norm (see `global_norm`)."""
+    if max_norm <= 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    norm = global_norm(grads)
+    scale = _clip_scale(norm, max_norm)
+    if scale != 1.0:
         for g in grads.values():
             g *= scale
     return grads, norm
 
 
 def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> AdamState:
+              state: AdamState, lr: float, grad_scale: float = 1.0) -> AdamState:
     """One bias-corrected Adam update, applied in place.
 
     Parameters, moments and gradients are streamed in cache-sized blocks
     through two scratch blocks, with the operations of the textbook
     formula in the same order, so the result is bit-identical to
-    evaluating it on whole arrays. Parameters, moments and gradients
-    share one dtype, and parameters and moments must be C-contiguous so
-    that their flat views write through. Each block's update is checked
-    for NaN/Inf before it is applied."""
+    evaluating it on whole arrays. A `grad_scale` other than 1.0 first
+    multiplies each gradient block in place, while it is in cache, by the
+    same float multiply with which `clip_global_norm` scales the whole
+    gradient. Parameters, moments and gradients share one dtype, and
+    parameters and moments must be C-contiguous so that their flat views
+    write through. Each block's update is checked for NaN/Inf before it
+    is applied."""
     state.step += 1
     beta1, beta2 = float(state.beta1), float(state.beta2)
     scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** state.step,
-               float(lr), 1.0 - beta2 ** state.step, float(state.eps))
+               float(lr), 1.0 - beta2 ** state.step, float(state.eps), float(grad_scale))
+    scaled = float(grad_scale) != 1.0
     # The scalars as 0-d arrays of each parameter dtype: the values the
     # ufuncs would round Python floats to, at less dispatch cost per call.
     typed: dict[np.dtype, tuple[np.ndarray, ...]] = {}
@@ -196,13 +211,15 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise ValueError(f"parameter {name!r} and its Adam moments must be C-contiguous")
         if pv.dtype not in typed:
             typed[pv.dtype] = tuple(np.array(x, dtype=pv.dtype) for x in scalars)
-        b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps = typed[pv.dtype]
+        b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed[pv.dtype]
         pf, mf, vf, gf = pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
         scratch = np.empty((2, min(_BLOCK, pf.size)), dtype=pv.dtype)
         for lo in range(0, pf.size, _BLOCK):
             hi = min(lo + _BLOCK, pf.size)
             pb, mb, vb, gb = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
             s1, s2 = scratch[:, :hi - lo]
+            if scaled:
+                np.multiply(gb, scale, out=gb)
             # m = beta1 * m + (1 - beta1) * g
             np.multiply(mb, b1, out=mb)
             np.multiply(gb, one_minus_b1, out=s1)
@@ -231,7 +248,8 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
 
     Gradients are summed over the micro-batches and divided by the group
     size (normally `cfg.accumulation_steps`; the trailing group of an
-    epoch may be smaller)."""
+    epoch may be smaller). The clip scale is applied inside the Adam
+    pass, with the same result as `clip_global_norm` before `adam_step`."""
     micro_batches = list(micro_batches)
     if not micro_batches:
         raise ValueError("train_step needs at least one micro-batch")
@@ -249,10 +267,11 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
         scale = 1.0 / len(micro_batches)
         for g in grads.values():
             g *= scale
-    _, norm = clip_global_norm(grads, cfg.clip_norm)
-    adam_step(named, grads, state, cfg.learning_rate)
+    norm = global_norm(grads)
+    clip = _clip_scale(norm, cfg.clip_norm)
+    adam_step(named, grads, state, cfg.learning_rate, grad_scale=clip)
     zero_grads(named.values())
-    return StepMetrics(loss=float(np.mean(losses)), grad_norm=norm)
+    return StepMetrics(loss=float(np.mean(losses)), grad_norm=norm, clip_scale=clip)
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -502,8 +521,9 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     checkpoint with the best dev recall@1 and stop after `patience`
     epochs without improvement.
 
-    With `checkpoint_dir`, every epoch rewrites `best.gckp` (best
-    parameters so far) and then `last.gckp` (full resume state), each
+    With `checkpoint_dir`, an epoch that improves dev recall@1 writes
+    `best.gckp` (its parameters, with the history up to that epoch), and
+    every epoch then writes `last.gckp` (full resume state), each
     atomically; `resume=True` picks up from those files and reproduces
     the uninterrupted run exactly.
     """
@@ -565,7 +585,8 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         if log is not None:
             log(f"epoch {epoch}: train_loss={train_loss:.6f} dev_R@1={dev_r1:.2f}")
 
-        if dev_r1 > best_metric:
+        improved = dev_r1 > best_metric
+        if improved:
             best_metric = dev_r1
             best_epoch = epoch
             best_params = _snapshot_params(named)
@@ -573,11 +594,12 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         if checkpoint_dir is not None:
             # `last` is the commit point: it is written only once `best`
             # agrees with it, and resume checks that the pair agrees.
-            save_checkpoint(Checkpoint(
-                params=best_params, config=config_snapshot,
-                epoch=best_epoch, best_metric=best_metric, best_epoch=best_epoch,
-                history=history,
-            ), checkpoint_dir / BEST_CHECKPOINT)
+            if improved:
+                save_checkpoint(Checkpoint(
+                    params=best_params, config=config_snapshot,
+                    epoch=best_epoch, best_metric=best_metric, best_epoch=best_epoch,
+                    history=history,
+                ), checkpoint_dir / BEST_CHECKPOINT)
             save_checkpoint(Checkpoint(
                 params=_snapshot_params(named), config=config_snapshot,
                 epoch=epoch, best_metric=best_metric, best_epoch=best_epoch,

@@ -24,6 +24,7 @@ from ctxground.autodiff import (
     softmax_lastdim,
     take_rows,
     topo_order,
+    zero_grads,
 )
 
 from oracles import bce_ref, gelu_ref, layer_norm_ref, matmul_ref, softmax_ref
@@ -452,6 +453,31 @@ def test_backward_accumulates_across_calls():
     first = x.grad.copy()
     backward((x * x).sum())
     np.testing.assert_array_equal(x.grad, 2.0 * first)
+
+
+def test_zero_grads_keeps_gradient_arrays_for_the_next_backward():
+    # The first gradient of the next backward lands in the array zero_grads
+    # cleared, on each path (the linear weight GEMM, the take_rows scatter,
+    # a plain accumulation), with the values of freshly allocated gradients.
+    rng = np.random.default_rng(21)
+    start = [rng.normal(size=s) for s in ((6, 4), (4, 3), (3,), (3,))]
+
+    def loss(table, w, b, gain, idx):
+        return (linear(take_rows(table, idx), w, b) * gain).sum()
+
+    params = [parameter(v, dtype=np.float32) for v in start]
+    extra = parameter([2.0], dtype=np.float32)
+    backward(loss(*params, [0, 4, 4, 2]) * extra)
+    first = [p.grad for p in params]
+    zero_grads(params + [extra])
+    assert all(p.grad is None for p in params + [extra])
+    backward(loss(*params, [1, 1, 5]))
+    fresh = [parameter(v, dtype=np.float32) for v in start]
+    backward(loss(*fresh, [1, 1, 5]))
+    for p, kept, f in zip(params, first, fresh):
+        assert p.grad is kept
+        assert np.array_equal(p.grad, f.grad)
+    assert extra.grad is None  # not reached by the second graph
 
 
 def test_backward_rejects_non_scalar_loss():

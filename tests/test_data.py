@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from ctxground.data import (
 )
 from ctxground.head import PhraseSpan
 
+from fuzzing import mutate
 from oracles import iou_cell_count, iou_ref
 
 
@@ -261,6 +264,47 @@ def test_non_finite_box_in_jsonl_rejected(tmp_path, where, bad):
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(DatasetError, match="img-N"):
         parse_dataset(path)
+
+
+@pytest.mark.parametrize("old,new", [
+    pytest.param('"first": 0', '"first": 1e999', id="first-1e999"),
+    pytest.param('"width": 100', '"width": 1e999', id="width-1e999"),
+    pytest.param('"tokens": [', '"tokens": [' + str(10**30) + ", ", id="token-id-10**30"),
+    pytest.param(None, "[" * 100000, id="nested-100000"),
+])
+def test_unrepresentable_or_deeply_nested_line_raises_dataset_error(tmp_path, old, new):
+    # An int or int64 overflow and a too-deep JSON nesting name the line.
+    path = tmp_path / "bad.jsonl"
+    write_dataset([make_record()], path)
+    good = path.read_text()
+    bad = new if old is None else good.replace(old, new, 1)
+    assert bad != good
+    path.write_text(good + bad.rstrip("\n") + "\n")
+    with pytest.raises(DatasetError, match=r":2: "):
+        parse_dataset(path)
+
+
+_FUZZ_FILES = {}
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_parse_dataset_fuzz_raises_only_dataset_or_format_error(data):
+    if not _FUZZ_FILES:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset([make_record(f"img-{i}", seed=i) for i in range(2)],
+                          Path(tmp) / "data.jsonl", feature_storage="files")
+            for name in ("data.jsonl", "features/img-0.grnd", "features/img-1.grnd"):
+                _FUZZ_FILES[name] = (Path(tmp) / name).read_bytes()
+    target = data.draw(st.sampled_from(["data.jsonl", "features/img-0.grnd"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "features").mkdir()
+        for name, blob in _FUZZ_FILES.items():
+            (Path(tmp) / name).write_bytes(mutate(data, blob) if name == target else blob)
+        try:
+            parse_dataset(Path(tmp) / "data.jsonl")
+        except (DatasetError, FormatError):
+            pass
 
 
 def test_span_outside_tokens_rejected(tmp_path):

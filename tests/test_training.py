@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxground.autodiff import NonFiniteError, parameter
+from ctxground.autodiff import NonFiniteError, backward, parameter
 from ctxground.data import SyntheticSpec, collate_batch, generate_synthetic
 from ctxground.encoder import BranchConfig
 from ctxground.model import GroundingModel, ModelConfig
@@ -27,6 +27,7 @@ from ctxground.training import (
 from ctxground.data import FormatError
 from ctxground import training
 
+from fuzzing import mutate
 from oracles import adam_ref
 
 
@@ -223,6 +224,25 @@ def test_blocked_adam_is_bit_identical_to_whole_array_formula():
             assert np.array_equal(state.v[n], want[n][2]), (n, step)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_grad_scale_equals_scaling_the_gradient_first(dtype):
+    size = training._BLOCK + 77
+    rng = np.random.default_rng(12)
+    start = rng.normal(size=size).astype(dtype)
+    inside, first = parameter(start.copy()), parameter(start.copy())
+    state_inside, state_first = AdamState.init({"p": inside}), AdamState.init({"p": first})
+    for scale in (0.3, 0.123456789, 1.0):
+        g = rng.normal(size=size).astype(dtype)
+        g_inside, g_first = g.copy(), g.copy()
+        adam_step({"p": inside}, {"p": g_inside}, state_inside, lr=1e-3, grad_scale=scale)
+        g_first *= scale
+        adam_step({"p": first}, {"p": g_first}, state_first, lr=1e-3)
+        assert np.array_equal(g_inside, g_first)
+        assert np.array_equal(inside.values, first.values)
+        assert np.array_equal(state_inside.m["p"], state_first.m["p"])
+        assert np.array_equal(state_inside.v["p"], state_first.v["p"])
+
+
 def test_adam_rejects_non_contiguous_parameter():
     base = np.ones((4, 6), dtype=np.float32)
     p = parameter(base)
@@ -266,6 +286,58 @@ def test_single_micro_batch_is_ordinary_step():
     adam_step(named_b, clipped, AdamState.init(named_b), cfg.learning_rate)
     for name, t in model_a.named_parameters().items():
         np.testing.assert_array_equal(t.values, named_b[name].values, err_msg=name)
+
+
+@pytest.mark.parametrize("accumulation", [1, 2])
+def test_train_steps_equal_fresh_gradients_clipped_then_adam(accumulation):
+    # Reused gradient arrays and the clip scale applied inside the Adam pass
+    # give the bits of freshly allocated gradients, clip_global_norm and a
+    # default-scale adam_step, step after step.
+    records = tiny_records(8, seed=9)
+    batches = [collate_batch(records[i:i + 2]) for i in range(0, 8, 2)]
+    cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.25, batch_size=2 * accumulation,
+                      accumulation_steps=accumulation, max_epochs=1, dropout_p=0.1)
+    model, ref = tiny_model(seed=4, dropout=0.1), tiny_model(seed=4, dropout=0.1)
+    named, ref_named = model.named_parameters(), ref.named_parameters()
+    state, ref_state = AdamState.init(named), AdamState.init(ref_named)
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    for step in range(3):
+        group = [batches[(step * accumulation + k) % len(batches)] for k in range(accumulation)]
+        metrics = train_step(group, model, state, cfg, rng)
+
+        for t in ref_named.values():
+            t.grad = None  # no array kept: backward allocates fresh gradients
+        losses = []
+        for mb in group:
+            loss, _ = ref.batch_loss(mb, training=True, rng=ref_rng)
+            backward(loss)
+            losses.append(loss.item())
+        grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
+                 for n, t in ref_named.items()}
+        for g in grads.values():
+            g *= 1.0 / accumulation
+        _, norm = clip_global_norm(grads, cfg.clip_norm)
+        adam_step(ref_named, grads, ref_state, cfg.learning_rate)
+
+        assert norm > cfg.clip_norm  # clipping is active
+        assert metrics.grad_norm == norm and metrics.loss == float(np.mean(losses))
+        for name, t in named.items():
+            assert t.dtype == np.float32
+            assert np.array_equal(t.values, ref_named[name].values), (step, name)
+            assert np.array_equal(state.m[name], ref_state.m[name]), (step, name)
+            assert np.array_equal(state.v[name], ref_state.v[name]), (step, name)
+
+
+@pytest.mark.parametrize("clip_norm,clips", [(0.25, True), (1e6, False)])
+def test_step_metrics_record_the_clip_scale(clip_norm, clips):
+    model = tiny_model(seed=2)
+    cfg = TrainConfig(learning_rate=1e-3, clip_norm=clip_norm, batch_size=4,
+                      accumulation_steps=1, max_epochs=1, dropout_p=0.0)
+    metrics = train_step([collate_batch(tiny_records(4))], model,
+                         AdamState.init(model.named_parameters()), cfg,
+                         np.random.default_rng(0))
+    assert (metrics.grad_norm > clip_norm) == clips
+    assert metrics.clip_scale == (clip_norm / metrics.grad_norm if clips else 1.0)
 
 
 def test_accumulation_matches_combined_batch():
@@ -505,19 +577,10 @@ def test_load_checkpoint_fuzz_raises_only_format_error(data):
         with tempfile.TemporaryDirectory() as tmp:
             save_checkpoint(_small_checkpoint(), Path(tmp) / "seed.gckp")
             _FUZZ_BLOB.append((Path(tmp) / "seed.gckp").read_bytes())
-    blob = bytearray(_FUZZ_BLOB[0])
-    kind = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
-    if kind == "truncate":
-        del blob[data.draw(st.integers(0, len(blob) - 1)):]
-    elif kind == "flip":
-        for _ in range(data.draw(st.integers(1, 4))):
-            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
-    else:
-        at = data.draw(st.integers(0, len(blob)))
-        blob[at:at] = data.draw(st.binary(min_size=1, max_size=16))
+    blob = mutate(data, _FUZZ_BLOB[0])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzzed.gckp"
-        path.write_bytes(bytes(blob))
+        path.write_bytes(blob)
         try:
             load_checkpoint(path)
         except FormatError:
@@ -603,6 +666,31 @@ def test_split_run_training_equals_uninterrupted(tmp_path):
         assert full.best.params[name].tobytes() == split.best.params[name].tobytes(), name
     assert ((tmp_path / "full" / "last.gckp").read_bytes()
             == (tmp_path / "split" / "last.gckp").read_bytes())
+
+
+def test_best_checkpoint_is_written_only_when_dev_recall_improves(tmp_path, monkeypatch):
+    records = tiny_records(8, seed=13)
+    real_save = training.save_checkpoint
+    writes = []
+
+    def recording_save(ckpt, path):
+        writes.append((path.name, ckpt.epoch))
+        real_save(ckpt, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", recording_save)
+    result = fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=8, patience=50),
+                 checkpoint_dir=tmp_path)
+    r1 = [h["dev_recall_at_1"] for h in result.history]
+    improved = [e for e, v in enumerate(r1) if v > max(r1[:e], default=-math.inf)]
+    assert len(improved) < len(r1), "every epoch improved; no best write could be skipped"
+    # `best` of an improving epoch is written before that epoch's `last`.
+    expected = [w for e in range(len(r1)) for w in
+                ([(training.BEST_CHECKPOINT, e)] if e in improved else [])
+                + [(training.LAST_CHECKPOINT, e)]]
+    assert writes == expected
+    best = load_checkpoint(tmp_path / training.BEST_CHECKPOINT)
+    assert best.best_epoch == improved[-1] == result.best.best_epoch
+    assert best.history == result.history[:improved[-1] + 1]
 
 
 def test_crash_between_checkpoint_writes_is_detected_on_resume(tmp_path, monkeypatch):

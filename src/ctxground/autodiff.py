@@ -3,7 +3,7 @@
 Tensors wrap numpy arrays (float32 or float64) and record the operations
 applied to them so that `backward` can replay the graph in reverse
 topological order. The op set is exactly what the grounding model needs:
-broadcasting arithmetic, batched matmul, fused linear layers, masked
+broadcasting add and multiply, batched matmul, fused linear layers, masked
 softmax, layer norm, GELU, dropout, binary cross entropy on logits,
 gathers and reductions.
 
@@ -121,29 +121,14 @@ class Tensor:
     def __radd__(self, other):
         return add(_as_tensor(other, self.dtype), self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(_as_tensor(other, self.dtype), self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return powc(self, exponent)
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -163,9 +148,6 @@ class Tensor:
         order = list(range(self.values.ndim))
         order[-2], order[-1] = order[-1], order[-2]
         return transpose(self, order)
-
-    def backward(self):
-        backward(self)
 
 
 def constant(values, dtype=None) -> Tensor:
@@ -250,23 +232,6 @@ def add(a: Tensor, b) -> Tensor:
     return _make(a.values + b.values, "add", (a, b), backward_fn)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.values - b.values, "sub", (a, b), backward_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        _accumulate(a, -g)
-
-    return _make(-a.values, "neg", (a,), backward_fn)
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
 
@@ -275,48 +240,6 @@ def mul(a: Tensor, b) -> Tensor:
         _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
     return _make(a.values * b.values, "mul", (a, b), backward_fn)
-
-
-def div(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g / b.values, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.values / (b.values * b.values), b.shape))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = a.values / b.values
-    return _make(values, "div", (a, b), backward_fn)
-
-
-def powc(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-
-    def backward_fn(g):
-        _accumulate(a, g * exponent * a.values ** (exponent - 1.0))
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        values = a.values ** exponent
-    return _make(values, "pow", (a,), backward_fn)
-
-
-def texp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_values = np.exp(a.values)
-
-    def backward_fn(g):
-        _accumulate(a, g * out_values)
-
-    return _make(out_values, "exp", (a,), backward_fn)
-
-
-def tlog(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        _accumulate(a, g / a.values)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.log(a.values)
-    return _make(values, "log", (a,), backward_fn)
 
 
 def gelu(a: Tensor) -> Tensor:

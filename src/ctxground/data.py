@@ -332,24 +332,6 @@ class Batch:
     def num_entities(self) -> int:
         return len(self.spans)
 
-    def targets_of(self, b: int) -> np.ndarray:
-        lo, hi = self.sample_offsets[b], self.sample_offsets[b + 1]
-        return self.targets[lo:hi]
-
-    def sample(self, b: int) -> dict:
-        """Unpadded views of sample `b` (slicing inverse of collation)."""
-        s = int(self.text_mask[b].sum())
-        o = int(self.object_mask[b].sum())
-        lo, hi = self.sample_offsets[b], self.sample_offsets[b + 1]
-        return {
-            "token_ids": self.token_ids[b, :s],
-            "features": self.features[b, :o],
-            "boxes": self.boxes[b, :o],
-            "size": (self.sizes[b, 0], self.sizes[b, 1]),
-            "spans": self.spans[lo:hi],
-            "targets": self.targets_of(b)[:, :o],
-        }
-
 
 def collate_batch(records, threshold: float = IOU_THRESHOLD,
                   feature_dtype=np.float32) -> Batch:

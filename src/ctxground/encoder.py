@@ -200,7 +200,6 @@ class SpatialMLP:
 
     fc1: LinearParams  # 5 -> hidden
     fc2: LinearParams  # hidden -> d
-    activation: str = "gelu"
 
 
 @dataclass
@@ -405,24 +404,14 @@ def normalize_boxes(boxes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 # -- forward ------------------------------------------------------------------
 
-_ACTIVATIONS = {
-    "gelu": gelu,
-}
-
-
 def _linear(x: Tensor, p: LinearParams) -> Tensor:
     return linear(x, p.weight, p.bias)
 
 
 def spatial_embed(nbox, mlp: SpatialMLP) -> Tensor:
     """Embed normalized box descriptors ([..., 5]) into the branch width."""
-    arr = np.asarray(nbox, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    act = _ACTIVATIONS[mlp.activation]
-    out = _linear(act(_linear(constant(arr, dtype=mlp.fc1.weight.dtype), mlp.fc1)), mlp.fc2)
-    return out.reshape(out.shape[1:]) if squeeze else out
+    x = constant(np.asarray(nbox, dtype=np.float64), dtype=mlp.fc1.weight.dtype)
+    return _linear(gelu(_linear(x, mlp.fc1)), mlp.fc2)
 
 
 def embed_tokens(ids, embeddings: TextEmbeddings, training: bool = False,
@@ -430,13 +419,10 @@ def embed_tokens(ids, embeddings: TextEmbeddings, training: bool = False,
                  dropout_p: float = 0.0) -> Tensor:
     """Token + learned positional embedding, layer norm, then dropout.
 
-    `ids` is a single sequence or a [batch, seq] array; position index
-    is the 0-based offset within the sequence.
+    `ids` is a [batch, seq] array; position index is the 0-based offset
+    within the sequence.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    squeeze = ids.ndim == 1
-    if squeeze:
-        ids = ids[None, :]
     batch, seq = ids.shape
     vocab = embeddings.token_table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
@@ -452,24 +438,20 @@ def embed_tokens(ids, embeddings: TextEmbeddings, training: bool = False,
     x = layer_norm(x, embeddings.norm.gain, embeddings.norm.bias, eps=LN_EPS)
     if training and dropout_p > 0.0:
         x = dropout(x, dropout_p, training, rng)
-    return x.reshape((seq, d)) if squeeze else x
+    return x
 
 
 def multi_head_self_attention(x: Tensor, mask: np.ndarray, cfg: BranchConfig,
                               params: AttentionParams, training: bool = False,
                               rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Scaled dot-product self-attention with `cfg.num_heads` parallel heads.
+    """Scaled dot-product self-attention with `cfg.num_heads` parallel heads
+    over [batch, seq, d] states.
 
-    `mask` marks valid key positions; masked positions receive zero
-    attention everywhere. Outputs at masked query positions are
-    unspecified and must not be read downstream.
+    `mask` ([batch, seq]) marks valid key positions; masked positions
+    receive zero attention everywhere. Outputs at masked query positions
+    are unspecified and must not be read downstream.
     """
-    squeeze = len(x.shape) == 2
-    if squeeze:
-        x = x.reshape((1,) + x.shape)
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == 1:
-        mask = mask[None, :]
     batch, seq, d = x.shape
     if d != cfg.hidden_dim:
         raise ValueError(f"input width {d} does not match config hidden_dim {cfg.hidden_dim}")
@@ -485,8 +467,7 @@ def multi_head_self_attention(x: Tensor, mask: np.ndarray, cfg: BranchConfig,
     logits = matmul(q, k.swap_last_axes()) * (1.0 / math.sqrt(head_dim))
     attn = softmax_lastdim(logits, mask[:, None, None, :])
     ctx = matmul(attn, v).transpose((0, 2, 1, 3)).reshape((batch, seq, d))
-    out = _linear(ctx, params.output)
-    return out.reshape((seq, d)) if squeeze else out
+    return _linear(ctx, params.output)
 
 
 def encoder_layer(x: Tensor, mask: np.ndarray, cfg: BranchConfig,

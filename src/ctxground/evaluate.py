@@ -29,7 +29,6 @@ __all__ = [
     "EntityResult",
     "TypeRecall",
     "EvalReport",
-    "entity_hit",
     "recall_at_k",
     "upper_bound",
     "per_type_breakdown",
@@ -90,13 +89,9 @@ class EntityResult:
         """0-based rank of the first ranked proposal with IoU >= threshold,
         or inf when none qualifies; kept for the last threshold asked."""
         if self._hit is None or self._hit[0] != threshold:
-            self._hit = (threshold, _first_hit(self.ranking, self.ious, threshold))
+            hits = np.flatnonzero(self.ious[np.asarray(self.ranking, dtype=np.intp)] >= threshold)
+            self._hit = (threshold, int(hits[0]) if hits.size else math.inf)
         return self._hit[1]
-
-
-def _first_hit(ranking, ious: np.ndarray, threshold: float) -> float:
-    hits = np.flatnonzero(ious[np.asarray(ranking, dtype=np.intp)] >= threshold)
-    return int(hits[0]) if hits.size else math.inf
 
 
 @dataclass(frozen=True)
@@ -160,16 +155,6 @@ class EvalReport:
 
 
 # -- metric primitives ---------------------------------------------------------
-
-
-def entity_hit(ranking, proposals: np.ndarray, gt_boxes: np.ndarray,
-               k: int, threshold: float = IOU_THRESHOLD) -> bool:
-    """True iff any of the top-k ranked proposals overlaps any gt box
-    with IoU >= threshold."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ious = iou_matrix(proposals, gt_boxes).max(axis=1)
-    return _first_hit(ranking, ious, threshold) < k
 
 
 def recall_at_k(results, k: int, threshold: float = IOU_THRESHOLD) -> float:

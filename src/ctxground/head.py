@@ -17,14 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, bce_with_logits, linear, matmul, take_rows
-from .encoder import LinearParams, ParamMaker, random_params
+from .encoder import LinearParams, ParamMaker
 
 __all__ = [
     "PhraseSpan",
     "GroundingLogits",
     "HeadParams",
     "build_head",
-    "init_head",
     "extract_entity_states",
     "cross_modal_logits",
     "per_entity_bce",
@@ -106,43 +105,34 @@ def build_head(d_text: int, d_image: int, d_joint: int, make: ParamMaker) -> Hea
     return HeadParams(query=lin(d_text), key=lin(d_image))
 
 
-def init_head(d_text: int, d_image: int, d_joint: int, rng: np.random.Generator,
-              dtype=np.float32, std: float = 0.02) -> HeadParams:
-    return build_head(d_text, d_image, d_joint, random_params(rng, dtype, std))
-
-
 def extract_entity_states(text_hidden: Tensor, spans: Sequence[PhraseSpan],
-                          span_sample=None) -> Tensor:
+                          span_sample) -> Tensor:
     """Row i is the hidden state at spans[i].last_token (last-subword
     rule) of sample span_sample[i]; one gather over the [batch*seq, d]
-    text states. A 2-d [seq, d] input is one sample."""
-    if len(text_hidden.shape) == 2:
-        text_hidden = text_hidden.reshape((1,) + text_hidden.shape)
+    text states."""
     batch, seq_len, d = text_hidden.shape
     last = np.fromiter((s.last_token for s in spans), dtype=np.intp, count=len(spans))
     if last.size and last.max() >= seq_len:
         raise ValueError(
             f"span last token {int(last.max())} out of range for sequence of length {seq_len}"
         )
-    sample = 0 if span_sample is None else np.asarray(span_sample, dtype=np.intp)
+    sample = np.asarray(span_sample, dtype=np.intp)
     return take_rows(text_hidden.reshape((batch * seq_len, d)), sample * seq_len + last)
 
 
 def cross_modal_logits(entities: Tensor, objects: Tensor, object_mask,
-                       params: HeadParams, entity_sample=None) -> GroundingLogits:
+                       params: HeadParams, entity_sample) -> GroundingLogits:
     """Scaled dot products between projected entities and the projected
-    objects ([batch, objects, d] with an [batch, objects] mask, or one
-    sample's [objects, d]) of each entity's sample `entity_sample[e]`.
-    All queries meet all keys in one product; each row keeps its block."""
+    objects ([batch, objects, d] with a [batch, objects] mask) of each
+    entity's sample `entity_sample[e]`. All queries meet all keys in one
+    product; each row keeps its block."""
     num_objects = objects.shape[-2]
     object_mask = np.asarray(object_mask, dtype=bool).reshape(-1, num_objects)
     if not object_mask.any(axis=1).all():
         raise ValueError("no valid objects to score against")
     batch = object_mask.shape[0]
-    if len(objects.shape) == 3:
-        objects = objects.reshape((batch * num_objects, objects.shape[2]))
-    sample = (np.zeros(entities.shape[0], dtype=np.intp) if entity_sample is None
-              else np.asarray(entity_sample, dtype=np.intp))
+    objects = objects.reshape((batch * num_objects, objects.shape[-1]))
+    sample = np.asarray(entity_sample, dtype=np.intp)
     q = linear(entities, params.query.weight, params.query.bias)
     k = linear(objects, params.key.weight, params.key.bias)
     every = matmul(q, k.swap_last_axes()).reshape((entities.shape[0] * batch, num_objects))

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, zero_grads
+from .autodiff import Tensor
 from .data import Batch
 from .encoder import (
     BranchConfig,
@@ -141,9 +141,6 @@ class GroundingModel:
 
     def named_parameters(self) -> dict[str, Tensor]:
         return named_parameters(self.params)
-
-    def zero_grads(self) -> None:
-        zero_grads(self.named_parameters().values())
 
     def encode(self, batch: Batch, training: bool = False,
                rng: Optional[np.random.Generator] = None) -> tuple[Tensor, Tensor]:

@@ -295,23 +295,23 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary container: magic, version, length-prefixed JSON manifest
     (config, progress, rng state, tensor directory), then the float32
-    payloads back to back. Offsets are bytes from the payload start."""
+    payloads back to back. Offsets are bytes from the payload start.
+    Each array is written straight from its own memory (a C-contiguous
+    little-endian array without a copy), so a save holds no second copy
+    of the model."""
     tensors: list[tuple[str, np.ndarray]] = list(ckpt.params.items())
     if ckpt.optimizer is not None:
         tensors += [(f"adam.m.{n}", a) for n, a in ckpt.optimizer.m.items()]
         tensors += [(f"adam.v.{n}", a) for n, a in ckpt.optimizer.v.items()]
     directory = []
     offset = 0
-    blobs: list[bytes] = []
     for name, arr in tensors:
         if arr.dtype != np.float32:
             raise ValueError(
                 f"checkpoint payloads must be float32, {name!r} is {arr.dtype}"
             )
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+        offset += arr.nbytes
     manifest = {
         "config": ckpt.config,
         "epoch": ckpt.epoch,
@@ -336,8 +336,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_GCKP_HEADER.pack(GCKP_MAGIC, GCKP_VERSION, len(payload)))
             fh.write(payload)
-            for blob in blobs:
-                fh.write(blob)
+            for _, arr in tensors:
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -500,10 +500,6 @@ def _restore_params(model: GroundingModel, params: dict[str, np.ndarray]) -> Non
         tensor.grad = None
 
 
-def _snapshot_params(named: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {n: t.values.copy() for n, t in named.items()}
-
-
 # -- the fit loop -----------------------------------------------------------------
 
 
@@ -536,7 +532,7 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     history: list[dict] = []
     best_metric = -math.inf
     best_epoch = -1
-    best_params = _snapshot_params(named)
+    best_params: Optional[dict[str, np.ndarray]] = None  # set by epoch 0 or by resume
     start_epoch = 0
 
     if checkpoint_dir is not None:
@@ -545,15 +541,11 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     if resume:
         if checkpoint_dir is None:
             raise ValueError("resume requires a checkpoint_dir")
+        # Both files are read and checked before the model changes, so a
+        # refused resume leaves the caller's parameters as they were.
         last = load_checkpoint(checkpoint_dir / LAST_CHECKPOINT)
-        _restore_params(model, last.params)
         if last.optimizer is None or last.rng_state is None:
             raise ValueError("checkpoint lacks optimizer/rng state; cannot resume")
-        state = last.optimizer
-        rng.bit_generator.state = last.rng_state
-        history = list(last.history)
-        best_metric = last.best_metric
-        best_epoch = last.best_epoch
         best = load_checkpoint(checkpoint_dir / BEST_CHECKPOINT)
         if best.best_epoch != last.best_epoch:
             raise ValueError(
@@ -561,6 +553,12 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
                 f"{LAST_CHECKPOINT} expects epoch {last.best_epoch}; the pair is inconsistent "
                 f"(interrupted between the two writes?) and cannot be resumed"
             )
+        rng.bit_generator.state = last.rng_state
+        _restore_params(model, last.params)
+        state = last.optimizer
+        history = list(last.history)
+        best_metric = last.best_metric
+        best_epoch = last.best_epoch
         best_params = best.params
         start_epoch = last.epoch + 1
 
@@ -589,7 +587,7 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         if improved:
             best_metric = dev_r1
             best_epoch = epoch
-            best_params = _snapshot_params(named)
+            best_params = {n: t.values.copy() for n, t in named.items()}
 
         if checkpoint_dir is not None:
             # `last` is the commit point: it is written only once `best`
@@ -600,8 +598,9 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
                     epoch=best_epoch, best_metric=best_metric, best_epoch=best_epoch,
                     history=history,
                 ), checkpoint_dir / BEST_CHECKPOINT)
+            # The write is synchronous, so the live arrays need no copy.
             save_checkpoint(Checkpoint(
-                params=_snapshot_params(named), config=config_snapshot,
+                params={n: t.values for n, t in named.items()}, config=config_snapshot,
                 epoch=epoch, best_metric=best_metric, best_epoch=best_epoch,
                 optimizer=state, rng_state=rng.bit_generator.state,
                 history=history,

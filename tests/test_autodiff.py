@@ -375,7 +375,7 @@ def test_elementwise_gradients():
     rng = np.random.default_rng(11)
     x = parameter(rng.normal(size=(2, 3)) + 3.0)
     xv = x.values.copy()
-    fdcheck(lambda t: ((t * t + 2.0 * t) / 7.0 - t).sum(), x)
+    fdcheck(lambda t: (1.0 + (t * t + 2.0 * t) * (1.0 / 7.0) + t * -1.0).sum(), x)
     assert np.array_equal(x.values, xv)
 
 
@@ -535,15 +535,17 @@ def test_no_grad_in_one_thread_leaves_another_recording():
 # -- error conditions ----------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_raises_non_finite():
-    with pytest.raises(NonFiniteError):
-        from ctxground.autodiff import texp
-        texp(constant([1000.0]))
+    big = constant(np.array([3e38], dtype=np.float32))
+    with pytest.raises(NonFiniteError, match="mul"):
+        big * 10.0  # beyond float32's largest finite value
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_division_by_zero_raises_non_finite():
-    with pytest.raises(NonFiniteError):
-        constant([1.0]) / constant([0.0])
+    with pytest.raises(NonFiniteError, match="mean"):
+        constant(np.zeros((2, 0))).mean(axis=1)  # 0 / 0 per row
 
 
 def test_nan_input_rejected_at_creation():
@@ -572,15 +574,12 @@ def test_finite_diff_rejects_non_scalar():
         finite_diff_check(lambda t: t * 1.0, x)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_finite_diff_propagates_non_finite():
-    x = parameter([0.5])
-
-    def f(t):
-        from ctxground.autodiff import tlog
-        return tlog(t * -1.0).sum()
-
+    # Finite at x = 1, overflowing float64 at the perturbed point x + h = 2.
+    x = parameter([1.0])
     with pytest.raises(NonFiniteError):
-        finite_diff_check(f, x)
+        finite_diff_check(lambda t: (t * 1e308).sum(), x, h=1.0)
 
 
 # -- determinism -------------------------------------------------------------------------

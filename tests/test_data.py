@@ -371,19 +371,20 @@ def test_collate_slicing_recovers_originals():
     records = [make_record("a", 2, 3, seed=1), make_record("b", 4, 6, seed=2)]
     batch = collate_batch(records)
     for i, record in enumerate(records):
-        sample = batch.sample(i)
-        assert np.array_equal(sample["token_ids"], record.token_ids)
-        assert np.array_equal(sample["features"], record.features)
-        assert np.array_equal(sample["boxes"], record.proposals)
-        assert sample["spans"] == record.phrases
-        assert sample["size"] == (record.width, record.height)
+        s, o = batch.text_mask[i].sum(), batch.object_mask[i].sum()
+        lo, hi = batch.sample_offsets[i], batch.sample_offsets[i + 1]
+        assert np.array_equal(batch.token_ids[i, :s], record.token_ids)
+        assert np.array_equal(batch.features[i, :o], record.features)
+        assert np.array_equal(batch.boxes[i, :o], record.proposals)
+        assert batch.spans[lo:hi] == record.phrases
+        assert tuple(batch.sizes[i]) == (record.width, record.height)
 
 
 def test_collate_targets_match_per_record_labels():
     records = [make_record("a", 2, 3, seed=1), make_record("b", 4, 6, seed=2)]
     batch = collate_batch(records)
     for i, record in enumerate(records):
-        targets = batch.targets_of(i)
+        targets = batch.targets[batch.sample_offsets[i]:batch.sample_offsets[i + 1]]
         for row, phrase in zip(targets, record.phrases):
             want = label_positives(record.proposals, phrase.gt_boxes)
             np.testing.assert_array_equal(row[:record.num_objects], want)

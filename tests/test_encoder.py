@@ -152,36 +152,36 @@ def test_normalize_box_components_in_unit_range(w_extent, h_extent, x1, y1):
 def test_embed_single_token_matches_manual_layer_norm():
     cfg, params = text_setup()
     emb = params.embeddings
-    out = embed_tokens(np.array([3]), emb)
+    out = embed_tokens(np.array([[3]]), emb)
     manual = layer_norm_ref(
         (emb.token_table.values[3] + emb.position_table.values[0]).tolist(),
         emb.norm.gain.values.tolist(), emb.norm.bias.values.tolist(), 1e-5)
-    np.testing.assert_allclose(out.values[0], manual, atol=1e-12)
+    np.testing.assert_allclose(out.values[0, 0], manual, atol=1e-12)
 
 
 def test_embed_same_token_differs_by_position():
     _, params = text_setup()
-    out = embed_tokens(np.array([5, 5]), params.embeddings)
-    assert not np.allclose(out.values[0], out.values[1])
+    out = embed_tokens(np.array([[5, 5]]), params.embeddings)
+    assert not np.allclose(out.values[0, 0], out.values[0, 1])
 
 
 def test_embed_is_deterministic_in_inference():
     _, params = text_setup()
-    a = embed_tokens(np.array([1, 2, 3]), params.embeddings)
-    b = embed_tokens(np.array([1, 2, 3]), params.embeddings)
+    a = embed_tokens(np.array([[1, 2, 3]]), params.embeddings)
+    b = embed_tokens(np.array([[1, 2, 3]]), params.embeddings)
     assert np.array_equal(a.values, b.values)
 
 
 def test_embed_rejects_out_of_vocab():
     _, params = text_setup(vocab=11)
     with pytest.raises(ValueError, match="vocab"):
-        embed_tokens(np.array([11]), params.embeddings)
+        embed_tokens(np.array([[11]]), params.embeddings)
 
 
 def test_embed_rejects_too_long_sequence():
     _, params = text_setup()
     with pytest.raises(ValueError, match="max positions"):
-        embed_tokens(np.zeros(17, dtype=int), params.embeddings)
+        embed_tokens(np.zeros((1, 17), dtype=int), params.embeddings)
 
 
 # -- spatial MLP ------------------------------------------------------------------------
@@ -217,8 +217,8 @@ def test_spatial_embed_distinguishes_boxes_under_random_weights():
 def test_attention_single_key_reduces_to_projections():
     cfg, params = text_setup(seq=1, d=4, layers=1, heads=2)
     attn = params.layers[0].attention
-    x = constant(np.random.default_rng(1).normal(size=(1, 4)))
-    out = multi_head_self_attention(x, np.array([True]), cfg, attn)
+    x = constant(np.random.default_rng(1).normal(size=(1, 1, 4)))
+    out = multi_head_self_attention(x, np.array([[True]]), cfg, attn)
     value = x.values @ attn.value.weight.values + attn.value.bias.values
     expected = value @ attn.output.weight.values + attn.output.bias.values
     np.testing.assert_allclose(out.values, expected, atol=1e-12)
@@ -228,7 +228,7 @@ def test_attention_matches_loop_reference():
     cfg, params = text_setup(d=4, layers=1, heads=2)
     attn = params.layers[0].attention
     x = np.random.default_rng(2).normal(size=(3, 4))
-    got = multi_head_self_attention(constant(x), np.ones(3, bool), cfg, attn).values
+    got = multi_head_self_attention(constant(x[None]), np.ones((1, 3), bool), cfg, attn).values[0]
     want = attention_ref(
         x,
         attn.query.weight.values.tolist(), attn.query.bias.values.tolist(),
@@ -246,8 +246,9 @@ def test_attention_permutation_equivariance():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 8))
     perm = rng.permutation(5)
-    base = multi_head_self_attention(constant(x), np.ones(5, bool), cfg, attn).values
-    permuted = multi_head_self_attention(constant(x[perm]), np.ones(5, bool), cfg, attn).values
+    mask = np.ones((1, 5), bool)
+    base = multi_head_self_attention(constant(x[None]), mask, cfg, attn).values[0]
+    permuted = multi_head_self_attention(constant(x[perm][None]), mask, cfg, attn).values[0]
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -256,18 +257,18 @@ def test_attention_masked_keys_are_ignored():
     attn = params.layers[0].attention
     rng = np.random.default_rng(4)
     x = rng.normal(size=(4, 8))
-    mask = np.array([True, True, True, False])
-    base = multi_head_self_attention(constant(x), mask, cfg, attn).values
+    mask = np.array([[True, True, True, False]])
+    base = multi_head_self_attention(constant(x[None]), mask, cfg, attn).values[0]
     x2 = x.copy()
     x2[3] = rng.normal(size=8) * 100
-    moved = multi_head_self_attention(constant(x2), mask, cfg, attn).values
+    moved = multi_head_self_attention(constant(x2[None]), mask, cfg, attn).values[0]
     np.testing.assert_array_equal(base[:3], moved[:3])
 
 
 def test_attention_rejects_fully_masked():
     cfg, params = text_setup(d=4, layers=1, heads=1)
     with pytest.raises(ValueError, match="masked"):
-        multi_head_self_attention(constant(np.ones((2, 4))), np.zeros(2, bool),
+        multi_head_self_attention(constant(np.ones((1, 2, 4))), np.zeros((1, 2), bool),
                                   cfg, params.layers[0].attention)
 
 
@@ -283,7 +284,7 @@ def test_encoder_layer_zero_weights_is_double_layer_norm():
         if lin.bias is not None:
             lin.bias.values[:] = 0.0
     x = np.random.default_rng(5).normal(size=(3, 4))
-    out = encoder_layer(constant(x), np.ones(3, bool), cfg, layer).values
+    out = encoder_layer(constant(x[None]), np.ones((1, 3), bool), cfg, layer).values[0]
     ones, zeros = np.ones(4), np.zeros(4)
     want = [layer_norm_ref(layer_norm_ref(row, ones, zeros, 1e-5), ones, zeros, 1e-5)
             for row in x.tolist()]
@@ -293,8 +294,8 @@ def test_encoder_layer_zero_weights_is_double_layer_norm():
 def test_encoder_layer_gradient_reaches_every_parameter():
     cfg, params = text_setup(d=8, layers=1, heads=2)
     layer = params.layers[0]
-    x = parameter(np.random.default_rng(6).normal(size=(4, 8)))
-    out = encoder_layer(x, np.ones(4, bool), cfg, layer)
+    x = parameter(np.random.default_rng(6).normal(size=(1, 4, 8)))
+    out = encoder_layer(x, np.ones((1, 4), bool), cfg, layer)
     backward((out * out).sum())
     for name, tensor in named_parameters(layer).items():
         assert tensor.grad is not None, name

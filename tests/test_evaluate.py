@@ -15,7 +15,6 @@ from ctxground.evaluate import (
     TypeRecall,
     collect_entity_results,
     emit_report,
-    entity_hit,
     evaluate,
     load_report,
     per_type_breakdown,
@@ -58,26 +57,31 @@ def tiny_model_and_records(num_samples=8, model_seed=0, data_seed=4):
 # -- hits and recall ------------------------------------------------------------------
 
 
+def hit_at(ranking, proposals, gt, k):
+    """Whether any of the top-k ranked proposals overlaps a gt box."""
+    return result(ranking, proposals, gt).first_hit() < k
+
+
 def test_hit_when_top_proposal_matches():
-    assert entity_hit([0, 1, 2], HIT_SET, np.array(GT), k=1)
+    assert hit_at([0, 1, 2], HIT_SET, GT, k=1)
 
 
 def test_miss_when_all_disjoint():
     proposals = [[50, 50, 60, 60], [70, 70, 90, 90]]
     for k in (1, 5, 10):
-        assert not entity_hit([0, 1], proposals, np.array(GT), k=k)
+        assert not hit_at([0, 1], proposals, GT, k=k)
 
 
 def test_hit_monotone_in_k():
     ranking = [1, 2, 0]  # correct proposal ranked last
-    assert not entity_hit(ranking, HIT_SET, np.array(GT), k=1)
-    assert entity_hit(ranking, HIT_SET, np.array(GT), k=5)
-    assert entity_hit(ranking, HIT_SET, np.array(GT), k=10)
+    assert not hit_at(ranking, HIT_SET, GT, k=1)
+    assert hit_at(ranking, HIT_SET, GT, k=5)
+    assert hit_at(ranking, HIT_SET, GT, k=10)
 
 
 def test_hit_any_gt_box_counts():
-    gt = np.array([[70.0, 70.0, 90.0, 90.0], [0.0, 0.0, 10.0, 10.0]])
-    assert entity_hit([2], HIT_SET, gt, k=1)
+    gt = [[70.0, 70.0, 90.0, 90.0], [0.0, 0.0, 10.0, 10.0]]
+    assert hit_at([2], HIT_SET, gt, k=1)
 
 
 def test_recall_all_hits_and_half_hits():

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxground.autodiff import constant, finite_diff_check, parameter
-from ctxground.encoder import LinearParams
+from ctxground.encoder import LinearParams, random_params
 from ctxground.head import (
     GroundingLogits,
     HeadParams,
     PhraseSpan,
+    build_head,
     cross_modal_logits,
     extract_entity_states,
     grounding_loss,
-    init_head,
     per_entity_bce,
     rank_objects,
 )
@@ -30,8 +30,20 @@ def span(last, first=None, typ="people"):
 
 
 def make_head(d_text, d_image, d_joint, seed=0, std=0.4):
-    return init_head(d_text, d_image, d_joint, np.random.default_rng(seed),
-                     dtype=np.float64, std=std)
+    return build_head(d_text, d_image, d_joint,
+                      random_params(np.random.default_rng(seed), np.float64, std))
+
+
+def one_sample_logits(entities, objects, mask, head):
+    """Scores of every entity against one sample's objects, as a batch of 1."""
+    return cross_modal_logits(entities, constant(np.asarray(objects)[None]),
+                              np.asarray(mask)[None], head,
+                              np.zeros(entities.shape[0], dtype=int))
+
+
+def extract_one(hidden, spans):
+    """Entity states of one [seq, d] sample, as a batch of 1."""
+    return extract_entity_states(constant(hidden[None]), spans, np.zeros(len(spans), dtype=int))
 
 
 def make_logits(scores, mask=None):
@@ -55,27 +67,26 @@ def test_span_validation():
 
 
 def test_extract_single_token_phrase():
-    hidden = constant(np.arange(20.0).reshape(5, 4))
-    out = extract_entity_states(hidden, [span(2)])
-    np.testing.assert_array_equal(out.values, hidden.values[2:3])
+    hidden = np.arange(20.0).reshape(5, 4)
+    out = extract_one(hidden, [span(2)])
+    np.testing.assert_array_equal(out.values, hidden[2:3])
 
 
 def test_extract_uses_last_token_only():
-    hidden = constant(np.arange(24.0).reshape(6, 4))
-    out = extract_entity_states(hidden, [span(5, first=3)])
-    np.testing.assert_array_equal(out.values[0], hidden.values[5])
+    hidden = np.arange(24.0).reshape(6, 4)
+    out = extract_one(hidden, [span(5, first=3)])
+    np.testing.assert_array_equal(out.values[0], hidden[5])
 
 
 def test_extract_shared_last_token_gives_identical_rows():
-    hidden = constant(np.random.default_rng(0).normal(size=(6, 4)))
-    out = extract_entity_states(hidden, [span(4, first=2), span(4, first=4)])
+    hidden = np.random.default_rng(0).normal(size=(6, 4))
+    out = extract_one(hidden, [span(4, first=2), span(4, first=4)])
     np.testing.assert_array_equal(out.values[0], out.values[1])
 
 
 def test_extract_out_of_range_raises():
-    hidden = constant(np.zeros((3, 4)))
     with pytest.raises(ValueError, match="out of range"):
-        extract_entity_states(hidden, [span(3)])
+        extract_one(np.zeros((3, 4)), [span(3)])
 
 
 # -- cross-modal scores ------------------------------------------------------------------
@@ -86,8 +97,8 @@ def test_zero_projections_give_zero_scores():
         query=LinearParams(weight=constant(np.zeros((4, 8))), bias=constant(np.zeros(8))),
         key=LinearParams(weight=constant(np.zeros((6, 8))), bias=constant(np.zeros(8))),
     )
-    logits = cross_modal_logits(constant(np.ones((2, 4))), constant(np.ones((3, 6))),
-                                np.ones(3, bool), head)
+    logits = one_sample_logits(constant(np.ones((2, 4))), np.ones((3, 6)),
+                               np.ones(3, bool), head)
     assert not logits.scores.values.any()
 
 
@@ -95,8 +106,7 @@ def test_scores_match_hand_dot_products():
     head = make_head(3, 2, 4, seed=1)
     entities = np.random.default_rng(2).normal(size=(1, 3))
     objects = np.random.default_rng(3).normal(size=(2, 2))
-    logits = cross_modal_logits(constant(entities), constant(objects),
-                                np.ones(2, bool), head)
+    logits = one_sample_logits(constant(entities), objects, np.ones(2, bool), head)
     q = entities @ head.query.weight.values + head.query.bias.values
     for o in range(2):
         k = objects[o] @ head.key.weight.values + head.key.bias.values
@@ -110,16 +120,16 @@ def test_object_permutation_permutes_columns():
     entities = constant(rng.normal(size=(3, 4)))
     objects = rng.normal(size=(6, 5))
     perm = rng.permutation(6)
-    base = cross_modal_logits(entities, constant(objects), np.ones(6, bool), head)
-    moved = cross_modal_logits(entities, constant(objects[perm]), np.ones(6, bool), head)
+    base = one_sample_logits(entities, objects, np.ones(6, bool), head)
+    moved = one_sample_logits(entities, objects[perm], np.ones(6, bool), head)
     np.testing.assert_allclose(moved.scores.values, base.scores.values[:, perm], atol=1e-12)
 
 
 def test_no_valid_objects_raises():
     head = make_head(4, 5, 8)
     with pytest.raises(ValueError, match="valid objects"):
-        cross_modal_logits(constant(np.ones((1, 4))), constant(np.ones((2, 5))),
-                           np.zeros(2, bool), head)
+        one_sample_logits(constant(np.ones((1, 4))), np.ones((2, 5)),
+                          np.zeros(2, bool), head)
 
 
 def test_mismatched_joint_dims_rejected():
@@ -205,12 +215,12 @@ def test_loss_gradient_matches_finite_differences():
     head = make_head(6, 5, 8, seed=9)
     rng = np.random.default_rng(10)
     entities = parameter(rng.normal(size=(3, 6)))
-    objects = parameter(rng.normal(size=(4, 5)))
-    mask = np.array([True, True, True, False])
+    objects = parameter(rng.normal(size=(1, 4, 5)))  # one sample's objects
+    mask = np.array([[True, True, True, False]])
     targets = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]], dtype=float)
 
     def f(_):
-        logits = cross_modal_logits(entities, objects, mask, head)
+        logits = cross_modal_logits(entities, objects, mask, head, np.zeros(3, dtype=int))
         return grounding_loss(logits, targets)
 
     for t in (entities, objects, head.query.weight, head.query.bias,

@@ -169,9 +169,11 @@ def test_batched_scores_match_per_sample_head_on_ragged_batch():
     for b, record in enumerate(records):
         lo, hi = batch.sample_offsets[b], batch.sample_offsets[b + 1]
         o = record.num_objects
-        entities = extract_entity_states(constant(text_hidden.values[b]), batch.spans[lo:hi])
-        single = cross_modal_logits(entities, constant(image_hidden.values[b, :o]),
-                                    np.ones(o, bool), model.params.head)
+        first = np.zeros(hi - lo, dtype=int)  # each sample on its own, as a batch of 1
+        entities = extract_entity_states(constant(text_hidden.values[b:b + 1]),
+                                         batch.spans[lo:hi], first)
+        single = cross_modal_logits(entities, constant(image_hidden.values[b:b + 1, :o]),
+                                    np.ones((1, o), bool), model.params.head, first)
         np.testing.assert_allclose(logits.scores.values[lo:hi, :o], single.scores.values,
                                    rtol=0, atol=1e-12)
         assert (logits.object_mask[lo:hi].sum(axis=1) == o).all()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -475,6 +476,25 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_file_bytes_are_pinned(tmp_path):
+    # An F-ordered array (converted on write), C-contiguous arrays (written
+    # from their own memory), a 0-d and an empty one, with an optimizer
+    # block. The digest pins the file format byte for byte.
+    params = {"w": np.arange(6, dtype=np.float32).reshape(2, 3).T * np.float32(0.5),
+              "b": np.array([1.5, -2.0, 0.1], dtype=np.float32),
+              "s": np.array(0.75, dtype=np.float32), "e": np.zeros((0, 2), dtype=np.float32)}
+    assert not params["w"].flags.c_contiguous
+    opt = AdamState(m={n: a * np.float32(0.25) for n, a in params.items()},
+                    v={n: a * a for n, a in params.items()}, step=3)
+    ckpt = Checkpoint(params=params, config={"model": {"d": 3}}, epoch=2, best_metric=12.5,
+                      best_epoch=1, optimizer=opt, rng_state={"state": 7},
+                      history=[{"epoch": 0, "train_loss": 0.75}])
+    path = tmp_path / "pinned.gckp"
+    save_checkpoint(ckpt, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "b034e15bd631ff9489f84fcb301b4c50374a66a11f38680fb7580855fcebe282")
+
+
 def test_checkpoint_rejects_non_float32(tmp_path):
     ckpt = Checkpoint(params={"w": np.zeros(3)}, config={}, epoch=0,
                       best_metric=0.0, best_epoch=0)
@@ -713,9 +733,14 @@ def test_crash_between_checkpoint_writes_is_detected_on_resume(tmp_path, monkeyp
     assert crashed, "no epoch improved on the best; the crash was never simulated"
     monkeypatch.setattr(training, "save_checkpoint", real_save)
     assert load_checkpoint(tmp_path / "last.gckp").epoch == crashed[0] - 1
+    model = tiny_model(seed=11)
+    before = {n: t.values.copy() for n, t in model.named_parameters().items()}
     with pytest.raises(ValueError, match="inconsistent"):
-        fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=6, patience=50),
+        fit(model, records, records, fit_cfg(max_epochs=6, patience=50),
             checkpoint_dir=tmp_path, resume=True)
+    # The refused resume left the model as it was passed in.
+    for name, tensor in model.named_parameters().items():
+        assert np.array_equal(tensor.values, before[name]), name
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):

@@ -259,12 +259,9 @@ def gelu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward_fn(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _make(a.values.sum(axis=axis, keepdims=keepdims), "sum", (a,), backward_fn)
 
@@ -275,7 +272,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g / count, a.shape).copy())
+        _accumulate(a, np.broadcast_to(g / count, a.shape))
 
     return _make(a.values.mean(axis=axis, keepdims=keepdims), "mean", (a,), backward_fn)
 
@@ -467,15 +464,16 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     return _make(values, "bce_with_logits", (logits,), backward_fn)
 
 
-def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """Zero elements with probability `p` and rescale survivors by 1/(1-p).
 
-    Identity in inference mode. The mask is drawn from `rng`, so callers
-    control reproducibility by seeding and by call order.
+    Identity, drawing nothing, when `rng` is None or `p` is 0. The mask
+    is drawn from `rng`, so callers control reproducibility by seeding
+    and by call order.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return a
     keep = (rng.random(a.shape) >= p).astype(a.dtype)
     scale = 1.0 / (1.0 - p)
@@ -560,8 +558,6 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
             flat[i] = orig - h
             f_minus = float(f(x).values)
             flat[i] = orig
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise NonFiniteError("finite_diff_check: non-finite function value")
             numeric_flat[i] = (f_plus - f_minus) / (2.0 * h)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

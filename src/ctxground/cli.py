@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import SyntheticSpec, generate_synthetic, parse_dataset, write_dataset
-from .encoder import BranchConfig
 from .evaluate import emit_report, evaluate, REPORT_SPLITS
 from .gradcheck import run_gradcheck, toy_setup
 from .model import GroundingModel, ModelConfig
@@ -42,18 +41,10 @@ class RunConfig:
         train = TrainConfig.from_dict(d.get("train", {}))
         # A single dropout knob: branches inherit the training dropout
         # unless they set their own.
-        text_d = dict(d["text"])
-        image_d = dict(d["image"])
-        for branch in (text_d, image_d):
-            branch.setdefault("dropout_p", train.dropout_p)
-        model = ModelConfig(
-            vocab_size=d["vocab_size"],
-            feature_dim=d["feature_dim"],
-            d_joint=d.get("d_joint", 768),
-            text=BranchConfig.from_dict(text_d),
-            image=BranchConfig.from_dict(image_d),
-        )
-        return cls(model=model, train=train, train_data=d["train_data"],
+        model_d = dict(d)
+        for branch in ("text", "image"):
+            model_d[branch] = {"dropout_p": train.dropout_p, **d[branch]}
+        return cls(model=ModelConfig.from_dict(model_d), train=train, train_data=d["train_data"],
                    dev_data=d["dev_data"], out_dir=d["out_dir"])
 
     def to_dict(self) -> dict:

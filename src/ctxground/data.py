@@ -79,11 +79,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-
-
 def label_positives(proposals: np.ndarray, gt_boxes: np.ndarray,
                     threshold: float = IOU_THRESHOLD) -> np.ndarray:
     """Binary vector marking proposals whose best IoU against any
@@ -91,7 +86,8 @@ def label_positives(proposals: np.ndarray, gt_boxes: np.ndarray,
     proposals = np.reshape(proposals, (-1, 4))
     if proposals.shape[0] == 0:
         raise ValueError("no proposals to label")
-    _check_threshold(threshold)
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     best = iou_matrix(check_boxes(proposals, "proposal"),
                       check_boxes(np.reshape(gt_boxes, (-1, 4)), "gt box")).max(axis=1)
     return (best >= threshold).astype(np.float64)
@@ -333,15 +329,13 @@ class Batch:
         return len(self.spans)
 
 
-def collate_batch(records, threshold: float = IOU_THRESHOLD,
-                  feature_dtype=np.float32) -> Batch:
+def collate_batch(records, feature_dtype=np.float32) -> Batch:
     """Pad token and object axes to the batch maxima, build masks, and
-    mark each phrase's proposals whose cached best IoU reaches the
-    threshold as its supervision targets."""
+    mark each phrase's proposals whose cached best IoU reaches 0.5
+    (:data:`IOU_THRESHOLD`) as its supervision targets."""
     records = list(records)
     if not records:
         raise ValueError("cannot collate an empty batch")
-    _check_threshold(threshold)
     d_feat = records[0].features.shape[1]
     for r in records:
         if r.features.shape[1] != d_feat:
@@ -369,7 +363,7 @@ def collate_batch(records, threshold: float = IOU_THRESHOLD,
         boxes[b, :o] = r.proposals
         sizes[b] = (r.width, r.height)
         object_mask[b, :o] = True
-        targets[offsets[b]:offsets[b + 1], :o] = r.phrase_ious >= threshold
+        targets[offsets[b]:offsets[b + 1], :o] = r.phrase_ious >= IOU_THRESHOLD
 
     return Batch(
         token_ids=token_ids,

@@ -414,10 +414,10 @@ def spatial_embed(nbox, mlp: SpatialMLP) -> Tensor:
     return _linear(gelu(_linear(x, mlp.fc1)), mlp.fc2)
 
 
-def embed_tokens(ids, embeddings: TextEmbeddings, training: bool = False,
-                 rng: Optional[np.random.Generator] = None,
+def embed_tokens(ids, embeddings: TextEmbeddings, rng: Optional[np.random.Generator] = None,
                  dropout_p: float = 0.0) -> Tensor:
-    """Token + learned positional embedding, layer norm, then dropout.
+    """Token + learned positional embedding, layer norm, then dropout
+    (drawn from `rng`; none without it).
 
     `ids` is a [batch, seq] array; position index is the 0-based offset
     within the sequence.
@@ -436,14 +436,11 @@ def embed_tokens(ids, embeddings: TextEmbeddings, training: bool = False,
     pos = take_rows(embeddings.position_table, np.arange(seq))
     x = tok + pos
     x = layer_norm(x, embeddings.norm.gain, embeddings.norm.bias, eps=LN_EPS)
-    if training and dropout_p > 0.0:
-        x = dropout(x, dropout_p, training, rng)
-    return x
+    return dropout(x, dropout_p, rng)
 
 
 def multi_head_self_attention(x: Tensor, mask: np.ndarray, cfg: BranchConfig,
-                              params: AttentionParams, training: bool = False,
-                              rng: Optional[np.random.Generator] = None) -> Tensor:
+                              params: AttentionParams) -> Tensor:
     """Scaled dot-product self-attention with `cfg.num_heads` parallel heads
     over [batch, seq, d] states.
 
@@ -470,31 +467,29 @@ def multi_head_self_attention(x: Tensor, mask: np.ndarray, cfg: BranchConfig,
     return _linear(ctx, params.output)
 
 
-def encoder_layer(x: Tensor, mask: np.ndarray, cfg: BranchConfig,
-                  params: EncoderLayerParams, training: bool = False,
+def encoder_layer(x: Tensor, mask: np.ndarray, cfg: BranchConfig, params: EncoderLayerParams,
                   rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Post-norm encoder block: residual attention, then residual GELU FFN."""
-    attn = multi_head_self_attention(x, mask, cfg, params.attention, training, rng)
-    if training and cfg.dropout_p > 0.0:
-        attn = dropout(attn, cfg.dropout_p, training, rng)
+    """Post-norm encoder block: residual attention, then residual GELU FFN,
+    with dropout on each residual branch when given `rng`."""
+    attn = dropout(multi_head_self_attention(x, mask, cfg, params.attention),
+                   cfg.dropout_p, rng)
     x = layer_norm(x + attn, params.attention_norm.gain, params.attention_norm.bias, eps=LN_EPS)
-    ffn = _linear(gelu(_linear(x, params.ffn_in)), params.ffn_out)
-    if training and cfg.dropout_p > 0.0:
-        ffn = dropout(ffn, cfg.dropout_p, training, rng)
+    ffn = dropout(_linear(gelu(_linear(x, params.ffn_in)), params.ffn_out), cfg.dropout_p, rng)
     return layer_norm(x + ffn, params.ffn_norm.gain, params.ffn_norm.bias, eps=LN_EPS)
 
 
-def encode_branch(inputs: BranchInput, cfg: BranchConfig, params, training: bool = False,
+def encode_branch(inputs: BranchInput, cfg: BranchConfig, params,
                   rng: Optional[np.random.Generator] = None) -> Tensor:
     """Run the full branch: embedding stage, then `cfg.num_layers` encoder layers.
 
-    Returns final hidden states [batch, seq, hidden_dim]; values at
-    padded positions are unspecified.
+    Dropout (`cfg.dropout_p`) runs exactly when `rng` is given, with the
+    masks drawn from it in a fixed order. Returns final hidden states
+    [batch, seq, hidden_dim]; values at padded positions are unspecified.
     """
     if inputs.is_text:
         if not isinstance(params, TextBranchParams):
             raise TypeError("text input requires TextBranchParams")
-        x = embed_tokens(inputs.token_ids, params.embeddings, training, rng, cfg.dropout_p)
+        x = embed_tokens(inputs.token_ids, params.embeddings, rng, cfg.dropout_p)
     else:
         if not isinstance(params, ImageBranchParams):
             raise TypeError("image input requires ImageBranchParams")
@@ -507,12 +502,11 @@ def encode_branch(inputs: BranchInput, cfg: BranchConfig, params, training: bool
             nboxes = normalize_boxes(inputs.boxes, inputs.sizes)
             x = x + spatial_embed(nboxes, params.spatial)
         x = layer_norm(x, params.embed_norm.gain, params.embed_norm.bias, eps=LN_EPS)
-        if training and cfg.dropout_p > 0.0:
-            x = dropout(x, cfg.dropout_p, training, rng)
+        x = dropout(x, cfg.dropout_p, rng)
     if len(params.layers) != cfg.num_layers:
         raise ValueError(
             f"parameter stack has {len(params.layers)} layers, config says {cfg.num_layers}"
         )
     for layer in params.layers:
-        x = encoder_layer(x, inputs.valid_mask, cfg, layer, training, rng)
+        x = encoder_layer(x, inputs.valid_mask, cfg, layer, rng)
     return x

@@ -79,19 +79,20 @@ class EntityResult:
     gt_boxes: np.ndarray      # [boxes, 4]
     entity_type: str
     ious: Optional[np.ndarray] = field(default=None, repr=False)  # [objects]
-    _hit: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _hit: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ious is None:
             self.ious = iou_matrix(self.proposals, self.gt_boxes).max(axis=1)
 
-    def first_hit(self, threshold: float = IOU_THRESHOLD) -> float:
-        """0-based rank of the first ranked proposal with IoU >= threshold,
-        or inf when none qualifies; kept for the last threshold asked."""
-        if self._hit is None or self._hit[0] != threshold:
-            hits = np.flatnonzero(self.ious[np.asarray(self.ranking, dtype=np.intp)] >= threshold)
-            self._hit = (threshold, int(hits[0]) if hits.size else math.inf)
-        return self._hit[1]
+    def first_hit(self) -> float:
+        """0-based rank of the first ranked proposal with IoU >= 0.5
+        (:data:`IOU_THRESHOLD`), or inf when none qualifies; computed once."""
+        if self._hit is None:
+            ranked = self.ious[np.asarray(self.ranking, dtype=np.intp)]
+            hits = np.flatnonzero(ranked >= IOU_THRESHOLD)
+            self._hit = int(hits[0]) if hits.size else math.inf
+        return self._hit
 
 
 @dataclass(frozen=True)
@@ -157,26 +158,26 @@ class EvalReport:
 # -- metric primitives ---------------------------------------------------------
 
 
-def recall_at_k(results, k: int, threshold: float = IOU_THRESHOLD) -> float:
+def recall_at_k(results, k: int) -> float:
     """Percentage of entities hit at K; phrase occurrences are not deduplicated."""
     results = list(results)
     if not results:
         raise ValueError("cannot compute recall on an empty split")
-    hits = sum(r.first_hit(threshold) < k for r in results)
+    hits = sum(r.first_hit() < k for r in results)
     return 100.0 * hits / len(results)
 
 
-def upper_bound(results, threshold: float = IOU_THRESHOLD) -> float:
+def upper_bound(results) -> float:
     """Best recall any ranker could reach over these proposals: the share
     of entities with at least one qualifying proposal at any rank."""
     results = list(results)
     if not results:
         raise ValueError("cannot compute the upper bound on an empty split")
-    hits = sum(bool(r.ious.size) and r.ious.max() >= threshold for r in results)
+    hits = sum(bool(r.ious.size) and r.ious.max() >= IOU_THRESHOLD for r in results)
     return 100.0 * hits / len(results)
 
 
-def per_type_breakdown(results, threshold: float = IOU_THRESHOLD) -> dict[str, TypeRecall]:
+def per_type_breakdown(results) -> dict[str, TypeRecall]:
     """Recall@1 restricted to each of the eight entity types, with counts."""
     results = list(results)
     grouped: dict[str, list[EntityResult]] = {t: [] for t in ENTITY_TYPES}
@@ -187,7 +188,7 @@ def per_type_breakdown(results, threshold: float = IOU_THRESHOLD) -> dict[str, T
     out = {}
     for t in ENTITY_TYPES:
         if grouped[t]:
-            out[t] = TypeRecall(recall_at_1=round(recall_at_k(grouped[t], 1, threshold), 2),
+            out[t] = TypeRecall(recall_at_1=round(recall_at_k(grouped[t], 1), 2),
                                 count=len(grouped[t]))
         else:
             out[t] = TypeRecall(recall_at_1=0.0, count=0)
@@ -204,7 +205,7 @@ def collect_entity_results(model: GroundingModel, records: list[SampleRecord],
     with no_grad():
         for lo in range(0, len(records), batch_size):
             chunk = records[lo:lo + batch_size]
-            logits = model.batch_scores(collate_batch(chunk), training=False)
+            logits = model.batch_scores(collate_batch(chunk))
             entity = itertools.count()
             for record in chunk:
                 for span, ious in zip(record.phrases, record.phrase_ious):
@@ -219,7 +220,7 @@ def collect_entity_results(model: GroundingModel, records: list[SampleRecord],
 
 
 def evaluate(model: GroundingModel, records: list[SampleRecord], split: str = "test",
-             threshold: float = IOU_THRESHOLD, batch_size: int = 32) -> EvalReport:
+             batch_size: int = 32) -> EvalReport:
     """Deterministic full evaluation of a split."""
     if split not in REPORT_SPLITS:
         raise ValueError(f"split must be one of {REPORT_SPLITS}, got {split!r}")
@@ -228,11 +229,11 @@ def evaluate(model: GroundingModel, records: list[SampleRecord], split: str = "t
     results = collect_entity_results(model, records, batch_size)
     return EvalReport(
         split=split,
-        recall_at_1=round(recall_at_k(results, 1, threshold), 2),
-        recall_at_5=round(recall_at_k(results, 5, threshold), 2),
-        recall_at_10=round(recall_at_k(results, 10, threshold), 2),
-        upper_bound=round(upper_bound(results, threshold), 2),
-        per_type=per_type_breakdown(results, threshold),
+        recall_at_1=round(recall_at_k(results, 1), 2),
+        recall_at_5=round(recall_at_k(results, 5), 2),
+        recall_at_10=round(recall_at_k(results, 10), 2),
+        upper_bound=round(upper_bound(results), 2),
+        per_type=per_type_breakdown(results),
         total_entities=len(results),
         model_label=model.label,
     )

@@ -76,11 +76,11 @@ def toy_setup(preset: str = "full", seed: int = 0) -> tuple[GroundingModel, Batc
 def run_gradcheck(model: GroundingModel, batch: Batch, h: float = 1e-5) -> dict[str, float]:
     """Max relative error per parameter tensor for the full grounding loss.
 
-    Inference mode (no dropout), so the loss is a deterministic function
-    of the parameters and central differences are well defined.
+    No generator is passed, so dropout is off and the loss is the
+    deterministic function of the parameters that central differences need.
     """
     def loss_fn(_):
-        return model.batch_loss(batch, training=False)[0]
+        return model.batch_loss(batch)[0]
 
     return {
         name: finite_diff_check(loss_fn, tensor, h)

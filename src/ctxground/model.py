@@ -112,8 +112,9 @@ def named_parameters(params: ModelParams) -> dict[str, Tensor]:
 
 
 class GroundingModel:
-    """Bundles configuration and parameters; all forwards are pure
-    functions of the parameters except for dropout draws from `rng`."""
+    """Bundles configuration and parameters. A forward given `rng` applies
+    dropout with masks drawn from it (text branch first); without `rng`
+    it is a pure function of the parameters."""
 
     def __init__(self, config: ModelConfig, params: ModelParams):
         self.config = config
@@ -142,29 +143,28 @@ class GroundingModel:
     def named_parameters(self) -> dict[str, Tensor]:
         return named_parameters(self.params)
 
-    def encode(self, batch: Batch, training: bool = False,
-               rng: Optional[np.random.Generator] = None) -> tuple[Tensor, Tensor]:
+    def encode(self, batch: Batch, rng: Optional[np.random.Generator] = None
+               ) -> tuple[Tensor, Tensor]:
         text_in = BranchInput(valid_mask=batch.text_mask, token_ids=batch.token_ids)
         image_in = BranchInput(valid_mask=batch.object_mask, features=batch.features,
                                boxes=batch.boxes, sizes=batch.sizes)
-        text_hidden = encode_branch(text_in, self.config.text, self.params.text, training, rng)
-        image_hidden = encode_branch(image_in, self.config.image, self.params.image, training, rng)
+        text_hidden = encode_branch(text_in, self.config.text, self.params.text, rng)
+        image_hidden = encode_branch(image_in, self.config.image, self.params.image, rng)
         return text_hidden, image_hidden
 
-    def batch_scores(self, batch: Batch, training: bool = False,
-                     rng: Optional[np.random.Generator] = None) -> GroundingLogits:
+    def batch_scores(self, batch: Batch, rng: Optional[np.random.Generator] = None
+                     ) -> GroundingLogits:
         """Grounding logits of every entity in the batch, in span order:
         row e scores entity e against the objects of its own sample."""
-        text_hidden, image_hidden = self.encode(batch, training, rng)
+        text_hidden, image_hidden = self.encode(batch, rng)
         entities = extract_entity_states(text_hidden, batch.spans, batch.span_sample)
         return cross_modal_logits(entities, image_hidden, batch.object_mask,
                                   self.params.head, batch.span_sample)
 
-    def batch_loss(self, batch: Batch, training: bool = False,
-                   rng: Optional[np.random.Generator] = None
+    def batch_loss(self, batch: Batch, rng: Optional[np.random.Generator] = None
                    ) -> tuple[Tensor, GroundingLogits]:
         """Mean per-entity BCE over every entity in the batch."""
         if batch.num_entities == 0:
             raise ValueError("batch contains no entities")
-        logits = self.batch_scores(batch, training, rng)
+        logits = self.batch_scores(batch, rng)
         return grounding_loss(logits, batch.targets), logits

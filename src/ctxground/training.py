@@ -117,12 +117,11 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, named_params: dict[str, Tensor], beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def init(cls, named_params: dict[str, Tensor]) -> "AdamState":
+        """Zero moments at step 0 with the default betas and eps."""
         return cls(
             m={n: np.zeros_like(t.values) for n, t in named_params.items()},
             v={n: np.zeros_like(t.values) for n, t in named_params.items()},
-            beta1=beta1, beta2=beta2, eps=eps,
         )
 
 
@@ -257,7 +256,7 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
     zero_grads(named.values())
     losses = []
     for mb in micro_batches:
-        loss, _ = model.batch_loss(mb, training=True, rng=rng)
+        loss, _ = model.batch_loss(mb, rng=rng)
         backward(loss)
         losses.append(loss.item())
     # The accumulated gradients are averaged, clipped and consumed in place.

@@ -317,44 +317,44 @@ def test_bce_gradient():
 
 def test_dropout_inference_is_identity():
     x = constant(np.arange(6.0))
-    assert dropout(x, 0.4, training=False, rng=np.random.default_rng(0)) is x
+    assert dropout(x, 0.4, rng=None) is x
 
 
 def test_dropout_p_zero_is_identity():
     x = constant(np.arange(6.0))
-    assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+    assert dropout(x, 0.0, rng=np.random.default_rng(0)) is x
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, -0.1])
 def test_dropout_rejects_bad_probability(p):
     with pytest.raises(ValueError):
-        dropout(constant([1.0]), p, training=True, rng=np.random.default_rng(0))
+        dropout(constant([1.0]), p, rng=np.random.default_rng(0))
 
 
 def test_dropout_zero_fraction_concentrates():
     x = constant(np.ones(10_000))
-    out = dropout(x, 0.5, training=True, rng=np.random.default_rng(42)).values
+    out = dropout(x, 0.5, rng=np.random.default_rng(42)).values
     zero_fraction = (out == 0.0).mean()
     assert abs(zero_fraction - 0.5) < 0.02
 
 
 def test_dropout_scales_survivors():
     x = constant(np.ones(1000))
-    out = dropout(x, 0.25, training=True, rng=np.random.default_rng(3)).values
+    out = dropout(x, 0.25, rng=np.random.default_rng(3)).values
     survivors = out[out != 0.0]
     np.testing.assert_allclose(survivors, 1.0 / 0.75)
 
 
 def test_dropout_deterministic_under_seed():
     x = constant(np.ones(100))
-    a = dropout(x, 0.4, training=True, rng=np.random.default_rng(7)).values
-    b = dropout(x, 0.4, training=True, rng=np.random.default_rng(7)).values
+    a = dropout(x, 0.4, rng=np.random.default_rng(7)).values
+    b = dropout(x, 0.4, rng=np.random.default_rng(7)).values
     assert np.array_equal(a, b)
 
 
 def test_dropout_gradient_with_fixed_mask():
     x = parameter(np.linspace(-1, 1, 12).reshape(3, 4))
-    fdcheck(lambda t: dropout(t, 0.5, True, np.random.default_rng(5)).sum(), x)
+    fdcheck(lambda t: dropout(t, 0.5, np.random.default_rng(5)).sum(), x)
 
 
 # -- gelu and misc ops -------------------------------------------------------------
@@ -589,7 +589,7 @@ def test_forward_and_gradients_bit_identical_across_runs():
     def run():
         rng = np.random.default_rng(123)
         x = parameter(rng.normal(size=(4, 4)))
-        y = dropout(gelu(matmul(x, x)), 0.3, True, rng)
+        y = dropout(gelu(matmul(x, x)), 0.3, rng)
         loss = softmax_lastdim(y).sum()
         backward(loss)
         return loss.values.copy(), x.grad.copy()

@@ -413,11 +413,6 @@ def test_reassigned_proposals_or_phrases_change_the_next_targets():
     np.testing.assert_array_equal(collate_batch([record]).targets, [[0, 1, 0]])
 
 
-def test_collate_threshold_validated():
-    with pytest.raises(ValueError, match="threshold"):
-        collate_batch([make_record()], threshold=0.0)
-
-
 def test_collate_rejects_empty_and_mixed_dims():
     with pytest.raises(ValueError, match="empty"):
         collate_batch([])

@@ -79,7 +79,7 @@ def test_initialization_deterministic_in_seed():
 def test_batch_loss_matches_per_sample_grounding_loss():
     model = tiny_model()
     batch = tiny_batch()
-    loss, logits = model.batch_loss(batch, training=False)
+    loss, logits = model.batch_loss(batch)
     per_entity = []
     for e in range(logits.entity_count):
         single = grounding_loss(
@@ -93,8 +93,8 @@ def test_batch_loss_matches_per_sample_grounding_loss():
 def test_forward_deterministic_without_dropout():
     model = tiny_model()
     batch = tiny_batch()
-    a, _ = model.batch_loss(batch, training=False)
-    b, _ = model.batch_loss(batch, training=False)
+    a, _ = model.batch_loss(batch)
+    b, _ = model.batch_loss(batch)
     assert a.item() == b.item()
 
 
@@ -102,7 +102,7 @@ def test_gradients_bit_identical_across_runs():
     def run():
         model = tiny_model(seed=6)
         batch = tiny_batch()
-        loss, _ = model.batch_loss(batch, training=True, rng=np.random.default_rng(5))
+        loss, _ = model.batch_loss(batch, rng=np.random.default_rng(5))
         backward(loss)
         return {n: t.grad.copy() for n, t in model.named_parameters().items()
                 if t.grad is not None}
@@ -113,12 +113,23 @@ def test_gradients_bit_identical_across_runs():
         assert np.array_equal(g1[name], g2[name]), name
 
 
+def test_dropout_runs_exactly_when_given_a_generator():
+    batch = tiny_batch()
+    g = np.random.default_rng(9)
+    state = g.bit_generator.state
+    model = tiny_model(dropout=0.0)
+    assert model.batch_loss(batch, rng=g)[0].item() == model.batch_loss(batch)[0].item()
+    assert g.bit_generator.state == state
+    tiny_model(dropout=0.4).batch_loss(batch, rng=g)
+    assert g.bit_generator.state != state
+
+
 def test_dropout_seed_changes_training_loss():
     model = tiny_model(dropout=0.4)
     batch = tiny_batch()
-    a, _ = model.batch_loss(batch, training=True, rng=np.random.default_rng(0))
-    b, _ = model.batch_loss(batch, training=True, rng=np.random.default_rng(0))
-    c, _ = model.batch_loss(batch, training=True, rng=np.random.default_rng(1))
+    a, _ = model.batch_loss(batch, rng=np.random.default_rng(0))
+    b, _ = model.batch_loss(batch, rng=np.random.default_rng(0))
+    c, _ = model.batch_loss(batch, rng=np.random.default_rng(1))
     assert a.item() == b.item()
     assert a.item() != c.item()
 
@@ -139,11 +150,11 @@ def test_padded_object_features_do_not_affect_outputs():
     batch = collate_batch(records, feature_dtype=np.float64)
     assert not batch.object_mask[0, 3]
 
-    loss_a, logits_a = model.batch_loss(batch, training=False)
+    loss_a, logits_a = model.batch_loss(batch)
     rank_a = logits_a.scores.values.copy()
 
     batch.features[0, 3] = 99.0  # padded slot
-    loss_b, logits_b = model.batch_loss(batch, training=False)
+    loss_b, logits_b = model.batch_loss(batch)
     assert loss_a.item() == loss_b.item()
     for a, b, m in zip(rank_a, logits_b.scores.values, logits_b.object_mask):
         assert np.array_equal(a[m], b[m])
@@ -163,9 +174,9 @@ def test_batched_scores_match_per_sample_head_on_ragged_batch():
     records = ragged_records()
     batch = collate_batch(records, feature_dtype=np.float64)
     model = tiny_model()
-    logits = model.batch_scores(batch, training=False)
+    logits = model.batch_scores(batch)
     assert logits.scores.shape == (6, 6) and logits.object_mask.shape == (6, 6)
-    text_hidden, image_hidden = model.encode(batch, training=False)
+    text_hidden, image_hidden = model.encode(batch)
     for b, record in enumerate(records):
         lo, hi = batch.sample_offsets[b], batch.sample_offsets[b + 1]
         o = record.num_objects
@@ -183,7 +194,7 @@ def test_padded_objects_never_rank_and_never_get_a_positive_target():
     records = ragged_records()
     batch = collate_batch(records, feature_dtype=np.float64)
     batch.features[~batch.object_mask] = 50.0
-    logits = tiny_model().batch_scores(batch, training=False)
+    logits = tiny_model().batch_scores(batch)
     assert not batch.targets[~logits.object_mask].any()
     assert batch.targets.sum(axis=1).min() >= 1
     for e in range(logits.entity_count):
@@ -200,7 +211,7 @@ def test_batch_without_entities_raises():
     batch = collate_batch(records, feature_dtype=np.float64)
     model = tiny_model()
     with pytest.raises(ValueError, match="no entities"):
-        model.batch_loss(batch, training=False)
+        model.batch_loss(batch)
 
 
 def test_model_label_comes_from_image_branch():

@@ -278,7 +278,7 @@ def test_single_micro_batch_is_ordinary_step():
     # manual: one backward, clip, adam
     from ctxground.autodiff import backward
     named_b = model_b.named_parameters()
-    loss, _ = model_b.batch_loss(batch, training=False)
+    loss, _ = model_b.batch_loss(batch)
     backward(loss)
     grads = {n: t.grad.copy() for n, t in named_b.items() if t.grad is not None}
     grads.update({n: np.zeros_like(t.values) for n, t in named_b.items()
@@ -310,7 +310,7 @@ def test_train_steps_equal_fresh_gradients_clipped_then_adam(accumulation):
             t.grad = None  # no array kept: backward allocates fresh gradients
         losses = []
         for mb in group:
-            loss, _ = ref.batch_loss(mb, training=True, rng=ref_rng)
+            loss, _ = ref.batch_loss(mb, rng=ref_rng)
             backward(loss)
             losses.append(loss.item())
         grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
@@ -373,8 +373,8 @@ def test_step_loss_is_mean_of_micro_losses():
     half_a = collate_batch(records[:4], feature_dtype=np.float64)
     half_b = collate_batch(records[4:], feature_dtype=np.float64)
     model = tiny_model(dtype=np.float64, seed=1)
-    la, _ = model.batch_loss(half_a, training=False)
-    lb, _ = model.batch_loss(half_b, training=False)
+    la, _ = model.batch_loss(half_a)
+    lb, _ = model.batch_loss(half_b)
     cfg = TrainConfig(learning_rate=1e-3, clip_norm=0.25, batch_size=8,
                       accumulation_steps=2, max_epochs=1, dropout_p=0.0)
     metrics = train_step([half_a, half_b], model,
@@ -525,7 +525,7 @@ def test_model_from_checkpoint_restores_behavior(tmp_path):
     model = tiny_model(seed=10)
     records = tiny_records(4, seed=12)
     batch = collate_batch(records)
-    loss_before, _ = model.batch_loss(batch, training=False)
+    loss_before, _ = model.batch_loss(batch)
     named = model.named_parameters()
     ckpt = Checkpoint(params={n: t.values.copy() for n, t in named.items()},
                       config={"model": model.config.to_dict(),
@@ -534,7 +534,7 @@ def test_model_from_checkpoint_restores_behavior(tmp_path):
     path = tmp_path / "model.gckp"
     save_checkpoint(ckpt, path)
     restored = model_from_checkpoint(load_checkpoint(path))
-    loss_after, _ = restored.batch_loss(batch, training=False)
+    loss_after, _ = restored.batch_loss(batch)
     assert loss_before.item() == loss_after.item()
 
 

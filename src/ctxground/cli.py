@@ -38,22 +38,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        train = TrainConfig.from_dict(d.get("train", {}))
+        """Split off the run's own keys and hand the rest to
+        :meth:`ModelConfig.from_dict`, so an unknown key raises."""
+        model_d = dict(d)
+        train = TrainConfig.from_dict(model_d.pop("train", {}))
+        paths = {key: model_d.pop(key) for key in ("train_data", "dev_data", "out_dir")}
         # A single dropout knob: branches inherit the training dropout
         # unless they set their own.
-        model_d = dict(d)
         for branch in ("text", "image"):
             model_d[branch] = {"dropout_p": train.dropout_p, **d[branch]}
-        return cls(model=ModelConfig.from_dict(model_d), train=train, train_data=d["train_data"],
-                   dev_data=d["dev_data"], out_dir=d["out_dir"])
-
-    def to_dict(self) -> dict:
-        d = self.model.to_dict()
-        d["train"] = self.train.to_dict()
-        d["train_data"] = self.train_data
-        d["dev_data"] = self.dev_data
-        d["out_dir"] = self.out_dir
-        return d
+        return cls(model=ModelConfig.from_dict(model_d), train=train, **paths)
 
 
 def _load_json(path, what: str) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -329,7 +329,7 @@ class Batch:
         return len(self.spans)
 
 
-def collate_batch(records, feature_dtype=np.float32) -> Batch:
+def collate_batch(records) -> Batch:
     """Pad token and object axes to the batch maxima, build masks, and
     mark each phrase's proposals whose cached best IoU reaches 0.5
     (:data:`IOU_THRESHOLD`) as its supervision targets."""
@@ -349,7 +349,7 @@ def collate_batch(records, feature_dtype=np.float32) -> Batch:
 
     token_ids = np.zeros((batch, max_seq), dtype=np.int64)
     text_mask = np.zeros((batch, max_seq), dtype=bool)
-    features = np.zeros((batch, max_obj, d_feat), dtype=feature_dtype)
+    features = np.zeros((batch, max_obj, d_feat), dtype=np.float32)
     boxes = np.tile(np.asarray(PAD_BOX, dtype=np.float64), (batch, max_obj, 1))
     sizes = np.zeros((batch, 2), dtype=np.float64)
     object_mask = np.zeros((batch, max_obj), dtype=bool)
@@ -429,19 +429,7 @@ class SyntheticSpec:
             raise ValueError(f"image_size {self.image_size} too small for {grid}x{grid} grid")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "num_samples": self.num_samples,
-            "vocab_size": self.vocab_size,
-            "tokens_per_sample": self.tokens_per_sample,
-            "objects_per_sample": self.objects_per_sample,
-            "entities_per_sample": self.entities_per_sample,
-            "d_feat": self.d_feat,
-            "entity_vocab_size": self.entity_vocab_size,
-            "noise_scale": self.noise_scale,
-            "positives_per_entity": self.positives_per_entity,
-            "image_size": self.image_size,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":

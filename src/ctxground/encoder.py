@@ -12,8 +12,7 @@ order carries no information (permutation equivariance).
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "default_text_config",
     "default_image_config",
     "model_label",
-    "parse_model_label",
     "LinearParams",
     "LayerNormParams",
     "AttentionParams",
@@ -109,18 +107,9 @@ class BranchConfig:
         return self.hidden_dim // self.num_heads
 
     def to_dict(self) -> dict:
-        out = {
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "hidden_dim": self.hidden_dim,
-            "ffn_dim": self.ffn_dim,
-            "dropout_p": self.dropout_p,
-        }
-        if self.max_positions is not None:
-            out["max_positions"] = self.max_positions
-        if self.use_spatial is not None:
-            out["use_spatial"] = self.use_spatial
-        return out
+        """Every field except an unset optional one (`max_positions`,
+        `use_spatial`)."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BranchConfig":
@@ -145,14 +134,6 @@ def model_label(image_cfg: BranchConfig) -> str:
     if image_cfg.use_spatial:
         label += "-abs"
     return label
-
-
-def parse_model_label(label: str) -> tuple[int, int, bool]:
-    """Inverse of :func:`model_label`; returns (layers, heads, use_spatial)."""
-    m = re.fullmatch(r"L(\d+)-H(\d+)(-abs)?", label)
-    if m is None:
-        raise ValueError(f"not a valid model label: {label!r}")
-    return int(m.group(1)), int(m.group(2)), m.group(3) is not None
 
 
 # -- parameter containers ----------------------------------------------------

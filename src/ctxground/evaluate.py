@@ -14,7 +14,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -124,35 +124,12 @@ class EvalReport:
             raise ValueError("per-type counts do not sum to the total entity count")
 
     def to_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "recall_at_1": self.recall_at_1,
-            "recall_at_5": self.recall_at_5,
-            "recall_at_10": self.recall_at_10,
-            "upper_bound": self.upper_bound,
-            "per_type": {
-                name: {"recall_at_1": t.recall_at_1, "count": t.count}
-                for name, t in self.per_type.items()
-            },
-            "total_entities": self.total_entities,
-            "model_label": self.model_label,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            split=d["split"],
-            recall_at_1=d["recall_at_1"],
-            recall_at_5=d["recall_at_5"],
-            recall_at_10=d["recall_at_10"],
-            upper_bound=d["upper_bound"],
-            per_type={
-                name: TypeRecall(recall_at_1=v["recall_at_1"], count=v["count"])
-                for name, v in d["per_type"].items()
-            },
-            total_entities=d["total_entities"],
-            model_label=d["model_label"],
-        )
+        per_type = {name: TypeRecall(**v) for name, v in d["per_type"].items()}
+        return cls(**{**d, "per_type": per_type})
 
 
 # -- metric primitives ---------------------------------------------------------

@@ -69,7 +69,7 @@ def toy_setup(preset: str = "full", seed: int = 0) -> tuple[GroundingModel, Batc
     model = GroundingModel.initialize(model_cfg, seed=seed, dtype=np.float64,
                                       init_std=0.5)
     records = generate_synthetic(data_spec)
-    batch = collate_batch(records, feature_dtype=np.float64)
+    batch = collate_batch(records)
     return model, batch
 
 

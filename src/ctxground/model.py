@@ -4,7 +4,7 @@ with parameter bookkeeping shared by the optimizer and checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,23 +55,12 @@ class ModelConfig:
             raise ValueError("text branch needs max_positions")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "feature_dim": self.feature_dim,
-            "d_joint": self.d_joint,
-            "text": self.text.to_dict(),
-            "image": self.image.to_dict(),
-        }
+        return {**asdict(self), "text": self.text.to_dict(), "image": self.image.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            vocab_size=d["vocab_size"],
-            feature_dim=d["feature_dim"],
-            d_joint=d.get("d_joint", 768),
-            text=BranchConfig.from_dict(d["text"]),
-            image=BranchConfig.from_dict(d["image"]),
-        )
+        return cls(**{**d, "text": BranchConfig.from_dict(d["text"]),
+                      "image": BranchConfig.from_dict(d["image"])})
 
 
 def default_model_config() -> ModelConfig:

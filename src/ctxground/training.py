@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +55,11 @@ BEST_CHECKPOINT = "best.gckp"
 class TrainConfig:
     """Optimization protocol. `batch_size` is the effective batch;
     each optimizer step accumulates `accumulation_steps` micro-batches
-    of `batch_size // accumulation_steps` samples."""
+    of `batch_size // accumulation_steps` samples.
+
+    `dropout_p` is only the default for branch dropout: a run config's
+    branches inherit it unless they set their own, and :func:`fit`
+    applies the dropout in the model's branch configs."""
 
     learning_rate: float = 5e-5
     clip_norm: float = 0.25
@@ -86,17 +90,7 @@ class TrainConfig:
         return self.batch_size // self.accumulation_steps
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "clip_norm": self.clip_norm,
-            "batch_size": self.batch_size,
-            "micro_batch_size": self.micro_batch_size,
-            "accumulation_steps": self.accumulation_steps,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-            "dropout_p": self.dropout_p,
-        }
+        return {**asdict(self), "micro_batch_size": self.micro_batch_size}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -471,7 +465,10 @@ def model_from_checkpoint(ckpt: Checkpoint) -> GroundingModel:
     The model takes ownership of the checkpoint's float32 arrays: they
     become its parameter values without a copy, so an in-place update of
     the model (an optimizer step) also changes `ckpt.params`."""
-    config = ModelConfig.from_dict(ckpt.config["model"])
+    try:
+        config = ModelConfig.from_dict(ckpt.config["model"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint config does not describe a model: {exc!r}") from exc
     model = GroundingModel.build(config, unset_params(np.float32))
     _restore_params(model, ckpt.params)
     return model

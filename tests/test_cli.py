@@ -1,10 +1,11 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from ctxground.cli import RunConfig, cli_main
-from ctxground.data import parse_dataset
+from ctxground.data import SyntheticSpec, parse_dataset
 from ctxground.evaluate import evaluate, load_report
 from ctxground.training import load_checkpoint, model_from_checkpoint
 
@@ -143,3 +144,20 @@ def test_run_config_dropout_fans_out_to_branches():
     assert cfg.model.text.dropout_p == 0.3   # inherited from train
     assert cfg.model.image.dropout_p == 0.2  # explicit wins
     assert cfg.train.micro_batch_size == 4
+
+
+def test_unknown_top_level_config_key_exits_1_naming_it(pipeline_dir, capsys):
+    config = json.loads((pipeline_dir / "run.json").read_text())
+    config["d_jiont"] = 16
+    (pipeline_dir / "run.json").write_text(json.dumps(config))
+    assert cli_main(["train", "--config", str(pipeline_dir / "run.json")]) == 1
+    assert "d_jiont" in capsys.readouterr().err
+
+
+def test_readme_example_configs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    files = dict(re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF", readme, re.S))
+    spec = SyntheticSpec.from_dict(json.loads(files["spec.json"]))
+    cfg = RunConfig.from_dict(json.loads(files["run.json"]))
+    assert spec.vocab_size == cfg.model.vocab_size
+    assert spec.d_feat == cfg.model.feature_dim

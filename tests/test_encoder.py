@@ -20,7 +20,6 @@ from ctxground.encoder import (
     model_label,
     multi_head_self_attention,
     normalize_box,
-    parse_model_label,
     spatial_embed,
 )
 from ctxground.model import named_parameters
@@ -94,16 +93,16 @@ def test_model_label_round_trip():
         (BranchConfig(num_layers=6, num_heads=4, hidden_dim=8, use_spatial=True), "L6-H4-abs"),
     ]:
         assert model_label(cfg) == label
-        layers, heads, spatial = parse_model_label(label)
-        assert (layers, heads, spatial) == (cfg.num_layers, cfg.num_heads, bool(cfg.use_spatial))
-    with pytest.raises(ValueError):
-        parse_model_label("l1-h2")
 
 
 def test_branch_config_dict_round_trip():
     cfg = BranchConfig(num_layers=2, num_heads=2, hidden_dim=8, dropout_p=0.1,
                        max_positions=32)
     assert BranchConfig.from_dict(cfg.to_dict()) == cfg
+    # unset optional fields are left out of the dict and parse back as unset
+    bare = {"num_layers": 1, "num_heads": 2, "hidden_dim": 8, "ffn_dim": 32, "dropout_p": 0.4}
+    assert BranchConfig(num_layers=1, num_heads=2, hidden_dim=8).to_dict() == bare
+    assert BranchConfig.from_dict(bare) == BranchConfig(num_layers=1, num_heads=2, hidden_dim=8)
 
 
 # -- box normalization ----------------------------------------------------------------

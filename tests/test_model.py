@@ -18,12 +18,12 @@ def tiny_config(dropout=0.0):
     )
 
 
-def tiny_batch(num_samples=3, seed=4, dtype=np.float64):
+def tiny_batch(num_samples=3, seed=4):
     spec = SyntheticSpec(seed=seed, num_samples=num_samples, vocab_size=12,
                          tokens_per_sample=5, objects_per_sample=4,
                          entities_per_sample=2, d_feat=6, entity_vocab_size=4,
                          image_size=32)
-    return collate_batch(generate_synthetic(spec), feature_dtype=dtype)
+    return collate_batch(generate_synthetic(spec))
 
 
 def tiny_model(dropout=0.0, seed=0, dtype=np.float64):
@@ -43,6 +43,9 @@ def test_default_model_config_reference_values():
 def test_model_config_dict_round_trip():
     cfg = tiny_config(dropout=0.2)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    # a dict without d_joint gets the field default
+    no_joint = {k: v for k, v in cfg.to_dict().items() if k != "d_joint"}
+    assert ModelConfig.from_dict(no_joint).d_joint == 768
 
 
 def test_named_parameters_are_stable_and_unique():
@@ -147,7 +150,7 @@ def test_padded_object_features_do_not_affect_outputs():
     records[0].phrases = [p for p in records[0].phrases
                           if (records[0].proposals == p.gt_boxes[0]).all(1).any()]
     assert records[0].phrases
-    batch = collate_batch(records, feature_dtype=np.float64)
+    batch = collate_batch(records)
     assert not batch.object_mask[0, 3]
 
     loss_a, logits_a = model.batch_loss(batch)
@@ -172,7 +175,7 @@ def ragged_records():
 
 def test_batched_scores_match_per_sample_head_on_ragged_batch():
     records = ragged_records()
-    batch = collate_batch(records, feature_dtype=np.float64)
+    batch = collate_batch(records)
     model = tiny_model()
     logits = model.batch_scores(batch)
     assert logits.scores.shape == (6, 6) and logits.object_mask.shape == (6, 6)
@@ -192,7 +195,7 @@ def test_batched_scores_match_per_sample_head_on_ragged_batch():
 
 def test_padded_objects_never_rank_and_never_get_a_positive_target():
     records = ragged_records()
-    batch = collate_batch(records, feature_dtype=np.float64)
+    batch = collate_batch(records)
     batch.features[~batch.object_mask] = 50.0
     logits = tiny_model().batch_scores(batch)
     assert not batch.targets[~logits.object_mask].any()
@@ -208,7 +211,7 @@ def test_batch_without_entities_raises():
         objects_per_sample=4, entities_per_sample=2, d_feat=6,
         entity_vocab_size=4, image_size=32))
     records[0].phrases = []
-    batch = collate_batch(records, feature_dtype=np.float64)
+    batch = collate_batch(records)
     model = tiny_model()
     with pytest.raises(ValueError, match="no entities"):
         model.batch_loss(batch)

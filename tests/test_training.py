@@ -81,6 +81,12 @@ def test_train_config_dict_round_trip():
     cfg = TrainConfig(batch_size=32, accumulation_steps=2, seed=5)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.to_dict()["micro_batch_size"] == 16
+    # the derived micro_batch_size in a stored dict is dropped, not checked
+    stored = {"learning_rate": 5e-05, "clip_norm": 0.25, "batch_size": 32,
+              "micro_batch_size": 16, "accumulation_steps": 2, "max_epochs": 10,
+              "patience": 3, "seed": 5, "dropout_p": 0.4}
+    assert cfg.to_dict() == stored
+    assert TrainConfig.from_dict(stored) == cfg
 
 
 # -- gradient clipping --------------------------------------------------------------
@@ -267,7 +273,7 @@ def test_adam_rejects_mixed_dtypes():
 
 def test_single_micro_batch_is_ordinary_step():
     records = tiny_records(4)
-    batch = collate_batch(records, feature_dtype=np.float64)
+    batch = collate_batch(records)
     model_a = tiny_model(dtype=np.float64, seed=2)
     model_b = tiny_model(dtype=np.float64, seed=2)
     cfg = TrainConfig(learning_rate=1e-3, clip_norm=0.25, batch_size=4,
@@ -343,9 +349,9 @@ def test_step_metrics_record_the_clip_scale(clip_norm, clips):
 
 def test_accumulation_matches_combined_batch():
     records = tiny_records(8, seed=6)
-    half_a = collate_batch(records[:4], feature_dtype=np.float64)
-    half_b = collate_batch(records[4:], feature_dtype=np.float64)
-    combined = collate_batch(records, feature_dtype=np.float64)
+    half_a = collate_batch(records[:4])
+    half_b = collate_batch(records[4:])
+    combined = collate_batch(records)
 
     model_acc = tiny_model(dtype=np.float64, seed=3)
     model_one = tiny_model(dtype=np.float64, seed=3)
@@ -370,8 +376,8 @@ def test_accumulation_matches_combined_batch():
 
 def test_step_loss_is_mean_of_micro_losses():
     records = tiny_records(8, seed=7)
-    half_a = collate_batch(records[:4], feature_dtype=np.float64)
-    half_b = collate_batch(records[4:], feature_dtype=np.float64)
+    half_a = collate_batch(records[:4])
+    half_b = collate_batch(records[4:])
     model = tiny_model(dtype=np.float64, seed=1)
     la, _ = model.batch_loss(half_a)
     lb, _ = model.batch_loss(half_b)
@@ -658,6 +664,26 @@ def test_model_from_checkpoint_rejects_mismatched_params(edit, message):
     ckpt = Checkpoint(params=params, config={"model": model.config.to_dict()},
                       epoch=0, best_metric=0.0, best_epoch=0)
     with pytest.raises(ValueError, match=message):
+        model_from_checkpoint(ckpt)
+
+
+def _bad_branch_key(config):
+    config["model"]["text"]["bogus"] = 1
+    return config
+
+
+@pytest.mark.parametrize("edit", [
+    lambda config: {},
+    lambda config: {"model": {}},
+    _bad_branch_key,
+    lambda config: {"model": "x"},
+], ids=["no-model", "empty-model", "unknown-branch-key", "model-not-object"])
+def test_model_from_checkpoint_rejects_bad_config_snapshot(edit):
+    model = tiny_model()
+    params = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    ckpt = Checkpoint(params=params, config=edit({"model": model.config.to_dict()}),
+                      epoch=0, best_metric=0.0, best_epoch=0)
+    with pytest.raises(FormatError, match="checkpoint config"):
         model_from_checkpoint(ckpt)
 
 

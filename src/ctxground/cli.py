@@ -41,6 +41,10 @@ class RunConfig:
         """Split off the run's own keys and hand the rest to
         :meth:`ModelConfig.from_dict`, so an unknown key raises."""
         model_d = dict(d)
+        for key in ("train", "text", "image"):
+            if not isinstance(model_d.get(key, {}), dict):
+                raise ValueError(f"run config {key!r} is not a JSON object: "
+                                 f"{json.dumps(model_d[key])}")
         train = TrainConfig.from_dict(model_d.pop("train", {}))
         paths = {key: model_d.pop(key) for key in ("train_data", "dev_data", "out_dir")}
         # A single dropout knob: branches inherit the training dropout
@@ -54,7 +58,10 @@ def _load_json(path, what: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"{what} file not found: {p}")
-    return json.loads(p.read_text(encoding="utf-8"))
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{what} file {p} is not valid JSON: {exc}") from exc
 
 
 def _cmd_synth(args) -> int:

@@ -276,7 +276,8 @@ def _record_to_json(record: SampleRecord, features_field) -> dict:
 def write_dataset(records, path, feature_storage: str = "inline") -> None:
     """Emit records as JSONL. With ``feature_storage="files"`` the float32
     matrices go to sidecar GRND files under ``features/`` next to the
-    JSONL, referenced by relative path; otherwise they are inlined."""
+    JSONL, referenced by relative path, and each image id must be a plain
+    file name; otherwise they are inlined."""
     if feature_storage not in ("inline", "files"):
         raise ValueError(f"unknown feature storage mode {feature_storage!r}")
     path = Path(path)
@@ -284,6 +285,10 @@ def write_dataset(records, path, feature_storage: str = "inline") -> None:
         ids = [r.image_id for r in records]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate image ids cannot share feature files")
+        # Each id names a file in `features/`, so it must not hold a path.
+        for image_id in ids:
+            if image_id in ("", ".", "..") or Path(image_id).name != image_id:
+                raise ValueError(f"image id {image_id!r} is not a plain file name")
         feature_dir = path.parent / "features"
         feature_dir.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

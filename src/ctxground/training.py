@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -280,9 +280,14 @@ class Checkpoint:
     epoch: int
     best_metric: float
     best_epoch: int
-    optimizer: Optional[AdamState] = None
     rng_state: Optional[dict] = None
     history: list[dict] = field(default_factory=list)
+    optimizer: Optional[AdamState] = None
+
+
+# GCKP manifest keys, in field order; the array fields go to the payload.
+_CHECKPOINT_KEYS = [f.name for f in fields(Checkpoint) if f.name != "params"]
+_ADAM_KEYS = [f.name for f in fields(AdamState) if f.name not in ("m", "v")]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -292,10 +297,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     Each array is written straight from its own memory (a C-contiguous
     little-endian array without a copy), so a save holds no second copy
     of the model."""
+    opt = ckpt.optimizer
     tensors: list[tuple[str, np.ndarray]] = list(ckpt.params.items())
-    if ckpt.optimizer is not None:
-        tensors += [(f"adam.m.{n}", a) for n, a in ckpt.optimizer.m.items()]
-        tensors += [(f"adam.v.{n}", a) for n, a in ckpt.optimizer.v.items()]
+    if opt is not None:
+        tensors += [(f"adam.{k}.{n}", a) for k in "mv" for n, a in getattr(opt, k).items()]
     directory = []
     offset = 0
     for name, arr in tensors:
@@ -305,21 +310,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             )
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.nbytes
-    manifest = {
-        "config": ckpt.config,
-        "epoch": ckpt.epoch,
-        "best_metric": ckpt.best_metric,
-        "best_epoch": ckpt.best_epoch,
-        "rng_state": ckpt.rng_state,
-        "history": ckpt.history,
-        "optimizer": None if ckpt.optimizer is None else {
-            "step": ckpt.optimizer.step,
-            "beta1": ckpt.optimizer.beta1,
-            "beta2": ckpt.optimizer.beta2,
-            "eps": ckpt.optimizer.eps,
-        },
-        "tensors": directory,
-    }
+    manifest = {k: getattr(ckpt, k) for k in _CHECKPOINT_KEYS}
+    if opt is not None:
+        manifest["optimizer"] = {k: getattr(opt, k) for k in _ADAM_KEYS}
+    manifest["tensors"] = directory
     payload = json.dumps(manifest).encode("utf-8")
     # Written beside the target and swapped in whole: a crash mid-write
     # leaves the previous checkpoint at `path` intact.
@@ -437,25 +431,16 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(f"{path}: truncated payload for tensor {name!r}")
             arrays[name] = arr
 
+    # A missing key keeps the field's default; a key naming no field is ignored.
+    found = {k: manifest[k] for k in _CHECKPOINT_KEYS if k in manifest}
+    opt = found.get("optimizer")
+    if opt is not None:
+        moments = {k: {n[len(f"adam.{k}."):]: a for n, a in arrays.items()
+                       if n.startswith(f"adam.{k}.")} for k in "mv"}
+        found["optimizer"] = AdamState(
+            **moments, **{k: opt[k] for k in _ADAM_KEYS if k in opt})
     params = {n: a for n, a in arrays.items() if not n.startswith("adam.")}
-    optimizer = None
-    if manifest.get("optimizer") is not None:
-        opt = manifest["optimizer"]
-        optimizer = AdamState(
-            m={n[len("adam.m."):]: a for n, a in arrays.items() if n.startswith("adam.m.")},
-            v={n[len("adam.v."):]: a for n, a in arrays.items() if n.startswith("adam.v.")},
-            step=opt["step"], beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"],
-        )
-    return Checkpoint(
-        params=params,
-        config=manifest["config"],
-        epoch=manifest["epoch"],
-        best_metric=manifest["best_metric"],
-        best_epoch=manifest["best_epoch"],
-        optimizer=optimizer,
-        rng_state=manifest.get("rng_state"),
-        history=manifest.get("history", []),
-    )
+    return Checkpoint(params=params, **found)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> GroundingModel:
@@ -526,9 +511,7 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     state = AdamState.init(named)
     config_snapshot = {"model": model.config.to_dict(), "train": cfg.to_dict()}
     history: list[dict] = []
-    best_metric = -math.inf
-    best_epoch = -1
-    best_params: Optional[dict[str, np.ndarray]] = None  # set by epoch 0 or by resume
+    best: Optional[Checkpoint] = None  # set by epoch 0 or by resume
     start_epoch = 0
 
     if checkpoint_dir is not None:
@@ -552,61 +535,46 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         rng.bit_generator.state = last.rng_state
         _restore_params(model, last.params)
         state = last.optimizer
-        history = list(last.history)
-        best_metric = last.best_metric
-        best_epoch = last.best_epoch
-        best_params = best.params
+        history = best.history = list(last.history)
         start_epoch = last.epoch + 1
 
     micro = cfg.micro_batch_size
     for epoch in range(start_epoch, cfg.max_epochs):
         order = rng.permutation(len(train_records))
-        micro_batches = [
-            collate_batch([train_records[i] for i in order[lo:lo + micro]])
-            for lo in range(0, len(train_records), micro)
-        ]
         step_losses = []
-        for lo in range(0, len(micro_batches), cfg.accumulation_steps):
-            group = micro_batches[lo:lo + cfg.accumulation_steps]
-            metrics = train_step(group, model, state, cfg, rng)
-            step_losses.append(metrics.loss)
+        # A step collates only its own micro-batches: one step's padded copy at a time.
+        for lo in range(0, len(order), cfg.batch_size):
+            group = [collate_batch([train_records[i] for i in order[j:j + micro]])
+                     for j in range(lo, min(lo + cfg.batch_size, len(order)), micro)]
+            step_losses.append(train_step(group, model, state, cfg, rng).loss)
         train_loss = float(np.mean(step_losses))
 
-        report = evaluate(model, dev_records, split="dev")
-        dev_r1 = report.recall_at_1
+        dev_r1 = evaluate(model, dev_records, split="dev").recall_at_1
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "dev_recall_at_1": dev_r1})
         if log is not None:
             log(f"epoch {epoch}: train_loss={train_loss:.6f} dev_R@1={dev_r1:.2f}")
 
-        improved = dev_r1 > best_metric
-        if improved:
-            best_metric = dev_r1
-            best_epoch = epoch
-            best_params = {n: t.values.copy() for n, t in named.items()}
-
+        # `last` is the commit point: it is written only once `best`
+        # agrees with it, and resume checks that the pair agrees.
+        if best is None or dev_r1 > best.best_metric:
+            # `history` is the live list, so the returned `best` ends with all epochs.
+            best = Checkpoint(
+                params={n: t.values.copy() for n, t in named.items()},
+                config=config_snapshot, epoch=epoch, best_metric=dev_r1,
+                best_epoch=epoch, history=history,
+            )
+            if checkpoint_dir is not None:
+                save_checkpoint(best, checkpoint_dir / BEST_CHECKPOINT)
         if checkpoint_dir is not None:
-            # `last` is the commit point: it is written only once `best`
-            # agrees with it, and resume checks that the pair agrees.
-            if improved:
-                save_checkpoint(Checkpoint(
-                    params=best_params, config=config_snapshot,
-                    epoch=best_epoch, best_metric=best_metric, best_epoch=best_epoch,
-                    history=history,
-                ), checkpoint_dir / BEST_CHECKPOINT)
             # The write is synchronous, so the live arrays need no copy.
             save_checkpoint(Checkpoint(
                 params={n: t.values for n, t in named.items()}, config=config_snapshot,
-                epoch=epoch, best_metric=best_metric, best_epoch=best_epoch,
-                optimizer=state, rng_state=rng.bit_generator.state,
-                history=history,
+                epoch=epoch, best_metric=best.best_metric, best_epoch=best.best_epoch,
+                rng_state=rng.bit_generator.state, history=history, optimizer=state,
             ), checkpoint_dir / LAST_CHECKPOINT)
 
-        if epoch - best_epoch > cfg.patience:
+        if epoch - best.best_epoch > cfg.patience:
             break
 
-    best = Checkpoint(
-        params=best_params, config=config_snapshot, epoch=best_epoch,
-        best_metric=best_metric, best_epoch=best_epoch, history=history,
-    )
     return FitResult(best=best, history=history)

@@ -154,6 +154,19 @@ def test_unknown_top_level_config_key_exits_1_naming_it(pipeline_dir, capsys):
     assert "d_jiont" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,text,named", [
+    (["train", "--config"], "{bad", "in.json"),
+    (["synth", "--out", "never-written", "--spec"], "{bad", "in.json"),
+    (["train", "--config"], json.dumps({**RUN_CONFIG, "train": None}), "'train'"),
+    (["train", "--config"], json.dumps({**RUN_CONFIG, "text": None}), "'text'"),
+], ids=["config-malformed", "spec-malformed", "train-null", "text-null"])
+def test_bad_json_input_exits_1_naming_file_or_key(tmp_path, capsys, argv, text, named):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert cli_main([*argv, str(path)]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_readme_example_configs_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     files = dict(re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF", readme, re.S))

@@ -214,6 +214,14 @@ def test_dataset_round_trip_feature_files(tmp_path):
     assert parse_dataset(path) == records
 
 
+@pytest.mark.parametrize("image_id", ["../../escaped", "a/b"])
+def test_feature_files_reject_image_id_that_is_a_path(tmp_path, image_id):
+    out = tmp_path / "ds" / "data.jsonl"
+    with pytest.raises(ValueError, match="plain file name"):
+        write_dataset([make_record(image_id)], out, feature_storage="files")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
 def test_double_round_trip_is_identity(tmp_path):
     records = generate_synthetic(SyntheticSpec(
         seed=5, num_samples=4, vocab_size=12, tokens_per_sample=5,

@@ -418,6 +418,45 @@ def test_fit_history_and_best_metric():
     assert result.best.best_metric == best
 
 
+def test_fit_collates_each_step_right_before_it(monkeypatch):
+    real_collate, real_step = training.collate_batch, training.train_step
+    events = []
+
+    def logging_collate(records):
+        batch = real_collate(records)
+        events.append(("collate", batch.size))
+        return batch
+
+    def logging_step(micro_batches, *args):
+        events.append(("step", type(micro_batches), [mb.size for mb in micro_batches]))
+        return real_step(micro_batches, *args)
+
+    monkeypatch.setattr(training, "collate_batch", logging_collate)
+    monkeypatch.setattr(training, "train_step", logging_step)
+    records = tiny_records(7)  # steps of 2+2 and 2+1 samples: a short trailing group
+    fit(tiny_model(), records, records, fit_cfg(max_epochs=2, patience=10))
+    epoch = [("collate", 2), ("collate", 2), ("step", list, [2, 2]),
+             ("collate", 2), ("collate", 1), ("step", list, [2, 1])]
+    assert events == epoch * 2
+
+
+def test_resume_of_finished_run_returns_best_checkpoint_with_full_history(tmp_path):
+    records = tiny_records(8, seed=13)
+    cfg = fit_cfg(max_epochs=4, patience=50)
+    first = fit(tiny_model(seed=11), records, records, cfg, checkpoint_dir=tmp_path)
+    assert load_checkpoint(tmp_path / training.LAST_CHECKPOINT).epoch == cfg.max_epochs - 1
+    resumed = fit(tiny_model(seed=11), records, records, cfg,
+                  checkpoint_dir=tmp_path, resume=True)
+    on_disk = load_checkpoint(tmp_path / training.BEST_CHECKPOINT)
+    assert (resumed.best.best_metric, resumed.best.best_epoch, resumed.best.epoch) == \
+        (on_disk.best_metric, on_disk.best_epoch, on_disk.epoch) == \
+        (first.best.best_metric, first.best.best_epoch, first.best.epoch)
+    for name, arr in on_disk.params.items():
+        assert resumed.best.params[name].tobytes() == arr.tobytes(), name
+    assert resumed.best.history == resumed.history == first.history
+    assert len(first.history) == cfg.max_epochs
+
+
 def test_fit_patience_zero_stops_at_first_non_improvement():
     model = tiny_model()
     records = tiny_records()

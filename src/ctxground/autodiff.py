@@ -80,7 +80,8 @@ class Tensor:
     graph; only leaf parameters are updated in place (by the optimizer,
     between graphs). `grad` accumulates additively across backward calls
     until cleared. `zero_grads` keeps the cleared array as a spare, which
-    the next backward's first gradient for the tensor is written into.
+    the next backward's first gradient for the tensor is written into when
+    it comes from a `linear` weight GEMM or a `take_rows` scatter.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_spare", "_parents", "_backward_fn")
@@ -196,14 +197,9 @@ def _take_spare(t: Tensor, dtype) -> np.ndarray | None:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is not None:
-        t.grad += g
-    elif (spare := _take_spare(t, g.dtype)) is not None:
-        np.copyto(spare, g)  # equals 0 + g; only the sign of a zero may differ
-        t.grad = spare
-    else:
+    if t.grad is None:
         t.grad = np.zeros_like(t.values)
-        t.grad += g
+    t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -522,8 +518,8 @@ def backward(loss: Tensor) -> None:
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     """Clear each tensor's `.grad`. The array is kept as the tensor's spare
-    and the next backward writes the tensor's first gradient into it, so a
-    caller that keeps a gradient array across this call must copy it."""
+    and the next backward may write the tensor's first gradient into it, so
+    a caller that keeps a gradient array across this call must copy it."""
     for t in tensors:
         if t.grad is not None:
             t._spare = t.grad

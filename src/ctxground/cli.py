@@ -54,18 +54,26 @@ class RunConfig:
         return cls(model=ModelConfig.from_dict(model_d), train=train, **paths)
 
 
-def _load_json(path, what: str) -> dict:
+def _load_json(path, what: str, parse):
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"{what} file not found: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        obj = json.loads(p.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{what} file {p} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} file {p} does not hold a JSON object")
+    try:
+        return parse(obj)
+    except KeyError as exc:
+        raise ValueError(f"{what} file {p}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} file {p}: {exc}") from exc
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec.from_dict(_load_json(args.spec, "spec"))
+    spec = _load_json(args.spec, "spec", SyntheticSpec.from_dict)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = generate_synthetic(spec)
@@ -77,7 +85,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = RunConfig.from_dict(_load_json(args.config, "config"))
+    cfg = _load_json(args.config, "config", RunConfig.from_dict)
     for path in (cfg.train_data, cfg.dev_data):
         if not Path(path).exists():
             raise FileNotFoundError(f"dataset file not found: {path}")

@@ -13,6 +13,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -96,30 +97,29 @@ def label_positives(proposals: np.ndarray, gt_boxes: np.ndarray,
 # -- records -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SampleRecord:
     """One caption-image pair with phrases, proposals, and RoI features.
 
-    `phrase_ious` caches each phrase's best IoU per proposal. It is
-    computed on first use and recomputed once `proposals` or `phrases`
-    has been reassigned; changing that array or list in place goes
-    unnoticed, so a caller that edits a record reassigns the field."""
+    A record is a value: it is validated once, when it is built, and its
+    fields cannot be reassigned; `dataclasses.replace` gives a changed,
+    re-validated copy. The arrays are not copied, so a caller must not
+    edit them in place. `phrase_ious` is computed on first use."""
 
     image_id: str
     width: int
     height: int
     token_ids: np.ndarray     # [seq] int64
-    phrases: list[PhraseSpan]
+    phrases: tuple[PhraseSpan, ...]
     proposals: np.ndarray     # [objects, 4] float64
     features: np.ndarray      # [objects, d_feat] float32
 
     def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        self.proposals = np.asarray(self.proposals, dtype=np.float64).reshape(-1, 4)
-        self.features = np.asarray(self.features, dtype=np.float32)
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "token_ids", np.asarray(self.token_ids, dtype=np.int64))
+        object.__setattr__(self, "proposals",
+                           np.asarray(self.proposals, dtype=np.float64).reshape(-1, 4))
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float32))
+        object.__setattr__(self, "phrases", tuple(self.phrases))
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"invalid image size {self.width}x{self.height}")
         if self.token_ids.ndim != 1 or self.token_ids.size == 0:
@@ -143,16 +143,12 @@ class SampleRecord:
         check_boxes(np.concatenate([self.proposals, *(p.gt_boxes for p in self.phrases)]),
                     "proposal or gt box", (self.width, self.height))
 
-    @property
+    @cached_property
     def phrase_ious(self) -> np.ndarray:
         """[phrases, objects]: each proposal's best IoU against the
         phrase's ground-truth boxes (max over boxes, not their union)."""
-        cached = self.__dict__.get("_ious")
-        if cached is None or cached[0] is not self.proposals or cached[1] is not self.phrases:
-            rows = [iou_matrix(self.proposals, p.gt_boxes).max(axis=1) for p in self.phrases]
-            ious = np.reshape(rows, (len(rows), self.num_objects))
-            cached = self._ious = (self.proposals, self.phrases, ious)
-        return cached[2]
+        rows = [iou_matrix(self.proposals, p.gt_boxes).max(axis=1) for p in self.phrases]
+        return np.reshape(rows, (len(rows), self.num_objects))
 
     @property
     def num_objects(self) -> int:

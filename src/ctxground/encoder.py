@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 INIT_STD = 0.02
-LN_EPS = 1e-5
 
 # Padded object slots still flow through the embedding stage, so they
 # carry a harmless unit box instead of a degenerate one.
@@ -119,13 +118,13 @@ class BranchConfig:
 def default_text_config() -> BranchConfig:
     """BERT-base-shaped text branch: 12 layers, 12 heads, 768 wide."""
     return BranchConfig(num_layers=12, num_heads=12, hidden_dim=768,
-                        ffn_dim=3072, dropout_p=0.4, max_positions=512)
+                        ffn_dim=3072, max_positions=512)
 
 
 def default_image_config() -> BranchConfig:
     """Best-performing image branch: 1 layer, 2 heads, 2048 wide, spatial on."""
     return BranchConfig(num_layers=1, num_heads=2, hidden_dim=2048,
-                        ffn_dim=8192, dropout_p=0.4, use_spatial=True)
+                        ffn_dim=8192, use_spatial=True)
 
 
 def model_label(image_cfg: BranchConfig) -> str:
@@ -416,7 +415,7 @@ def embed_tokens(ids, embeddings: TextEmbeddings, rng: Optional[np.random.Genera
     tok = take_rows(embeddings.token_table, ids.reshape(-1)).reshape((batch, seq, d))
     pos = take_rows(embeddings.position_table, np.arange(seq))
     x = tok + pos
-    x = layer_norm(x, embeddings.norm.gain, embeddings.norm.bias, eps=LN_EPS)
+    x = layer_norm(x, embeddings.norm.gain, embeddings.norm.bias)
     return dropout(x, dropout_p, rng)
 
 
@@ -454,9 +453,9 @@ def encoder_layer(x: Tensor, mask: np.ndarray, cfg: BranchConfig, params: Encode
     with dropout on each residual branch when given `rng`."""
     attn = dropout(multi_head_self_attention(x, mask, cfg, params.attention),
                    cfg.dropout_p, rng)
-    x = layer_norm(x + attn, params.attention_norm.gain, params.attention_norm.bias, eps=LN_EPS)
+    x = layer_norm(x + attn, params.attention_norm.gain, params.attention_norm.bias)
     ffn = dropout(_linear(gelu(_linear(x, params.ffn_in)), params.ffn_out), cfg.dropout_p, rng)
-    return layer_norm(x + ffn, params.ffn_norm.gain, params.ffn_norm.bias, eps=LN_EPS)
+    return layer_norm(x + ffn, params.ffn_norm.gain, params.ffn_norm.bias)
 
 
 def encode_branch(inputs: BranchInput, cfg: BranchConfig, params,
@@ -482,7 +481,7 @@ def encode_branch(inputs: BranchInput, cfg: BranchConfig, params,
                 raise ValueError("use_spatial set but no spatial MLP parameters")
             nboxes = normalize_boxes(inputs.boxes, inputs.sizes)
             x = x + spatial_embed(nboxes, params.spatial)
-        x = layer_norm(x, params.embed_norm.gain, params.embed_norm.bias, eps=LN_EPS)
+        x = layer_norm(x, params.embed_norm.gain, params.embed_norm.bias)
         x = dropout(x, cfg.dropout_p, rng)
     if len(params.layers) != cfg.num_layers:
         raise ValueError(

@@ -30,10 +30,8 @@ def toy_config(preset: str = "full") -> tuple[ModelConfig, SyntheticSpec]:
             vocab_size=13,
             feature_dim=12,
             d_joint=8,
-            text=BranchConfig(num_layers=2, num_heads=2, hidden_dim=8,
-                              dropout_p=0.4, max_positions=8),
-            image=BranchConfig(num_layers=1, num_heads=2, hidden_dim=8,
-                               dropout_p=0.4, use_spatial=True),
+            text=BranchConfig(num_layers=2, num_heads=2, hidden_dim=8, max_positions=8),
+            image=BranchConfig(num_layers=1, num_heads=2, hidden_dim=8, use_spatial=True),
         )
         data = SyntheticSpec(seed=11, num_samples=1, vocab_size=13,
                              tokens_per_sample=6, objects_per_sample=4,
@@ -44,10 +42,8 @@ def toy_config(preset: str = "full") -> tuple[ModelConfig, SyntheticSpec]:
             vocab_size=7,
             feature_dim=4,
             d_joint=4,
-            text=BranchConfig(num_layers=1, num_heads=1, hidden_dim=4,
-                              dropout_p=0.4, max_positions=6),
-            image=BranchConfig(num_layers=1, num_heads=1, hidden_dim=4,
-                               dropout_p=0.4, use_spatial=True),
+            text=BranchConfig(num_layers=1, num_heads=1, hidden_dim=4, max_positions=6),
+            image=BranchConfig(num_layers=1, num_heads=1, hidden_dim=4, use_spatial=True),
         )
         data = SyntheticSpec(seed=11, num_samples=1, vocab_size=7,
                              tokens_per_sample=4, objects_per_sample=3,

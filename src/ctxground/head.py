@@ -32,10 +32,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PhraseSpan:
     """One annotated phrase: a token span, an entity type tag, and the
-    ground-truth boxes it refers to (possibly several)."""
+    ground-truth boxes it refers to (possibly several). Frozen, like `SampleRecord`."""
 
     first_token: int
     last_token: int
@@ -47,7 +47,7 @@ class PhraseSpan:
             raise ValueError(
                 f"invalid span ({self.first_token}, {self.last_token})"
             )
-        self.gt_boxes = np.asarray(self.gt_boxes, dtype=np.float64).reshape(-1, 4)
+        object.__setattr__(self, "gt_boxes", np.asarray(self.gt_boxes, np.float64).reshape(-1, 4))
         if self.gt_boxes.shape[0] == 0:
             raise ValueError("phrase needs at least one ground-truth box")
 

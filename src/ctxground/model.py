@@ -12,6 +12,7 @@ import numpy as np
 from .autodiff import Tensor
 from .data import Batch
 from .encoder import (
+    INIT_STD,
     BranchConfig,
     BranchInput,
     ImageBranchParams,
@@ -70,7 +71,6 @@ def default_model_config() -> ModelConfig:
         feature_dim=DEFAULT_FEATURE_DIM,
         text=default_text_config(),
         image=default_image_config(),
-        d_joint=768,
     )
 
 
@@ -120,7 +120,7 @@ class GroundingModel:
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int, dtype=np.float32,
-                   init_std: float = 0.02) -> "GroundingModel":
+                   init_std: float = INIT_STD) -> "GroundingModel":
         """Fresh model: normal(0, init_std) weights drawn from one
         generator seeded with `seed`, zero biases, unit gains."""
         return cls.build(config, random_params(np.random.default_rng(seed), dtype, init_std))

@@ -515,6 +515,9 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     start_epoch = 0
 
     if checkpoint_dir is not None:
+        for name, t in named.items():  # before any step: GCKP payloads are float32 only
+            if t.dtype != np.float32:
+                raise ValueError(f"checkpoints need float32 parameters, {name!r} is {t.dtype}")
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
     if resume:

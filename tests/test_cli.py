@@ -154,17 +154,29 @@ def test_unknown_top_level_config_key_exits_1_naming_it(pipeline_dir, capsys):
     assert "d_jiont" in capsys.readouterr().err
 
 
+def _without(key):
+    paths = {"train_data": "a", "dev_data": "b", "out_dir": "c"}
+    return json.dumps({k: v for k, v in {**RUN_CONFIG, **paths}.items() if k != key})
+
+
 @pytest.mark.parametrize("argv,text,named", [
     (["train", "--config"], "{bad", "in.json"),
     (["synth", "--out", "never-written", "--spec"], "{bad", "in.json"),
     (["train", "--config"], json.dumps({**RUN_CONFIG, "train": None}), "'train'"),
     (["train", "--config"], json.dumps({**RUN_CONFIG, "text": None}), "'text'"),
-], ids=["config-malformed", "spec-malformed", "train-null", "text-null"])
+    (["train", "--config"], _without("train_data"), "missing key 'train_data'"),
+    (["train", "--config"], _without("text"), "missing key 'text'"),
+    (["train", "--config"], _without("vocab_size"), "vocab_size"),
+    (["train", "--config"], "[1, 2]", "JSON object"),
+    (["synth", "--out", "never-written", "--spec"], "[1]", "JSON object"),
+], ids=["config-malformed", "spec-malformed", "train-null", "text-null", "no-train-data",
+        "no-text", "no-vocab-size", "config-list", "spec-list"])
 def test_bad_json_input_exits_1_naming_file_or_key(tmp_path, capsys, argv, text, named):
     path = tmp_path / "in.json"
     path.write_text(text)
     assert cli_main([*argv, str(path)]) == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and str(path) in err
 
 
 def test_readme_example_configs_parse():

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -384,7 +385,7 @@ def test_collate_slicing_recovers_originals():
         assert np.array_equal(batch.token_ids[i, :s], record.token_ids)
         assert np.array_equal(batch.features[i, :o], record.features)
         assert np.array_equal(batch.boxes[i, :o], record.proposals)
-        assert batch.spans[lo:hi] == record.phrases
+        assert batch.spans[lo:hi] == list(record.phrases)
         assert tuple(batch.sizes[i]) == (record.width, record.height)
 
 
@@ -401,9 +402,9 @@ def test_collate_targets_match_per_record_labels():
 
 def test_phrase_ious_are_best_iou_per_proposal_and_cached():
     record = make_record(num_objects=4)
-    record.phrases = record.phrases + [PhraseSpan(
+    record = replace(record, phrases=record.phrases + (PhraseSpan(
         first_token=2, last_token=3, entity_type="scene",
-        gt_boxes=np.array([[12.0, 5.0, 18.0, 15.0], [20.0, 5.0, 26.0, 13.0]]))]
+        gt_boxes=np.array([[12.0, 5.0, 18.0, 15.0], [20.0, 5.0, 26.0, 13.0]])),))
     ious = record.phrase_ious
     assert ious.shape == (2, 4)
     for row, phrase in zip(ious, record.phrases):
@@ -411,14 +412,34 @@ def test_phrase_ious_are_best_iou_per_proposal_and_cached():
     assert record.phrase_ious is ious
 
 
-def test_reassigned_proposals_or_phrases_change_the_next_targets():
+def test_replaced_proposals_or_phrases_give_new_targets():
     record = make_record(num_objects=3)          # the phrase's gt box is proposal 0
     np.testing.assert_array_equal(collate_batch([record]).targets, [[1, 0, 0]])
-    record.proposals = record.proposals[::-1].copy()
+    record = replace(record, proposals=record.proposals[::-1].copy())
     np.testing.assert_array_equal(collate_batch([record]).targets, [[0, 0, 1]])
-    record.phrases = [PhraseSpan(first_token=0, last_token=0, entity_type="people",
-                                 gt_boxes=record.proposals[1:2].copy())]
+    record = replace(record, phrases=[PhraseSpan(first_token=0, last_token=0,
+                                                 entity_type="people",
+                                                 gt_boxes=record.proposals[1:2].copy())])
     np.testing.assert_array_equal(collate_batch([record]).targets, [[0, 1, 0]])
+
+
+@pytest.mark.parametrize("kind", ["record", "phrase"])
+def test_record_and_phrase_fields_cannot_be_reassigned(kind):
+    record = make_record()
+    value = record if kind == "record" else record.phrases[0]
+    for f in fields(value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+
+
+def test_proposals_outside_the_image_are_refused_after_construction_too():
+    record = make_record(num_objects=4)
+    outside = np.array([[0.0, 0.0, 1e9, 1e9]] * 4)
+    with pytest.raises(FrozenInstanceError):
+        record.proposals = outside
+    with pytest.raises(ValueError, match="outside"):
+        replace(record, proposals=outside)
+    np.testing.assert_array_equal(collate_batch([record]).targets, [[1, 0, 0, 0]])
 
 
 def test_collate_rejects_empty_and_mixed_dims():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,10 +147,10 @@ def test_padded_object_features_do_not_affect_outputs():
         seed=8, num_samples=2, vocab_size=12, tokens_per_sample=5,
         objects_per_sample=4, entities_per_sample=2, d_feat=6,
         entity_vocab_size=4, image_size=32))
-    records[0].proposals = records[0].proposals[:3]
-    records[0].features = records[0].features[:3]
-    records[0].phrases = [p for p in records[0].phrases
-                          if (records[0].proposals == p.gt_boxes[0]).all(1).any()]
+    kept = records[0].proposals[:3]
+    records[0] = replace(records[0], proposals=kept, features=records[0].features[:3],
+                         phrases=[p for p in records[0].phrases
+                                  if (kept == p.gt_boxes[0]).all(1).any()])
     assert records[0].phrases
     batch = collate_batch(records)
     assert not batch.object_mask[0, 3]
@@ -210,7 +212,7 @@ def test_batch_without_entities_raises():
         seed=8, num_samples=1, vocab_size=12, tokens_per_sample=5,
         objects_per_sample=4, entities_per_sample=2, d_feat=6,
         entity_vocab_size=4, image_size=32))
-    records[0].phrases = []
+    records[0] = replace(records[0], phrases=())
     batch = collate_batch(records)
     model = tiny_model()
     with pytest.raises(ValueError, match="no entities"):

@@ -440,6 +440,17 @@ def test_fit_collates_each_step_right_before_it(monkeypatch):
     assert events == epoch * 2
 
 
+def test_fit_refuses_a_checkpointed_run_it_cannot_save_before_any_step(monkeypatch, tmp_path):
+    steps = []
+    monkeypatch.setattr(training, "train_step", lambda *args: steps.append(1))
+    records = tiny_records()
+    ckpt_dir = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match="'text.embeddings.token_table' is float64"):
+        fit(tiny_model(dtype=np.float64), records, records, fit_cfg(), checkpoint_dir=ckpt_dir)
+    assert steps == []
+    assert not ckpt_dir.exists()
+
+
 def test_resume_of_finished_run_returns_best_checkpoint_with_full_history(tmp_path):
     records = tiny_records(8, seed=13)
     cfg = fit_cfg(max_epochs=4, patience=50)

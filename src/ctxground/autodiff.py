@@ -4,8 +4,9 @@ Tensors wrap numpy arrays (float32 or float64) and record the operations
 applied to them so that `backward` can replay the graph in reverse
 topological order. The op set is exactly what the grounding model needs:
 broadcasting add and multiply, batched matmul, fused linear layers, masked
-softmax, layer norm, GELU, dropout, binary cross entropy on logits,
-gathers and reductions.
+softmax, fused multi-head attention, layer norm (with an optional residual
+operand), GELU, dropout, binary cross entropy on logits, gathers and
+reductions.
 
 Non-finite results are an error, never silent: every op validates its
 output and raises :class:`NonFiniteError` on NaN/Inf.
@@ -31,6 +32,7 @@ __all__ = [
     "matmul",
     "linear",
     "softmax_lastdim",
+    "attention",
     "layer_norm",
     "bce_with_logits",
     "dropout",
@@ -145,11 +147,6 @@ class Tensor:
     def transpose(self, axes: Sequence[int]):
         return transpose(self, axes)
 
-    def swap_last_axes(self):
-        order = list(range(self.values.ndim))
-        order[-2], order[-1] = order[-1], order[-2]
-        return transpose(self, order)
-
 
 def constant(values, dtype=None) -> Tensor:
     """Tensor that never requires a gradient."""
@@ -222,8 +219,10 @@ def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(a.values + b.values, "add", (a, b), backward_fn)
 
@@ -232,8 +231,10 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.values, a.shape))
-        _accumulate(b, _unbroadcast(g * a.values, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.values, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
     return _make(a.values * b.values, "mul", (a, b), backward_fn)
 
@@ -387,6 +388,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(values, "matmul", (a, b), backward_fn)
 
 
+def _softmax(z: np.ndarray, mask) -> np.ndarray:
+    """Last-axis softmax of `z`; where the boolean `mask` is False, exactly 0."""
+    if mask is not None:
+        if not mask.any(axis=-1).all():
+            raise ValueError("softmax: fully masked row")
+        z = np.where(mask, z, -np.inf)
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient through `p = _softmax(z)` given the gradient `g` of `p`."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - inner)
+
+
 def softmax_lastdim(a: Tensor, mask=None) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction.
 
@@ -395,33 +413,65 @@ def softmax_lastdim(a: Tensor, mask=None) -> Tensor:
     unmasked position has no defined distribution and raises.
     """
     if mask is not None:
-        mask_arr = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-        if not mask_arr.any(axis=-1).all():
-            raise ValueError("softmax_lastdim: fully masked row")
-        z = np.where(mask_arr, a.values, -np.inf)
-    else:
-        z = a.values
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    out_values = e / e.sum(axis=-1, keepdims=True)
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
+    out_values = _softmax(a.values, mask)
 
     def backward_fn(g):
-        inner = (g * out_values).sum(axis=-1, keepdims=True)
-        _accumulate(a, out_values * (g - inner))
+        _accumulate(a, _softmax_backward(out_values, g))
 
     return _make(out_values, "softmax_lastdim", (a,), backward_fn)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = a.shape[-1]
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [batch, seq, d] inputs
+    as one node; `key_mask` ([batch, seq]) marks the keys that may receive
+    attention. Forward and backward run the numpy operations of the unfused
+    chain in its order, so values and gradients are bit-identical to it."""
+    batch, seq, d = q.shape
+    key_mask = np.asarray(key_mask, dtype=bool)
+    if k.shape != q.shape or v.shape != q.shape or key_mask.shape != (batch, seq) \
+            or d % num_heads:
+        raise ShapeError(f"attention shapes disagree: q/k/v {q.shape}/{k.shape}/{v.shape}, "
+                         f"key mask {key_mask.shape}, {num_heads} heads")
+    split = (batch, seq, num_heads, d // num_heads)
+
+    def heads(x: np.ndarray) -> np.ndarray:  # [b, s, d] -> [b, h, s, d/h]
+        return x.reshape(split).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # [b, h, s, d/h] -> [b, s, d]
+        return x.transpose(0, 2, 1, 3).reshape(q.shape)
+
+    qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
+    scale = np.asarray(1.0 / math.sqrt(split[-1]), dtype=q.dtype)
+    p = _softmax(np.matmul(qh, kh.swapaxes(-1, -2)) * scale, key_mask[:, None, None, :])
+
+    def backward_fn(g):
+        do = np.ascontiguousarray(heads(g))
+        dl = _softmax_backward(p, np.matmul(do, vh.swapaxes(-1, -2))) * scale
+        if q.requires_grad:
+            _accumulate(q, merge(np.matmul(dl, kh)))
+        if k.requires_grad:
+            _accumulate(k, merge(np.matmul(qh.swapaxes(-1, -2), dl).swapaxes(-1, -2)))
+        if v.requires_grad:
+            _accumulate(v, merge(np.matmul(p.swapaxes(-1, -2), do)))
+
+    return _make(merge(np.matmul(p, vh)), "attention", (q, k, v), backward_fn)
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis of `a` (plus `residual`, broadcast as `add`
+    broadcasts) to zero mean / unit variance, then affine; one node."""
+    x = a.values if residual is None else a.values + residual.values
+    d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match last dim {d}"
         )
-    mu = a.values.mean(axis=-1, keepdims=True)
-    centered = a.values - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    # add.reduce / d equals .mean bit for bit and skips numpy's Python-level _mean.
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
 
@@ -430,11 +480,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accumulate(gain, (g * xhat).sum(axis=lead))
         _accumulate(bias, g.sum(axis=lead))
         dxhat = g * gain.values
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv * (dxhat - m1 - xhat * m2))
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+        dx = inv * (dxhat - m1 - xhat * m2)
+        for t in inputs:
+            _accumulate(t, _unbroadcast(dx, t.shape))
 
-    return _make(xhat * gain.values + bias.values, "layer_norm", (a, gain, bias), backward_fn)
+    inputs = (a,) if residual is None else (a, residual)
+    return _make(xhat * gain.values + bias.values, "layer_norm", (*inputs, gain, bias),
+                 backward_fn)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:

@@ -11,7 +11,6 @@ order carries no information (permutation equivariance).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -19,14 +18,13 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    attention,
     constant,
     dropout,
     gelu,
     layer_norm,
     linear,
-    matmul,
     parameter,
-    softmax_lastdim,
     take_rows,
 )
 
@@ -100,10 +98,6 @@ class BranchConfig:
             raise ValueError("ffn_dim must be positive")
         if self.max_positions is not None and self.max_positions < 1:
             raise ValueError("max_positions must be positive")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.num_heads
 
     def to_dict(self) -> dict:
         """Every field except an unset optional one (`max_positions`,
@@ -414,8 +408,7 @@ def embed_tokens(ids, embeddings: TextEmbeddings, rng: Optional[np.random.Genera
     d = embeddings.token_table.shape[1]
     tok = take_rows(embeddings.token_table, ids.reshape(-1)).reshape((batch, seq, d))
     pos = take_rows(embeddings.position_table, np.arange(seq))
-    x = tok + pos
-    x = layer_norm(x, embeddings.norm.gain, embeddings.norm.bias)
+    x = layer_norm(tok, embeddings.norm.gain, embeddings.norm.bias, residual=pos)
     return dropout(x, dropout_p, rng)
 
 
@@ -428,22 +421,11 @@ def multi_head_self_attention(x: Tensor, mask: np.ndarray, cfg: BranchConfig,
     receive zero attention everywhere. Outputs at masked query positions
     are unspecified and must not be read downstream.
     """
-    mask = np.asarray(mask, dtype=bool)
-    batch, seq, d = x.shape
-    if d != cfg.hidden_dim:
-        raise ValueError(f"input width {d} does not match config hidden_dim {cfg.hidden_dim}")
-    heads, head_dim = cfg.num_heads, cfg.head_dim
-
-    def split_heads(t: Tensor) -> Tensor:
-        return t.reshape((batch, seq, heads, head_dim)).transpose((0, 2, 1, 3))
-
-    q = split_heads(_linear(x, params.query))
-    k = split_heads(_linear(x, params.key))
-    v = split_heads(_linear(x, params.value))
-
-    logits = matmul(q, k.swap_last_axes()) * (1.0 / math.sqrt(head_dim))
-    attn = softmax_lastdim(logits, mask[:, None, None, :])
-    ctx = matmul(attn, v).transpose((0, 2, 1, 3)).reshape((batch, seq, d))
+    if x.shape[-1] != cfg.hidden_dim:
+        raise ValueError(
+            f"input width {x.shape[-1]} does not match config hidden_dim {cfg.hidden_dim}")
+    ctx = attention(_linear(x, params.query), _linear(x, params.key),
+                    _linear(x, params.value), mask, cfg.num_heads)
     return _linear(ctx, params.output)
 
 
@@ -453,9 +435,9 @@ def encoder_layer(x: Tensor, mask: np.ndarray, cfg: BranchConfig, params: Encode
     with dropout on each residual branch when given `rng`."""
     attn = dropout(multi_head_self_attention(x, mask, cfg, params.attention),
                    cfg.dropout_p, rng)
-    x = layer_norm(x + attn, params.attention_norm.gain, params.attention_norm.bias)
+    x = layer_norm(attn, params.attention_norm.gain, params.attention_norm.bias, residual=x)
     ffn = dropout(_linear(gelu(_linear(x, params.ffn_in)), params.ffn_out), cfg.dropout_p, rng)
-    return layer_norm(x + ffn, params.ffn_norm.gain, params.ffn_norm.bias)
+    return layer_norm(ffn, params.ffn_norm.gain, params.ffn_norm.bias, residual=x)
 
 
 def encode_branch(inputs: BranchInput, cfg: BranchConfig, params,
@@ -476,12 +458,13 @@ def encode_branch(inputs: BranchInput, cfg: BranchConfig, params,
         feats = constant(inputs.features,
                          dtype=params.embed_norm.gain.dtype)
         x = _linear(feats, params.input_proj) if params.input_proj is not None else feats
-        if cfg.use_spatial:
-            if params.spatial is None:
-                raise ValueError("use_spatial set but no spatial MLP parameters")
-            nboxes = normalize_boxes(inputs.boxes, inputs.sizes)
-            x = x + spatial_embed(nboxes, params.spatial)
-        x = layer_norm(x, params.embed_norm.gain, params.embed_norm.bias)
+        if cfg.use_spatial and params.spatial is None:
+            raise ValueError("use_spatial set but no spatial MLP parameters")
+        # The spatial embedding is passed as a temporary: no local keeps it
+        # alive while the encoder layers run.
+        x = layer_norm(x, params.embed_norm.gain, params.embed_norm.bias, residual=(
+            spatial_embed(normalize_boxes(inputs.boxes, inputs.sizes), params.spatial)
+            if cfg.use_spatial else None))
         x = dropout(x, cfg.dropout_p, rng)
     if len(params.layers) != cfg.num_layers:
         raise ValueError(

@@ -135,7 +135,7 @@ def cross_modal_logits(entities: Tensor, objects: Tensor, object_mask,
     sample = np.asarray(entity_sample, dtype=np.intp)
     q = linear(entities, params.query.weight, params.query.bias)
     k = linear(objects, params.key.weight, params.key.bias)
-    every = matmul(q, k.swap_last_axes()).reshape((entities.shape[0] * batch, num_objects))
+    every = matmul(q, k.transpose((1, 0))).reshape((entities.shape[0] * batch, num_objects))
     own = take_rows(every, np.arange(sample.size) * batch + sample)
     return GroundingLogits(scores=own * (1.0 / math.sqrt(params.d_joint)),
                            object_mask=object_mask[sample])

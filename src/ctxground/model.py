@@ -134,6 +134,9 @@ class GroundingModel:
 
     def encode(self, batch: Batch, rng: Optional[np.random.Generator] = None
                ) -> tuple[Tensor, Tensor]:
+        if batch.features.shape[-1] != self.config.feature_dim:
+            raise ValueError(f"object features are {batch.features.shape[-1]} wide, but "
+                             f"the model expects feature_dim {self.config.feature_dim}")
         text_in = BranchInput(valid_mask=batch.text_mask, token_ids=batch.token_ids)
         image_in = BranchInput(valid_mask=batch.object_mask, features=batch.features,
                                boxes=batch.boxes, sizes=batch.sizes)

@@ -484,6 +484,15 @@ def _restore_params(model: GroundingModel, params: dict[str, np.ndarray]) -> Non
 # -- the fit loop -----------------------------------------------------------------
 
 
+def _flat(config: dict, prefix: str = "") -> dict:
+    """A nested config snapshot as {dotted key: value}."""
+    out = {}
+    for key, value in config.items():
+        out.update(_flat(value, f"{prefix}{key}.") if isinstance(value, dict)
+                   else {prefix + key: value})
+    return out
+
+
 @dataclass
 class FitResult:
     best: Checkpoint
@@ -535,6 +544,13 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
                 f"{LAST_CHECKPOINT} expects epoch {last.best_epoch}; the pair is inconsistent "
                 f"(interrupted between the two writes?) and cannot be resumed"
             )
+        # A resume may extend a run or change its stopping rule; nothing else.
+        saved, now = _flat(last.config), _flat(config_snapshot)
+        changed = [key for key in {**now, **saved} if saved.get(key) != now.get(key)
+                   and key not in ("train.max_epochs", "train.patience")]
+        if changed:
+            raise ValueError(f"{checkpoint_dir}: cannot resume with a changed config: "
+                             f"{changed[0]} differs from the checkpoint's")
         rng.bit_generator.state = last.rng_state
         _restore_params(model, last.params)
         state = last.optimizer

@@ -10,6 +10,7 @@ from ctxground.autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    attention,
     backward,
     bce_with_logits,
     constant,
@@ -261,6 +262,110 @@ def test_layer_norm_gradients():
     fdcheck(f, x)
     fdcheck(f, gain)
     fdcheck(f, bias)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 6, 16), (4, 50, 64)])
+def test_layer_norm_means_equal_numpy_mean(dtype, shape):
+    # The op takes its means as add.reduce / d; this is numpy's .mean bit for bit.
+    rng = np.random.default_rng(9)
+    x, gain, bias = (rng.normal(size=n).astype(dtype) for n in (shape, shape[-1], shape[-1]))
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    out = layer_norm(constant(x), constant(gain), constant(bias)).values
+    assert out.tobytes() == (centered * inv * gain + bias).tobytes()
+
+
+# -- fused attention and residual layer norm -------------------------------------------------
+
+
+def _unfused_attention(q, k, v, key_mask, num_heads):
+    batch, seq, d = q.shape
+
+    def split(t):
+        return t.reshape((batch, seq, num_heads, d // num_heads)).transpose((0, 2, 1, 3))
+
+    scale = 1.0 / math.sqrt(d // num_heads)
+    logits = matmul(split(q), split(k).transpose((0, 1, 3, 2))) * scale
+    probs = softmax_lastdim(logits, key_mask[:, None, None, :])
+    return matmul(probs, split(v)).transpose((0, 2, 1, 3)).reshape((batch, seq, d))
+
+
+def _padded_key_mask():
+    mask = np.ones((3, 5), bool)
+    mask[1, 3:] = False
+    mask[2, 1:] = False
+    return mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_equals_unfused_chain_bit_for_bit(dtype):
+    rng = np.random.default_rng(21)
+    q0, k0, v0, g = (rng.normal(size=(3, 5, 8)) for _ in range(4))
+
+    def run(op):
+        q, k, v = (parameter(a, dtype=dtype) for a in (q0, k0, v0))
+        out = op(q, k, v, _padded_key_mask(), 2)
+        backward((out * g).sum())
+        return [out.values, q.grad, k.grad, v.grad]
+
+    for fused, plain in zip(run(attention), run(_unfused_attention)):
+        assert fused.dtype == dtype and fused.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_residual_layer_norm_equals_add_then_layer_norm_bit_for_bit(dtype):
+    # The residual is [s, d] against a [b, s, d] input, so its gradient is unbroadcast.
+    rng = np.random.default_rng(22)
+    arrays = [rng.normal(size=n) for n in ((3, 4, 6), (4, 6), 6, 6)]
+    g = rng.normal(size=(3, 4, 6))
+
+    def run(fused):
+        x, r, gain, bias = (parameter(a, dtype=dtype) for a in arrays)
+        out = (layer_norm(x, gain, bias, residual=r) if fused
+               else layer_norm(x + r, gain, bias))
+        backward((out * g).sum())
+        return [out.values, x.grad, r.grad, gain.grad, bias.grad]
+
+    for fused, plain in zip(run(True), run(False)):
+        assert fused.dtype == dtype and fused.tobytes() == plain.tobytes()
+
+
+def test_attention_gradients():
+    rng = np.random.default_rng(23)
+    q, k, v = (parameter(rng.normal(size=(3, 5, 4))) for _ in range(3))
+    w = rng.normal(size=(3, 5, 4))
+
+    def f(_):
+        return (attention(q, k, v, _padded_key_mask(), 2) * w).sum()
+
+    for t in (q, k, v):
+        fdcheck(f, t)
+
+
+def test_residual_layer_norm_gradients():
+    rng = np.random.default_rng(24)
+    x, r, gain, bias = (parameter(rng.normal(size=n)) for n in ((2, 3, 5), (3, 5), 5, 5))
+    w = rng.normal(size=(2, 3, 5))
+
+    def f(_):
+        return (layer_norm(x, gain, bias, residual=r) * w).sum()
+
+    for t in (x, r, gain, bias):
+        fdcheck(f, t)
+
+
+def test_attention_rejects_a_fully_masked_row_and_bad_shapes():
+    q = constant(np.ones((2, 3, 4)))
+    mask = np.ones((2, 3), bool)
+    mask[1] = False
+    with pytest.raises(ValueError, match="fully masked row"):
+        attention(q, q, q, mask, 2)
+    with pytest.raises(ShapeError):
+        attention(q, q, q, np.ones((2, 3), bool), 3)
+    with pytest.raises(ShapeError):
+        attention(q, q, q, np.ones((3, 2), bool), 2)
 
 
 # -- bce ------------------------------------------------------------------------

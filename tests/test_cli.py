@@ -100,6 +100,19 @@ def test_train_resume_from_checkpoints(pipeline_dir):
     assert load_checkpoint(root / "run" / "last.gckp").epoch > epoch_before
 
 
+def test_eval_on_data_of_another_feature_width_exits_1_naming_both(pipeline_dir, capsys):
+    root = pipeline_dir
+    (root / "narrow.json").write_text(json.dumps({**SYNTH_SPEC, "d_feat": 8}))
+    cli_main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "ds")])
+    cli_main(["synth", "--spec", str(root / "narrow.json"), "--out", str(root / "narrow")])
+    cli_main(["train", "--config", str(root / "run.json")])
+    capsys.readouterr()
+    assert cli_main(["eval", "--checkpoint", str(root / "run" / "best.gckp"),
+                     "--data", str(root / "narrow" / "data.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "8 wide" in err and "feature_dim 16" in err
+
+
 def test_missing_config_exits_1_with_path(capsys):
     code = cli_main(["train", "--config", "/no/such/config.json"])
     assert code == 1

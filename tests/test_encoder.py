@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxground.autodiff import backward, constant, parameter
+from ctxground.autodiff import backward, constant, parameter, topo_order
 from ctxground.encoder import (
     BranchConfig,
     BranchInput,
@@ -288,6 +288,16 @@ def test_encoder_layer_zero_weights_is_double_layer_norm():
     want = [layer_norm_ref(layer_norm_ref(row, ones, zeros, 1e-5), ones, zeros, 1e-5)
             for row in x.tolist()]
     np.testing.assert_allclose(out, want, atol=1e-12)
+
+
+def test_encoder_layer_records_ten_op_nodes():
+    # q/k/v projections, attention, output projection, residual norm, FFN in,
+    # GELU, FFN out, residual norm; the leaves are the input and the parameters.
+    cfg, params = text_setup(d=8, layers=1, heads=2)
+    layer = params.layers[0]
+    x = parameter(np.random.default_rng(7).normal(size=(2, 4, 8)))
+    out = encoder_layer(x, np.ones((2, 4), bool), cfg, layer)
+    assert len(topo_order(out)) - len(named_parameters(layer)) - 1 <= 10
 
 
 def test_encoder_layer_gradient_reaches_every_parameter():

@@ -73,6 +73,17 @@ def test_no_input_projection_when_dims_match():
     assert not any(n.startswith("image.spatial") for n in names)
 
 
+@pytest.mark.parametrize("feature_dim, data_dim", [(16, 8), (8, 16)])
+def test_encode_names_the_feature_width_it_got_and_the_one_it_expected(feature_dim, data_dim):
+    # (8, 16) has feature_dim == hidden_dim, so the model has no input projection.
+    model = GroundingModel.initialize(replace(tiny_config(), feature_dim=feature_dim), seed=0)
+    batch = collate_batch(generate_synthetic(SyntheticSpec(
+        seed=4, num_samples=2, vocab_size=12, tokens_per_sample=5, objects_per_sample=4,
+        entities_per_sample=2, d_feat=data_dim, image_size=32)))
+    with pytest.raises(ValueError, match=f"{data_dim} wide.*feature_dim {feature_dim}"):
+        model.batch_scores(batch)
+
+
 def test_initialization_deterministic_in_seed():
     a = tiny_model(seed=3).named_parameters()
     b = tiny_model(seed=3).named_parameters()

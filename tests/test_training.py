@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -762,6 +763,34 @@ def test_split_run_training_equals_uninterrupted(tmp_path):
         assert full.best.params[name].tobytes() == split.best.params[name].tobytes(), name
     assert ((tmp_path / "full" / "last.gckp").read_bytes()
             == (tmp_path / "split" / "last.gckp").read_bytes())
+
+
+@pytest.mark.parametrize("changed, model_dropout, overrides", [
+    ("train.learning_rate", 0.0, {"learning_rate": 0.5}),
+    ("train.batch_size", 0.0, {"batch_size": 6}),
+    ("train.seed", 0.0, {"seed": 99}),
+    ("model.text.dropout_p", 0.2, {}),
+])
+def test_resume_refuses_a_changed_config(tmp_path, changed, model_dropout, overrides):
+    records = tiny_records(8, seed=13)
+    fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=2, patience=50),
+        checkpoint_dir=tmp_path)
+    model = tiny_model(seed=12, dropout=model_dropout)
+    before = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    with pytest.raises(ValueError, match=f"changed config: {re.escape(changed)} differs"):
+        fit(model, records, records, fit_cfg(max_epochs=4, patience=50, **overrides),
+            checkpoint_dir=tmp_path, resume=True)
+    for name, tensor in model.named_parameters().items():
+        assert np.array_equal(tensor.values, before[name]), name
+
+
+def test_resume_may_change_max_epochs_and_patience(tmp_path):
+    records = tiny_records(8, seed=13)
+    fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=2, patience=50),
+        checkpoint_dir=tmp_path)
+    resumed = fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=3, patience=7),
+                  checkpoint_dir=tmp_path, resume=True)
+    assert [h["epoch"] for h in resumed.history] == [0, 1, 2]
 
 
 def test_best_checkpoint_is_written_only_when_dev_recall_improves(tmp_path, monkeypatch):

@@ -81,12 +81,11 @@ class Tensor:
     `values` is immutable by convention once the tensor has entered a
     graph; only leaf parameters are updated in place (by the optimizer,
     between graphs). `grad` accumulates additively across backward calls
-    until cleared. `zero_grads` keeps the cleared array as a spare, which
-    the next backward's first gradient for the tensor is written into when
-    it comes from a `linear` weight GEMM or a `take_rows` scatter.
+    until cleared. `zero_grads` parks the cleared array on the tensor, and
+    the next backward writes the tensor's first gradient into it.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_spare", "_parents", "_backward_fn")
+    __slots__ = ("values", "requires_grad", "grad", "_parked", "_parents", "_backward_fn")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None):
         arr = np.asarray(values, dtype=dtype)
@@ -96,7 +95,7 @@ class Tensor:
         self.values: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._spare: np.ndarray | None = None
+        self._parked: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
 
@@ -169,7 +168,7 @@ def _make(out_values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     _check_finite(out_values, op)
     out = Tensor.__new__(Tensor)
     out.values = out_values
-    out.grad = out._spare = None
+    out.grad = out._parked = None
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -181,22 +180,22 @@ def _make(out_values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     return out
 
 
-def _take_spare(t: Tensor, dtype) -> np.ndarray | None:
-    """The array `zero_grads` kept from `t`'s last gradient, if it can take
-    a fresh gradient of `t` computed in `dtype`; it leaves the tensor."""
-    spare = t._spare
-    if spare is None or spare.shape != t.shape or spare.dtype != t.dtype or spare.dtype != dtype:
-        return None
-    t._spare = None
-    return spare
+def _first_grad(t: Tensor) -> np.ndarray:
+    """The array for `t`'s first gradient in a backward, set as `t.grad`:
+    the one `zero_grads` parked on `t`, else a new one. Its contents are
+    stale or uninitialised; the caller writes every element."""
+    parked, t._parked = t._parked, None
+    t.grad = np.empty_like(t.values) if parked is None else parked
+    return t.grad
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        np.copyto(_first_grad(t), g)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -305,10 +304,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
         if not a.requires_grad:
             return
         if a.grad is None:
-            spare = _take_spare(a, a.dtype)
-            if spare is not None:
-                spare.fill(0)
-            a.grad = np.zeros_like(a.values) if spare is None else spare
+            _first_grad(a).fill(0)
         np.add.at(a.grad, idx, g)
 
     return _make(a.values[idx], "take_rows", (a,), backward_fn)
@@ -346,12 +342,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             _accumulate(x, (g2 @ weight.values.T).reshape(x.shape))
         if weight.requires_grad:
             x_rows = _rows(x.values).T
-            spare = None if weight.grad is not None else _take_spare(
-                weight, np.result_type(x_rows, g2))
-            if spare is None:
-                _accumulate(weight, x_rows @ g2)
-            else:  # the same GEMM, written straight into the spare
-                weight.grad = np.matmul(x_rows, g2, out=spare)
+            if weight.grad is None:
+                np.matmul(x_rows, g2, out=_first_grad(weight))
+            else:
+                weight.grad += x_rows @ g2
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.shape))
 
@@ -571,12 +565,12 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
-    """Clear each tensor's `.grad`. The array is kept as the tensor's spare
-    and the next backward may write the tensor's first gradient into it, so
-    a caller that keeps a gradient array across this call must copy it."""
+    """Clear each tensor's `.grad`. The array stays parked on the tensor and
+    the next backward writes the tensor's first gradient into it, so a
+    caller that keeps a gradient array across this call must copy it."""
     for t in tensors:
         if t.grad is not None:
-            t._spare = t.grad
+            t._parked = t.grad
             t.grad = None
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, bce_with_logits, linear, matmul, take_rows
-from .encoder import LinearParams, ParamMaker
+from .encoder import LinearParams, ParamMaker, _init_linear
 
 __all__ = [
     "PhraseSpan",
@@ -98,11 +98,8 @@ class HeadParams:
 
 def build_head(d_text: int, d_image: int, d_joint: int, make: ParamMaker) -> HeadParams:
     """Head whose parameter tensors come from `make`."""
-    def lin(fan_in):
-        return LinearParams(weight=make((fan_in, d_joint), "normal"),
-                            bias=make((d_joint,), "zeros"))
-
-    return HeadParams(query=lin(d_text), key=lin(d_image))
+    return HeadParams(query=_init_linear(make, d_text, d_joint),
+                      key=_init_linear(make, d_image, d_joint))
 
 
 def extract_entity_states(text_hidden: Tensor, spans: Sequence[PhraseSpan],

@@ -335,6 +335,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_count(x) -> bool:
+    return _is_int(x) and x >= 0
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -349,9 +353,9 @@ def _check_manifest(manifest, payload_size: int, where) -> list[tuple[str, tuple
     if not isinstance(manifest, dict):
         raise bad("manifest is not a JSON object")
     for key, check, what in (("config", lambda x: isinstance(x, dict), "an object"),
-                             ("epoch", _is_int, "an integer"),
+                             ("epoch", _is_count, "a non-negative integer"),
                              ("best_metric", _is_number, "a number"),
-                             ("best_epoch", _is_int, "an integer"),
+                             ("best_epoch", _is_count, "a non-negative integer"),
                              ("tensors", lambda x: isinstance(x, list), "a list")):
         if key not in manifest:
             raise bad(f"manifest has no {key!r}")
@@ -367,9 +371,9 @@ def _check_manifest(manifest, payload_size: int, where) -> list[tuple[str, tuple
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise bad(f"tensor entry {i} has no string name")
         name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
-        if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
             raise bad(f"tensor {name!r} shape {shape!r} is not a list of non-negative integers")
-        if not _is_int(offset) or offset < 0:
+        if not _is_count(offset):
             raise bad(f"tensor {name!r} offset {offset!r} is not a non-negative integer")
         if offset + 4 * math.prod(shape) > payload_size:
             raise bad(f"truncated payload for tensor {name!r}")
@@ -386,13 +390,26 @@ def _check_manifest(manifest, payload_size: int, where) -> list[tuple[str, tuple
         return entries
     if not isinstance(opt, dict):
         raise bad("manifest 'optimizer' is not an object")
-    for key, check in (("step", _is_int), ("beta1", _is_number),
-                       ("beta2", _is_number), ("eps", _is_number)):
+    # beta = 1 would zero Adam's bias correction 1 - beta**step.
+    def is_beta(x):
+        return _is_number(x) and 0 <= x < 1
+
+    for key, check, what in (("step", _is_count, "a non-negative integer"),
+                             ("beta1", is_beta, "a number in [0, 1)"),
+                             ("beta2", is_beta, "a number in [0, 1)"),
+                             ("eps", lambda x: _is_number(x) and 0 < x < math.inf,
+                              "a finite positive number")):
         if not check(opt.get(key)):
-            raise bad(f"optimizer {key!r} is missing or not a number")
+            raise bad(f"optimizer {key!r} is missing or not {what}")
     moments = {f"adam.{kind}.{n}" for kind in "mv" for n in params}
     if set(names) != params | moments:
         raise bad("Adam moment tensors do not match the parameters")
+    shapes = {name: shape for name, shape, _ in entries}
+    for name, shape, _ in entries:
+        param = name[len("adam.m."):]
+        if name in moments and shape != shapes[param]:
+            raise bad(f"tensor {name!r} shape {list(shape)} does not match "
+                      f"parameter {param!r} {list(shapes[param])}")
     return entries
 
 
@@ -551,7 +568,11 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         if changed:
             raise ValueError(f"{checkpoint_dir}: cannot resume with a changed config: "
                              f"{changed[0]} differs from the checkpoint's")
-        rng.bit_generator.state = last.rng_state
+        try:
+            rng.bit_generator.state = last.rng_state
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{checkpoint_dir / LAST_CHECKPOINT}: 'rng_state' is not "
+                              f"a PCG64 state: {exc!r}") from exc
         _restore_params(model, last.params)
         state = last.optimizer
         history = best.history = list(last.history)

@@ -27,7 +27,7 @@ from ctxground.training import (
     train_step,
 )
 from ctxground.data import FormatError
-from ctxground import training
+from ctxground import autodiff, training
 
 from fuzzing import mutate
 from oracles import adam_ref
@@ -336,6 +336,38 @@ def test_train_steps_equal_fresh_gradients_clipped_then_adam(accumulation):
             assert np.array_equal(state.v[name], ref_state.v[name]), (step, name)
 
 
+def test_train_steps_reuse_each_parameter_gradient_array(monkeypatch):
+    # Every parameter's first gradient of a step lands in the array its
+    # first step allocated; no intermediate node of a graph gets one of them.
+    records = tiny_records(8, seed=9)
+    batches = [collate_batch(records[i:i + 2]) for i in range(0, 8, 2)]
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=4, accumulation_steps=2,
+                      max_epochs=1, dropout_p=0.1)
+    model = tiny_model(seed=4, dropout=0.1)
+    named = model.named_parameters()
+    seen = []  # per backward: each parameter's gradient array, and the intermediates
+
+    def recording_backward(loss):
+        backward(loss)
+        nodes = autodiff.topo_order(loss)
+        seen.append(({n: t.grad for n, t in named.items()},
+                     [t for t in nodes if all(t is not p for p in named.values())]))
+
+    monkeypatch.setattr(training, "backward", recording_backward)
+    state, rng = AdamState.init(named), np.random.default_rng(6)
+    for step in range(3):
+        train_step(batches[2 * (step % 2):2 * (step % 2) + 2], model, state, cfg, rng)
+    assert len(seen) == 6
+    first = seen[0][0]
+    assert all(g is not None for g in first.values())
+    for grads, _ in seen:
+        assert all(grads[n] is first[n] for n in named)
+    for _, intermediates in seen:
+        for node in intermediates:
+            assert node._parked is None
+            assert all(node.grad is not g for g in first.values())
+
+
 @pytest.mark.parametrize("clip_norm,clips", [(0.25, True), (1e6, False)])
 def test_step_metrics_record_the_clip_scale(clip_norm, clips):
     model = tiny_model(seed=2)
@@ -621,8 +653,17 @@ def _without(key):
     return lambda m: {k: v for k, v in m.items() if k != key}
 
 
-def _tensor_field(key, value):
-    return lambda m: {**m, "tensors": [{**m["tensors"][0], key: value}] + m["tensors"][1:]}
+def _tensor_field(key, value, tensor="w"):
+    return lambda m: {**m, "tensors": [{**t, key: value} if t["name"] == tensor else t
+                                       for t in m["tensors"]]}
+
+
+def _field(key, value):
+    return lambda m: {**m, key: value}
+
+
+def _optimizer_field(key, value):
+    return lambda m: {**m, "optimizer": {**m["optimizer"], key: value}}
 
 
 @pytest.mark.parametrize("edit", [
@@ -634,6 +675,14 @@ def _tensor_field(key, value):
     pytest.param(lambda m: {**m, "optimizer": _without("beta1")(m["optimizer"])},
                  id="optimizer-without-beta1"),
     pytest.param(_tensor_field("shape", [-1]), id="negative-dim"),
+    pytest.param(_field("epoch", -4), id="negative-epoch"),
+    pytest.param(_field("best_epoch", -1), id="negative-best-epoch"),
+    pytest.param(_optimizer_field("step", -1), id="negative-step"),
+    pytest.param(_optimizer_field("beta1", 1.0), id="beta1-one"),
+    pytest.param(_optimizer_field("beta2", -0.5), id="negative-beta2"),
+    pytest.param(_optimizer_field("eps", 0.0), id="zero-eps"),
+    pytest.param(_tensor_field("shape", [4], tensor="adam.m.b"), id="longer-first-moment"),
+    pytest.param(_tensor_field("shape", [3, 2], tensor="adam.v.w"), id="transposed-second-moment"),
 ])
 def test_load_checkpoint_rejects_malformed_manifest(tmp_path, edit):
     path = tmp_path / "model.gckp"
@@ -779,6 +828,27 @@ def test_resume_refuses_a_changed_config(tmp_path, changed, model_dropout, overr
     before = {n: t.values.copy() for n, t in model.named_parameters().items()}
     with pytest.raises(ValueError, match=f"changed config: {re.escape(changed)} differs"):
         fit(model, records, records, fit_cfg(max_epochs=4, patience=50, **overrides),
+            checkpoint_dir=tmp_path, resume=True)
+    for name, tensor in model.named_parameters().items():
+        assert np.array_equal(tensor.values, before[name]), name
+
+
+@pytest.mark.parametrize("rng_state", [
+    {"bit_generator": "PCG64"},
+    {},
+    {"bit_generator": "MT19937", "state": {"key": [1] * 624, "pos": 624}},
+], ids=["no-state", "empty", "mt19937"])
+def test_resume_refuses_a_malformed_rng_state(tmp_path, rng_state):
+    records = tiny_records(8, seed=13)
+    fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=2, patience=50),
+        checkpoint_dir=tmp_path)
+    path = tmp_path / "last.gckp"
+    manifest, payload = _split_gckp(path.read_bytes())
+    path.write_bytes(_join_gckp({**manifest, "rng_state": rng_state}, payload))
+    model = tiny_model(seed=12)
+    before = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    with pytest.raises(FormatError, match=r"last\.gckp: 'rng_state'"):
+        fit(model, records, records, fit_cfg(max_epochs=4, patience=50),
             checkpoint_dir=tmp_path, resume=True)
     for name, tensor in model.named_parameters().items():
         assert np.array_equal(tensor.values, before[name]), name

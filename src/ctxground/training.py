@@ -10,10 +10,13 @@ run exactly, including across a checkpoint/resume split.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -126,9 +129,13 @@ class StepMetrics:
     clip_scale: float  # factor the gradients were clipped by; 1.0 if not clipped
 
 
-# Elements per pass of the blocked norm and Adam loops: their working set
-# (a few float32 blocks and the float64 norm buffer) stays in cache.
+# Elements per pass of the blocked norm loop: its float64 buffer stays in
+# cache. The float64 partial sums, and so every clip scale, depend on it.
 _BLOCK = 1 << 15
+# Elements per pass of the Adam loop. Each ufunc call hands the GIL between
+# the two Adam threads; at `_BLOCK` elements those handoffs ate the second
+# thread's gain.
+_ADAM_BLOCK = 1 << 17
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -183,16 +190,23 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     same float multiply with which `clip_global_norm` scales the whole
     gradient. Parameters, moments and gradients share one dtype, and
     parameters and moments must be C-contiguous so that their flat views
-    write through. Each block's update is checked for NaN/Inf before it
-    is applied."""
-    state.step += 1
+    write through; every parameter is checked before any update, so a
+    refused call changes nothing.
+
+    The concatenated element range of all parameters is cut at its
+    midpoint (see `_split`): the caller's thread updates the first half
+    while one helper thread updates the second. The update is
+    elementwise, so the cut changes no value. Each block's update is
+    checked for NaN/Inf before it is applied; when both halves hit one,
+    the error of the earlier parameter is raised."""
+    step = state.step + 1
     beta1, beta2 = float(state.beta1), float(state.beta2)
-    scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** state.step,
-               float(lr), 1.0 - beta2 ** state.step, float(state.eps), float(grad_scale))
-    scaled = float(grad_scale) != 1.0
+    scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** step,
+               float(lr), 1.0 - beta2 ** step, float(state.eps), float(grad_scale))
     # The scalars as 0-d arrays of each parameter dtype: the values the
     # ufuncs would round Python floats to, at less dispatch cost per call.
     typed: dict[np.dtype, tuple[np.ndarray, ...]] = {}
+    flat = []
     for name, p in named_params.items():
         pv, m, v, g = p.values, state.m[name], state.v[name], grads[name]
         if g.shape != pv.shape:
@@ -204,13 +218,58 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise ValueError(f"parameter {name!r} and its Adam moments must be C-contiguous")
         if pv.dtype not in typed:
             typed[pv.dtype] = tuple(np.array(x, dtype=pv.dtype) for x in scalars)
-        b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed[pv.dtype]
-        pf, mf, vf, gf = pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
-        scratch = np.empty((2, min(_BLOCK, pf.size)), dtype=pv.dtype)
-        for lo in range(0, pf.size, _BLOCK):
-            hi = min(lo + _BLOCK, pf.size)
+        flat.append((name, pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)))
+    state.step = step
+    scaled = float(grad_scale) != 1.0
+    head, tail = _split(flat)
+    if not tail:
+        _adam_blocks(head, typed, scaled)
+        return state
+    # In the caller's context, so that its `np.errstate` holds in both halves.
+    future = _helper().submit(contextvars.copy_context().run, _adam_blocks, tail, typed, scaled)
+    try:
+        _adam_blocks(head, typed, scaled)
+    finally:
+        # Nothing returns or raises while the helper still writes.
+        tail_error = future.exception()
+    if tail_error is not None:
+        raise tail_error
+    return state
+
+
+def _split(flat: list[tuple]) -> tuple[list[tuple], list[tuple]]:
+    """Cut the concatenated element range of the (name, p, m, v, g) flat
+    arrays in `flat` at its midpoint, rounded to the nearest block
+    boundary of the parameter the midpoint falls in; that parameter is
+    then updated in two ranges. Returns the two halves as lists of
+    (name, p, m, v, g, lo, hi) ranges. The second is empty, and the update
+    runs serially, when the total is under two Adam blocks or the process
+    may run on one CPU only."""
+    whole = [(*entry, 0, entry[1].size) for entry in flat]
+    total = sum(entry[1].size for entry in flat)
+    if total < 2 * _ADAM_BLOCK or len(os.sched_getaffinity(0)) < 2:
+        return whole, []
+    mid, i = total // 2, 0
+    while mid >= flat[i][1].size:  # `mid` becomes an offset into parameter i
+        mid -= flat[i][1].size
+        i += 1
+    size = flat[i][1].size
+    cut = min(size, (mid + _ADAM_BLOCK // 2) // _ADAM_BLOCK * _ADAM_BLOCK)
+    return whole[:i] + [(*flat[i], 0, cut)], [(*flat[i], cut, size)] + whole[i + 1:]
+
+
+def _adam_blocks(ranges: list[tuple], typed: dict, scaled: bool) -> None:
+    """Apply the Adam update to each (name, p, m, v, g, lo, hi) range of
+    flat arrays, `_ADAM_BLOCK` elements at a time, through one scratch
+    per dtype sized to the largest range."""
+    width = min(_ADAM_BLOCK, max((hi - lo for *_, lo, hi in ranges), default=0))
+    scratch = {pf.dtype: np.empty((2, width), dtype=pf.dtype) for _, pf, *_ in ranges}
+    for name, pf, mf, vf, gf, start, stop in ranges:
+        b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed[pf.dtype]
+        for lo in range(start, stop, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, stop)
             pb, mb, vb, gb = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
-            s1, s2 = scratch[:, :hi - lo]
+            s1, s2 = scratch[pf.dtype][:, :hi - lo]
             if scaled:
                 np.multiply(gb, scale, out=gb)
             # m = beta1 * m + (1 - beta1) * g
@@ -232,7 +291,29 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
             if not np.isfinite(s1).all():
                 raise NonFiniteError(f"non-finite Adam update for parameter {name!r}")
             np.subtract(pb, s1, out=pb)
-    return state
+
+
+# One helper thread per process runs the second half of each split Adam
+# update. It is created on first use; a forked child, which inherits
+# the pool object but not its thread, creates its own.
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _helper() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ctxground-adam")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def train_step(micro_batches, model: GroundingModel, state: AdamState,
@@ -341,6 +422,15 @@ def _is_count(x) -> bool:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_pcg64_state(state: dict) -> bool:
+    """The field types of a PCG64 state, which numpy does not check: it
+    truncates a float `state` or `inc` and keeps a `has_uint32` of 2."""
+    words = state.get("state")
+    has_uint32 = state.get("has_uint32")
+    return (isinstance(words, dict) and _is_int(words.get("state")) and _is_int(words.get("inc"))
+            and _is_int(has_uint32) and has_uint32 in (0, 1) and _is_count(state.get("uinteger")))
 
 
 def _check_manifest(manifest, payload_size: int, where) -> list[tuple[str, tuple, int]]:
@@ -568,11 +658,14 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         if changed:
             raise ValueError(f"{checkpoint_dir}: cannot resume with a changed config: "
                              f"{changed[0]} differs from the checkpoint's")
+        where = checkpoint_dir / LAST_CHECKPOINT
+        if not _is_pcg64_state(last.rng_state):
+            raise FormatError(f"{where}: 'rng_state' is not a PCG64 state: a field is "
+                              f"missing or not an integer in range")
         try:
             rng.bit_generator.state = last.rng_state
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{checkpoint_dir / LAST_CHECKPOINT}: 'rng_state' is not "
-                              f"a PCG64 state: {exc!r}") from exc
+            raise FormatError(f"{where}: 'rng_state' is not a PCG64 state: {exc!r}") from exc
         _restore_params(model, last.params)
         state = last.optimizer
         history = best.history = list(last.history)

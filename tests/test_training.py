@@ -1,8 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +272,167 @@ def test_adam_rejects_mixed_dtypes():
     named = {"p": p}
     with pytest.raises(ValueError, match="dtype"):
         adam_step(named, {"p": np.ones(3)}, AdamState.init(named), lr=0.1)
+
+
+def test_refused_adam_step_changes_nothing():
+    named = {"a": parameter(np.ones(3, dtype=np.float32)),
+             "b": parameter(np.ones((2, 2), dtype=np.float32))}
+    state = AdamState.init(named)
+    adam_step(named, {n: np.full(t.shape, 0.5, dtype=np.float32) for n, t in named.items()},
+              state, lr=0.1)
+    before = {n: (t.values.copy(), state.m[n].copy(), state.v[n].copy())
+              for n, t in named.items()}
+    with pytest.raises(ValueError, match="gradient shape"):
+        adam_step(named, {"a": np.ones(3, dtype=np.float32), "b": np.ones(4, dtype=np.float32)},
+                  state, lr=0.1)
+    assert state.step == 1
+    for n, t in named.items():
+        assert np.array_equal(t.values, before[n][0]), n
+        assert np.array_equal(state.m[n], before[n][1]), n
+        assert np.array_equal(state.v[n], before[n][2]), n
+
+
+def _split_layout(dtype, seed=0):
+    """Parameters whose concatenated midpoint lies inside "big", which
+    spans several Adam blocks, the last one partial."""
+    block = training._ADAM_BLOCK
+    rng = np.random.default_rng(seed)
+    return {n: parameter(rng.normal(size=shape).astype(dtype))
+            for n, shape in (("first", (1000,)), ("big", (3, block + 77)),
+                             ("last", (block // 2 + 5,)))}
+
+
+def _on_cpus(monkeypatch, count):
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_split_cuts_inside_a_parameter_at_its_block_boundary(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    flat = [(n, t.values.reshape(-1), None, None, None) for n, t in _split_layout(np.float32).items()]
+    head, tail = training._split(flat)
+    assert [r[0] for r in head] == ["first", "big"] and [r[0] for r in tail] == ["big", "last"]
+    assert head[-1][5:] == (0, 2 * training._ADAM_BLOCK)
+    assert tail[0][5:] == (2 * training._ADAM_BLOCK, 3 * (training._ADAM_BLOCK + 77))
+    _on_cpus(monkeypatch, 1)
+    head, tail = training._split(flat)
+    assert [r[0] for r in head] == ["first", "big", "last"] and tail == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_split_adam_is_bit_identical_to_serial_adam(dtype, monkeypatch):
+    real_helper = training._helper
+
+    def run(cpus):
+        named = _split_layout(dtype)
+        state = AdamState.init(named)
+        rng = np.random.default_rng(3)
+        helped, scaled = [], []
+        with monkeypatch.context() as mp:
+            _on_cpus(mp, cpus)
+            mp.setattr(training, "_helper", lambda: helped.append(1) or real_helper())
+            for scale in (1.0, 0.37, 0.123456789):
+                grads = {n: rng.normal(size=t.shape).astype(dtype) for n, t in named.items()}
+                adam_step(named, grads, state, lr=1e-3, grad_scale=scale)
+                scaled.append(grads)
+        return named, state, scaled, len(helped)
+
+    split_named, split_state, split_grads, split_helped = run(2)
+    named, state, grads, helped = run(1)   # forced to one CPU: the serial path
+    assert (split_helped, helped) == (3, 0)
+    assert split_state.step == state.step == 3
+    for n, t in named.items():
+        assert np.array_equal(split_named[n].values, t.values), n
+        assert np.array_equal(split_state.m[n], state.m[n]), n
+        assert np.array_equal(split_state.v[n], state.v[n]), n
+        for split_g, g in zip(split_grads, grads):
+            assert np.array_equal(split_g[n], g[n]), n
+
+
+@pytest.mark.parametrize("bad, expected", [
+    ({"first": np.nan, "last": np.nan}, "first"),
+    ({"big": np.nan, "last": np.inf}, "big"),
+    ({"last": np.inf}, "last"),
+], ids=["nan-both-halves", "nan-head-inf-tail", "inf-tail-only"])
+def test_split_adam_non_finite_names_the_earlier_parameter(bad, expected, monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    named = _split_layout(np.float32)
+    grads = {n: np.zeros(t.shape, dtype=np.float32) for n, t in named.items()}
+    for name, value in bad.items():
+        grads[name].reshape(-1)[-1] = value
+    # Ignored by the caller's errstate, which the helper's half shares, an
+    # Inf reaches the finite check instead of failing as a RuntimeWarning.
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NonFiniteError, match=f"parameter '{expected}'"):
+        adam_step(named, grads, AdamState.init(named), lr=1e-3)
+
+
+def test_concurrent_split_adam_steps_share_one_helper(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(training, "_pool", None)
+    made = []
+    executor = training.ThreadPoolExecutor
+
+    def slow_executor(*args, **kwargs):  # widens the window between check and creation
+        time.sleep(0.05)
+        made.append(executor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(training, "ThreadPoolExecutor", slow_executor)
+
+    def run(named):
+        state = AdamState.init(named)
+        for step in range(2):
+            adam_step(named, {n: np.full(t.shape, step + 0.5, dtype=t.dtype)
+                              for n, t in named.items()}, state, lr=1e-3)
+
+    models = [_split_layout(np.float32, seed) for seed in range(4)]
+    threads = [threading.Thread(target=run, args=(named,)) for named in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(made) == 1
+    _on_cpus(monkeypatch, 1)
+    for seed, named in enumerate(models):
+        serial = _split_layout(np.float32, seed)
+        run(serial)
+        for n, t in named.items():
+            assert np.array_equal(t.values, serial[n].values), (seed, n)
+
+
+def test_split_adam_runs_in_a_forked_child():
+    # The child inherits the parent's pool object but not its thread; a
+    # split step there must not wait forever on a helper that is gone.
+    script = """
+import os, signal, numpy as np
+from ctxground import training
+from ctxground.autodiff import parameter
+os.sched_getaffinity = lambda pid: {0, 1}  # split even where this process may use one CPU
+size = 3 * training._ADAM_BLOCK
+named = {"p": parameter(np.ones(size, dtype=np.float32))}
+state = training.AdamState.init(named)
+training.adam_step(named, {"p": np.ones(size, dtype=np.float32)}, state, lr=0.1)
+assert training._pool is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child stuck on a lost helper ends instead of outliving the test
+    training.adam_step(named, {"p": np.ones(size, dtype=np.float32)}, state, lr=0.1)
+    os._exit(0 if state.step == 2 and training._pool is not None else 1)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(training.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # -- train_step ------------------------------------------------------------------------
@@ -845,6 +1011,32 @@ def test_resume_refuses_a_malformed_rng_state(tmp_path, rng_state):
     path = tmp_path / "last.gckp"
     manifest, payload = _split_gckp(path.read_bytes())
     path.write_bytes(_join_gckp({**manifest, "rng_state": rng_state}, payload))
+    model = tiny_model(seed=12)
+    before = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    with pytest.raises(FormatError, match=r"last\.gckp: 'rng_state'"):
+        fit(model, records, records, fit_cfg(max_epochs=4, patience=50),
+            checkpoint_dir=tmp_path, resume=True)
+    for name, tensor in model.named_parameters().items():
+        assert np.array_equal(tensor.values, before[name]), name
+
+
+@pytest.mark.parametrize("edit", [
+    {"state": {"state": 1.5, "inc": 1}},
+    {"state": {"state": 1, "inc": True}},
+    {"has_uint32": 2},
+    {"has_uint32": 1.0},
+    {"uinteger": -1},
+    {"uinteger": 2.5},
+], ids=["float-state", "bool-inc", "has-uint32-2", "float-has-uint32", "negative-uinteger",
+        "float-uinteger"])
+def test_resume_refuses_an_rng_state_numpy_would_truncate(tmp_path, edit):
+    records = tiny_records(8, seed=13)
+    fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=2, patience=50),
+        checkpoint_dir=tmp_path)
+    path = tmp_path / "last.gckp"
+    manifest, payload = _split_gckp(path.read_bytes())
+    path.write_bytes(_join_gckp({**manifest, "rng_state": {**manifest["rng_state"], **edit}},
+                                payload))
     model = tiny_model(seed=12)
     before = {n: t.values.copy() for n, t in model.named_parameters().items()}
     with pytest.raises(FormatError, match=r"last\.gckp: 'rng_state'"):

@@ -203,20 +203,31 @@ def load_feature_file(path) -> np.ndarray:
 # -- JSONL annotations -------------------------------------------------------------
 
 
+def _typed(obj: dict, key: str, kind: type):
+    """`obj[key]`, of type `kind` exactly: JSON `true` and `1.0` are no `int`."""
+    if type(obj[key]) is not kind:
+        raise TypeError(f"field {key!r} is not a JSON {kind.__name__}: {obj[key]!r}")
+    return obj[key]
+
+
 def _record_from_json(obj: dict, base_dir: Path) -> SampleRecord:
     features = obj["features"]
     if isinstance(features, str):
         features = load_feature_file(base_dir / features)
+    tokens = obj["tokens"]
+    if type(tokens) is not list or any(type(t) is not int for t in tokens):
+        raise TypeError(f"field 'tokens' is not a list of integers: {tokens!r}")
     phrases = [
-        PhraseSpan(first_token=int(p["first"]), last_token=int(p["last"]),
-                   entity_type=str(p["type"]), gt_boxes=np.asarray(p["gt_boxes"], dtype=np.float64))
+        PhraseSpan(first_token=_typed(p, "first", int), last_token=_typed(p, "last", int),
+                   entity_type=_typed(p, "type", str),
+                   gt_boxes=np.asarray(p["gt_boxes"], dtype=np.float64))
         for p in obj["phrases"]
     ]
     return SampleRecord(
-        image_id=str(obj["image_id"]),
-        width=int(obj["width"]),
-        height=int(obj["height"]),
-        token_ids=np.asarray(obj["tokens"], dtype=np.int64),
+        image_id=_typed(obj, "image_id", str),
+        width=_typed(obj, "width", int),
+        height=_typed(obj, "height", int),
+        token_ids=np.asarray(tokens, dtype=np.int64),
         phrases=phrases,
         proposals=np.asarray(obj["boxes"], dtype=np.float64),
         features=np.asarray(features, dtype=np.float32),

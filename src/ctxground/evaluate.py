@@ -178,6 +178,8 @@ def per_type_breakdown(results) -> dict[str, TypeRecall]:
 def collect_entity_results(model: GroundingModel, records: list[SampleRecord],
                            batch_size: int = 32) -> list[EntityResult]:
     """Run inference (dropout off, no graph) and rank every phrase's proposals."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     results: list[EntityResult] = []
     with no_grad():
         for lo in range(0, len(records), batch_size):

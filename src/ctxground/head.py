@@ -130,6 +130,10 @@ def cross_modal_logits(entities: Tensor, objects: Tensor, object_mask,
     batch = object_mask.shape[0]
     objects = objects.reshape((batch * num_objects, objects.shape[-1]))
     sample = np.asarray(entity_sample, dtype=np.intp)
+    outside = sample[(sample < 0) | (sample >= batch)]
+    if outside.size:
+        raise ValueError(f"entity sample index {int(outside[0])} out of range "
+                         f"for a batch of {batch}")
     q = linear(entities, params.query.weight, params.query.bias)
     k = linear(objects, params.key.weight, params.key.bias)
     every = matmul(q, k.transpose((1, 0))).reshape((entities.shape[0] * batch, num_objects))

@@ -16,7 +16,6 @@ import math
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -193,12 +192,13 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     write through; every parameter is checked before any update, so a
     refused call changes nothing.
 
-    The concatenated element range of all parameters is cut at its
-    midpoint (see `_split`): the caller's thread updates the first half
-    while one helper thread updates the second. The update is
-    elementwise, so the cut changes no value. Each block's update is
-    checked for NaN/Inf before it is applied; when both halves hit one,
-    the error of the earlier parameter is raised."""
+    The parameters' blocks form one list, cut where the running element
+    count first reaches half: the caller's thread updates the head while
+    a helper thread, started for this call and joined before it returns
+    or raises, updates the tail. The update is elementwise, so the cut
+    changes no value. Each block's update is checked for NaN/Inf before
+    it is applied; when both halves hit one, the error of the earlier
+    parameter is raised."""
     step = state.step + 1
     beta1, beta2 = float(state.beta1), float(state.beta2)
     scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** step,
@@ -206,7 +206,8 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     # The scalars as 0-d arrays of each parameter dtype: the values the
     # ufuncs would round Python floats to, at less dispatch cost per call.
     typed: dict[np.dtype, tuple[np.ndarray, ...]] = {}
-    flat = []
+    blocks = []  # (name, p, m, v, g) views of at most `_ADAM_BLOCK` elements
+    total = 0
     for name, p in named_params.items():
         pv, m, v, g = p.values, state.m[name], state.v[name], grads[name]
         if g.shape != pv.shape:
@@ -218,102 +219,71 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise ValueError(f"parameter {name!r} and its Adam moments must be C-contiguous")
         if pv.dtype not in typed:
             typed[pv.dtype] = tuple(np.array(x, dtype=pv.dtype) for x in scalars)
-        flat.append((name, pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)))
+        pf, mf, vf, gf = pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
+        for lo in range(0, pf.size, _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            blocks.append((name, pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]))
+        total += pf.size
     state.step = step
     scaled = float(grad_scale) != 1.0
-    head, tail = _split(flat)
-    if not tail:
-        _adam_blocks(head, typed, scaled)
+    # Small models and one-CPU processes run serially.
+    if total < 2 * _ADAM_BLOCK or len(os.sched_getaffinity(0)) < 2:
+        _adam_blocks(blocks, typed, scaled)
         return state
-    # In the caller's context, so that its `np.errstate` holds in both halves.
-    future = _helper().submit(contextvars.copy_context().run, _adam_blocks, tail, typed, scaled)
+    done = 0
+    for cut, (_, pb, *_) in enumerate(blocks, 1):
+        done += pb.size
+        if 2 * done >= total:
+            break
+    context, failed = contextvars.copy_context(), []
+
+    def tail() -> None:
+        # In the caller's context, so that its `np.errstate` holds here too.
+        try:
+            context.run(_adam_blocks, blocks[cut:], typed, scaled)
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=tail, name="ctxground-adam")
+    helper.start()
     try:
-        _adam_blocks(head, typed, scaled)
+        _adam_blocks(blocks[:cut], typed, scaled)
     finally:
-        # Nothing returns or raises while the helper still writes.
-        tail_error = future.exception()
-    if tail_error is not None:
-        raise tail_error
+        helper.join()  # nothing returns or raises while the helper still writes
+    if failed:
+        raise failed[0]
     return state
 
 
-def _split(flat: list[tuple]) -> tuple[list[tuple], list[tuple]]:
-    """Cut the concatenated element range of the (name, p, m, v, g) flat
-    arrays in `flat` at its midpoint, rounded to the nearest block
-    boundary of the parameter the midpoint falls in; that parameter is
-    then updated in two ranges. Returns the two halves as lists of
-    (name, p, m, v, g, lo, hi) ranges. The second is empty, and the update
-    runs serially, when the total is under two Adam blocks or the process
-    may run on one CPU only."""
-    whole = [(*entry, 0, entry[1].size) for entry in flat]
-    total = sum(entry[1].size for entry in flat)
-    if total < 2 * _ADAM_BLOCK or len(os.sched_getaffinity(0)) < 2:
-        return whole, []
-    mid, i = total // 2, 0
-    while mid >= flat[i][1].size:  # `mid` becomes an offset into parameter i
-        mid -= flat[i][1].size
-        i += 1
-    size = flat[i][1].size
-    cut = min(size, (mid + _ADAM_BLOCK // 2) // _ADAM_BLOCK * _ADAM_BLOCK)
-    return whole[:i] + [(*flat[i], 0, cut)], [(*flat[i], cut, size)] + whole[i + 1:]
-
-
-def _adam_blocks(ranges: list[tuple], typed: dict, scaled: bool) -> None:
-    """Apply the Adam update to each (name, p, m, v, g, lo, hi) range of
-    flat arrays, `_ADAM_BLOCK` elements at a time, through one scratch
-    per dtype sized to the largest range."""
-    width = min(_ADAM_BLOCK, max((hi - lo for *_, lo, hi in ranges), default=0))
-    scratch = {pf.dtype: np.empty((2, width), dtype=pf.dtype) for _, pf, *_ in ranges}
-    for name, pf, mf, vf, gf, start, stop in ranges:
-        b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed[pf.dtype]
-        for lo in range(start, stop, _ADAM_BLOCK):
-            hi = min(lo + _ADAM_BLOCK, stop)
-            pb, mb, vb, gb = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
-            s1, s2 = scratch[pf.dtype][:, :hi - lo]
-            if scaled:
-                np.multiply(gb, scale, out=gb)
-            # m = beta1 * m + (1 - beta1) * g
-            np.multiply(mb, b1, out=mb)
-            np.multiply(gb, one_minus_b1, out=s1)
-            np.add(mb, s1, out=mb)
-            # v = beta2 * v + (1 - beta2) * (g * g)
-            np.multiply(vb, b2, out=vb)
-            np.multiply(gb, gb, out=s1)
-            np.multiply(s1, one_minus_b2, out=s1)
-            np.add(vb, s1, out=vb)
-            # update = lr * (m / correct1) / (sqrt(v / correct2) + eps)
-            np.divide(mb, correct1, out=s1)
-            np.multiply(s1, rate, out=s1)
-            np.divide(vb, correct2, out=s2)
-            np.sqrt(s2, out=s2)
-            np.add(s2, eps, out=s2)
-            np.divide(s1, s2, out=s1)
-            if not np.isfinite(s1).all():
-                raise NonFiniteError(f"non-finite Adam update for parameter {name!r}")
-            np.subtract(pb, s1, out=pb)
-
-
-# One helper thread per process runs the second half of each split Adam
-# update. It is created on first use; a forked child, which inherits
-# the pool object but not its thread, creates its own.
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def _helper() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ctxground-adam")
-        return _pool
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+def _adam_blocks(blocks: list[tuple], typed: dict, scaled: bool) -> None:
+    """Apply the Adam update to each (name, p, m, v, g) block of flat
+    views through one scratch per dtype sized to the largest block."""
+    width = max((pb.size for _, pb, *_ in blocks), default=0)
+    scratch = {pb.dtype: np.empty((2, width), dtype=pb.dtype) for _, pb, *_ in blocks}
+    for name, pb, mb, vb, gb in blocks:
+        b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed[pb.dtype]
+        s1, s2 = scratch[pb.dtype][:, :pb.size]
+        if scaled:
+            np.multiply(gb, scale, out=gb)
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(mb, b1, out=mb)
+        np.multiply(gb, one_minus_b1, out=s1)
+        np.add(mb, s1, out=mb)
+        # v = beta2 * v + (1 - beta2) * (g * g)
+        np.multiply(vb, b2, out=vb)
+        np.multiply(gb, gb, out=s1)
+        np.multiply(s1, one_minus_b2, out=s1)
+        np.add(vb, s1, out=vb)
+        # update = lr * (m / correct1) / (sqrt(v / correct2) + eps)
+        np.divide(mb, correct1, out=s1)
+        np.multiply(s1, rate, out=s1)
+        np.divide(vb, correct2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, eps, out=s2)
+        np.divide(s1, s2, out=s1)
+        if not np.isfinite(s1).all():
+            raise NonFiniteError(f"non-finite Adam update for parameter {name!r}")
+        np.subtract(pb, s1, out=pb)
 
 
 def train_step(micro_batches, model: GroundingModel, state: AdamState,
@@ -377,7 +347,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payloads back to back. Offsets are bytes from the payload start.
     Each array is written straight from its own memory (a C-contiguous
     little-endian array without a copy), so a save holds no second copy
-    of the model."""
+    of the model. A checkpoint that `load_checkpoint` would refuse raises
+    FormatError before anything is written."""
     opt = ckpt.optimizer
     tensors: list[tuple[str, np.ndarray]] = list(ckpt.params.items())
     if opt is not None:
@@ -394,6 +365,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     manifest = {k: getattr(ckpt, k) for k in _CHECKPOINT_KEYS}
     if opt is not None:
         manifest["optimizer"] = {k: getattr(opt, k) for k in _ADAM_KEYS}
+    _check_manifest(manifest, [(name, arr.shape) for name, arr in tensors], path)
     manifest["tensors"] = directory
     payload = json.dumps(manifest).encode("utf-8")
     # Written beside the target and swapped in whole: a crash mid-write
@@ -433,20 +405,19 @@ def _is_pcg64_state(state: dict) -> bool:
             and _is_int(has_uint32) and has_uint32 in (0, 1) and _is_count(state.get("uinteger")))
 
 
-def _check_manifest(manifest, payload_size: int, where) -> list[tuple[str, tuple, int]]:
-    """Validate a GCKP manifest against a payload of `payload_size` bytes
-    and return its tensor directory as (name, shape, offset) triples.
-    Anything malformed raises FormatError."""
+def _check_manifest(manifest: dict, shapes: list[tuple[str, tuple]], where) -> None:
+    """Validate the fields of a GCKP manifest other than its tensor
+    directory, and the (name, shape) pairs of its tensors: names are
+    unique and the Adam moments match the parameters. Both
+    `save_checkpoint` and `load_checkpoint` call it; anything malformed
+    raises FormatError."""
     def bad(message):
         return FormatError(f"{where}: {message}")
 
-    if not isinstance(manifest, dict):
-        raise bad("manifest is not a JSON object")
     for key, check, what in (("config", lambda x: isinstance(x, dict), "an object"),
                              ("epoch", _is_count, "a non-negative integer"),
                              ("best_metric", _is_number, "a number"),
-                             ("best_epoch", _is_count, "a non-negative integer"),
-                             ("tensors", lambda x: isinstance(x, list), "a list")):
+                             ("best_epoch", _is_count, "a non-negative integer")):
         if key not in manifest:
             raise bad(f"manifest has no {key!r}")
         if not check(manifest[key]):
@@ -455,29 +426,16 @@ def _check_manifest(manifest, payload_size: int, where) -> list[tuple[str, tuple
         raise bad("manifest 'rng_state' is not an object")
     if not isinstance(manifest.get("history", []), list):
         raise bad("manifest 'history' is not a list")
-
-    entries = []
-    for i, entry in enumerate(manifest["tensors"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise bad(f"tensor entry {i} has no string name")
-        name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
-        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
-            raise bad(f"tensor {name!r} shape {shape!r} is not a list of non-negative integers")
-        if not _is_count(offset):
-            raise bad(f"tensor {name!r} offset {offset!r} is not a non-negative integer")
-        if offset + 4 * math.prod(shape) > payload_size:
-            raise bad(f"truncated payload for tensor {name!r}")
-        entries.append((name, tuple(shape), offset))
-    names = [name for name, _, _ in entries]
-    if len(set(names)) != len(names):
+    by_name = dict(shapes)
+    if len(by_name) != len(shapes):
         raise bad("duplicate tensor names")
 
-    params = {n for n in names if not n.startswith("adam.")}
+    params = [n for n in by_name if not n.startswith("adam.")]
     opt = manifest.get("optimizer")
     if opt is None:
-        if len(params) != len(names):
+        if len(params) != len(by_name):
             raise bad("Adam moment tensors without an optimizer block")
-        return entries
+        return
     if not isinstance(opt, dict):
         raise bad("manifest 'optimizer' is not an object")
     # beta = 1 would zero Adam's bias correction 1 - beta**step.
@@ -491,16 +449,16 @@ def _check_manifest(manifest, payload_size: int, where) -> list[tuple[str, tuple
                               "a finite positive number")):
         if not check(opt.get(key)):
             raise bad(f"optimizer {key!r} is missing or not {what}")
-    moments = {f"adam.{kind}.{n}" for kind in "mv" for n in params}
-    if set(names) != params | moments:
+    # With unique names, three per parameter, the moments are exactly
+    # adam.m.<param> and adam.v.<param> when every parameter has both.
+    if len(by_name) != 3 * len(params):
         raise bad("Adam moment tensors do not match the parameters")
-    shapes = {name: shape for name, shape, _ in entries}
-    for name, shape, _ in entries:
-        param = name[len("adam.m."):]
-        if name in moments and shape != shapes[param]:
-            raise bad(f"tensor {name!r} shape {list(shape)} does not match "
-                      f"parameter {param!r} {list(shapes[param])}")
-    return entries
+    for param in params:
+        shape = by_name[param]
+        for name in (f"adam.m.{param}", f"adam.v.{param}"):
+            if by_name.get(name) != shape:
+                raise bad(f"Adam moment {name!r} is missing or not shaped like "
+                          f"parameter {param!r} {list(shape)}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -525,7 +483,23 @@ def load_checkpoint(path) -> Checkpoint:
             manifest = json.loads(fh.read(manifest_len).decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deeply nested
             raise FormatError(f"{path}: corrupt manifest: {exc}") from exc
-        entries = _check_manifest(manifest, size - start, path)
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+            raise FormatError(f"{path}: manifest is not an object with a 'tensors' list")
+        entries = []  # (name, shape, offset)
+        for i, entry in enumerate(manifest["tensors"]):
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise FormatError(f"{path}: tensor entry {i} has no string name")
+            name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
+            if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+                raise FormatError(f"{path}: tensor {name!r} shape {shape!r} is not a list "
+                                  f"of non-negative integers")
+            if not _is_count(offset):
+                raise FormatError(f"{path}: tensor {name!r} offset {offset!r} is not a "
+                                  f"non-negative integer")
+            if offset + 4 * math.prod(shape) > size - start:
+                raise FormatError(f"{path}: truncated payload for tensor {name!r}")
+            entries.append((name, tuple(shape), offset))
+        _check_manifest(manifest, [(name, shape) for name, shape, _ in entries], path)
 
         arrays: dict[str, np.ndarray] = {}
         for name, shape, offset in entries:

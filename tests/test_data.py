@@ -293,6 +293,38 @@ def test_unrepresentable_or_deeply_nested_line_raises_dataset_error(tmp_path, ol
         parse_dataset(path)
 
 
+def _set(key, value):
+    return lambda obj: obj.update({key: value})
+
+
+def _set_phrase(key, value):
+    return lambda obj: obj["phrases"][0].update({key: value})
+
+
+def _set_token(value):
+    return lambda obj: obj["tokens"].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("edit, field", [
+    pytest.param(_set_token(1.7), "tokens", id="token-1.7"),
+    pytest.param(_set_token(True), "tokens", id="token-true"),
+    pytest.param(_set_phrase("first", 0.9), "first", id="first-0.9"),
+    pytest.param(_set_phrase("last", "1"), "last", id="last-string"),
+    pytest.param(_set("width", 64.9), "width", id="width-64.9"),
+    pytest.param(_set("width", True), "width", id="width-true"),
+    pytest.param(_set("height", True), "height", id="height-true"),
+    pytest.param(_set("image_id", 7), "image_id", id="image-id-7"),
+])
+def test_jsonl_numbers_and_strings_are_not_coerced(tmp_path, edit, field):
+    path = tmp_path / "bad.jsonl"
+    write_dataset([make_record()], path)
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(DatasetError, match=f":1: .*field '{field}'"):
+        parse_dataset(path)
+
+
 _FUZZ_FILES = {}
 
 

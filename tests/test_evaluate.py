@@ -296,6 +296,14 @@ def test_evaluate_rejects_empty_and_unknown_split():
         evaluate(model, records, split="training")
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_and_collect_refuse_a_batch_size_below_one(batch_size):
+    model, records = tiny_model_and_records()
+    for run in (evaluate, collect_entity_results):
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            run(model, records, batch_size=batch_size)
+
+
 def test_evaluate_batch_size_does_not_change_results():
     model, records = tiny_model_and_records(num_samples=7)
     a = evaluate(model, records, split="synthetic", batch_size=2)

@@ -132,6 +132,16 @@ def test_no_valid_objects_raises():
                           np.zeros(2, bool), head)
 
 
+@pytest.mark.parametrize("entity_sample, index", [([0, -1], -1), ([0, 2], 2)],
+                         ids=["negative", "past-the-batch"])
+def test_entity_sample_out_of_range_raises(entity_sample, index):
+    head = make_head(4, 5, 8)
+    objects = constant(np.ones((2, 3, 5)))
+    with pytest.raises(ValueError, match=f"index {index} out of range for a batch of 2"):
+        cross_modal_logits(constant(np.ones((2, 4))), objects, np.ones((2, 3), bool), head,
+                           entity_sample)
+
+
 def test_mismatched_joint_dims_rejected():
     with pytest.raises(ValueError, match="joint"):
         HeadParams(

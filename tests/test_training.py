@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -306,39 +306,87 @@ def _on_cpus(monkeypatch, count):
     monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def test_split_cuts_inside_a_parameter_at_its_block_boundary(monkeypatch):
-    _on_cpus(monkeypatch, 2)
-    flat = [(n, t.values.reshape(-1), None, None, None) for n, t in _split_layout(np.float32).items()]
-    head, tail = training._split(flat)
-    assert [r[0] for r in head] == ["first", "big"] and [r[0] for r in tail] == ["big", "last"]
-    assert head[-1][5:] == (0, 2 * training._ADAM_BLOCK)
-    assert tail[0][5:] == (2 * training._ADAM_BLOCK, 3 * (training._ADAM_BLOCK + 77))
-    _on_cpus(monkeypatch, 1)
-    head, tail = training._split(flat)
-    assert [r[0] for r in head] == ["first", "big", "last"] and tail == []
+def _adam_threads(monkeypatch, named, cpus):
+    """Run one `adam_step` on `cpus` CPUs and return, per thread that
+    updated a block, the (name, lo, hi) element ranges it updated."""
+    ranges = {}
+    real_blocks = training._adam_blocks
+
+    def recording_blocks(blocks, typed, scaled):
+        mine = ranges.setdefault(threading.get_ident(), [])
+        for name, pb, *_ in blocks:
+            lo = (pb.ctypes.data - named[name].values.ctypes.data) // pb.itemsize
+            mine.append((name, lo, lo + pb.size))
+        real_blocks(blocks, typed, scaled)
+
+    with monkeypatch.context() as mp:
+        _on_cpus(mp, cpus)
+        mp.setattr(training, "_adam_blocks", recording_blocks)
+        adam_step(named, {n: np.ones(t.shape, dtype=t.dtype) for n, t in named.items()},
+                  AdamState.init(named), lr=1e-3)
+    return ranges
+
+
+def _covers_each_element_once(named, ranges):
+    for n, t in named.items():
+        spans = sorted((lo, hi) for name, lo, hi in ranges if name == n)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]], n
+        assert spans[-1][1] == t.values.size, n
+
+
+def test_split_adam_cuts_inside_a_parameter_at_its_block_boundary(monkeypatch):
+    block = training._ADAM_BLOCK
+    named = _split_layout(np.float32)
+    total = sum(t.values.size for t in named.values())
+    ranges = _adam_threads(monkeypatch, named, 2)
+    head, tail = ranges.pop(threading.get_ident()), ranges.popitem()[1]
+    assert not ranges
+    # The head ends with the block that first reaches half the elements,
+    # inside "big", which holds the midpoint; the tail starts right after.
+    assert [r[0] for r in head] == ["first", "big", "big"]
+    assert [r[0] for r in tail] == ["big", "big", "last"]
+    (_, _, cut), (name, after, _) = head[-1], tail[0]
+    assert name == "big" and cut == after == 2 * block
+    done = sum(hi - lo for _, lo, hi in head)
+    assert done - block < total / 2 <= done
+    _covers_each_element_once(named, head + tail)
+    # One CPU, or under two blocks of work: the caller's thread updates everything.
+    for cpus, layout in ((1, named), (2, {"a": parameter(np.ones(block, dtype=np.float32)),
+                                          "b": parameter(np.ones(block - 1, dtype=np.float32))})):
+        ranges = _adam_threads(monkeypatch, layout, cpus)
+        assert list(ranges) == [threading.get_ident()]
+        _covers_each_element_once(layout, ranges[threading.get_ident()])
+
+
+def _counting_threads(monkeypatch, started):
+    """Make `threading.Thread` record each thread it starts in `started`."""
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(training.threading, "Thread", Counted)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_split_adam_is_bit_identical_to_serial_adam(dtype, monkeypatch):
-    real_helper = training._helper
-
     def run(cpus):
         named = _split_layout(dtype)
         state = AdamState.init(named)
         rng = np.random.default_rng(3)
-        helped, scaled = [], []
+        helpers, scaled = [], []
         with monkeypatch.context() as mp:
             _on_cpus(mp, cpus)
-            mp.setattr(training, "_helper", lambda: helped.append(1) or real_helper())
+            _counting_threads(mp, helpers)
             for scale in (1.0, 0.37, 0.123456789):
                 grads = {n: rng.normal(size=t.shape).astype(dtype) for n, t in named.items()}
                 adam_step(named, grads, state, lr=1e-3, grad_scale=scale)
                 scaled.append(grads)
-        return named, state, scaled, len(helped)
+        return named, state, scaled, len(helpers)
 
-    split_named, split_state, split_grads, split_helped = run(2)
-    named, state, grads, helped = run(1)   # forced to one CPU: the serial path
-    assert (split_helped, helped) == (3, 0)
+    split_named, split_state, split_grads, split_helpers = run(2)
+    named, state, grads, helpers = run(1)   # forced to one CPU: the serial path
+    assert (split_helpers, helpers) == (3, 0)
     assert split_state.step == state.step == 3
     for n, t in named.items():
         assert np.array_equal(split_named[n].values, t.values), n
@@ -366,18 +414,27 @@ def test_split_adam_non_finite_names_the_earlier_parameter(bad, expected, monkey
         adam_step(named, grads, AdamState.init(named), lr=1e-3)
 
 
-def test_concurrent_split_adam_steps_share_one_helper(monkeypatch):
+@pytest.mark.parametrize("bad", [None, "first", "last"],
+                         ids=["no-error", "head-raises", "tail-raises"])
+def test_split_adam_leaves_no_thread_running(bad, monkeypatch):
     _on_cpus(monkeypatch, 2)
-    monkeypatch.setattr(training, "_pool", None)
-    made = []
-    executor = training.ThreadPoolExecutor
+    helpers = []
+    _counting_threads(monkeypatch, helpers)
+    named = _split_layout(np.float32)
+    grads = {n: np.ones(t.shape, dtype=np.float32) for n, t in named.items()}
+    before = threading.active_count()
+    if bad is None:
+        adam_step(named, grads, AdamState.init(named), lr=1e-3)
+    else:
+        grads[bad][0] = np.nan
+        with pytest.raises(NonFiniteError, match=f"parameter '{bad}'"):
+            adam_step(named, grads, AdamState.init(named), lr=1e-3)
+    assert len(helpers) == 1 and not helpers[0].is_alive()
+    assert threading.active_count() == before
 
-    def slow_executor(*args, **kwargs):  # widens the window between check and creation
-        time.sleep(0.05)
-        made.append(executor(*args, **kwargs))
-        return made[-1]
 
-    monkeypatch.setattr(training, "ThreadPoolExecutor", slow_executor)
+def test_concurrent_split_adam_steps_equal_serial_ones(monkeypatch):
+    _on_cpus(monkeypatch, 2)
 
     def run(named):
         state = AdamState.init(named)
@@ -396,10 +453,7 @@ def test_concurrent_split_adam_steps_share_one_helper(monkeypatch):
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        for pool in made:
-            pool.shutdown()
     assert not any(thread.is_alive() for thread in threads)
-    assert len(made) == 1
     _on_cpus(monkeypatch, 1)
     for seed, named in enumerate(models):
         serial = _split_layout(np.float32, seed)
@@ -409,8 +463,8 @@ def test_concurrent_split_adam_steps_share_one_helper(monkeypatch):
 
 
 def test_split_adam_runs_in_a_forked_child():
-    # The child inherits the parent's pool object but not its thread; a
-    # split step there must not wait forever on a helper that is gone.
+    # A child forked after a split step, with the parent's helper gone,
+    # starts its own and finishes its split step.
     script = """
 import os, signal, numpy as np
 from ctxground import training
@@ -420,12 +474,11 @@ size = 3 * training._ADAM_BLOCK
 named = {"p": parameter(np.ones(size, dtype=np.float32))}
 state = training.AdamState.init(named)
 training.adam_step(named, {"p": np.ones(size, dtype=np.float32)}, state, lr=0.1)
-assert training._pool is not None
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)  # a child stuck on a lost helper ends instead of outliving the test
     training.adam_step(named, {"p": np.ones(size, dtype=np.float32)}, state, lr=0.1)
-    os._exit(0 if state.step == 2 and training._pool is not None else 1)
+    os._exit(0 if state.step == 2 else 1)
 _, status = os.waitpid(pid, 0)
 assert os.waitstatus_to_exitcode(status) == 0
 """
@@ -857,6 +910,34 @@ def test_load_checkpoint_rejects_malformed_manifest(tmp_path, edit):
     path.write_bytes(_join_gckp(edit(manifest), payload))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def _with_optimizer(**changes):
+    return lambda c: dataclasses.replace(
+        c, optimizer=dataclasses.replace(c.optimizer, **changes))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda c: dataclasses.replace(c, epoch=-1), id="negative-epoch"),
+    pytest.param(lambda c: dataclasses.replace(c, config=[1]), id="config-is-a-list"),
+    pytest.param(lambda c: dataclasses.replace(c, best_metric="50"), id="string-best-metric"),
+    pytest.param(lambda c: dataclasses.replace(c, history={}), id="history-is-an-object"),
+    pytest.param(_with_optimizer(beta1=1.0), id="beta1-one"),
+    pytest.param(_with_optimizer(eps=0.0), id="zero-eps"),
+    pytest.param(lambda c: dataclasses.replace(c, optimizer=dataclasses.replace(
+        c.optimizer, v={"w": c.optimizer.v["w"]})), id="missing-second-moment"),
+    pytest.param(lambda c: dataclasses.replace(c, optimizer=dataclasses.replace(
+        c.optimizer, m={**c.optimizer.m, "b": np.ones(4, dtype=np.float32)})),
+        id="longer-first-moment"),
+])
+def test_save_checkpoint_refuses_what_load_would_refuse(tmp_path, edit):
+    path = tmp_path / "model.gckp"
+    save_checkpoint(_small_checkpoint(), path)
+    before = path.read_bytes()
+    with pytest.raises(FormatError):
+        save_checkpoint(edit(_small_checkpoint()), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.gckp"]
 
 
 _FUZZ_BLOB = []

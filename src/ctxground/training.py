@@ -11,6 +11,7 @@ run exactly, including across a checkpoint/resume split.
 from __future__ import annotations
 
 import contextvars
+import hashlib
 import json
 import math
 import os
@@ -128,34 +129,113 @@ class StepMetrics:
     clip_scale: float  # factor the gradients were clipped by; 1.0 if not clipped
 
 
-# Elements per pass of the blocked norm loop: its float64 buffer stays in
-# cache. The float64 partial sums, and so every clip scale, depend on it.
-_BLOCK = 1 << 15
-# Elements per pass of the Adam loop. Each ufunc call hands the GIL between
-# the two Adam threads; at `_BLOCK` elements those handoffs ate the second
-# thread's gain.
-_ADAM_BLOCK = 1 << 17
+# Elements per block of the norm and Adam passes. The norm's float64 partial
+# sums, one per block of the gradients' concatenation, and so every clip
+# scale depend on it. Each ufunc call hands the GIL between the two threads;
+# at 1 << 15 elements those handoffs ate the second thread's gain.
+_BLOCK = 1 << 17
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    """The global L2 norm of all gradients.
+def _in_halves(work, blocks: list, sizes: list[int]) -> list:
+    """`work` applied to `blocks`, whose items hold `sizes` elements each,
+    in two halves: the list is cut where the running element count first
+    reaches half, and the caller's thread runs `work` on the head while a
+    helper thread, started for this call in a copy of the caller's
+    `contextvars` context (so its `np.errstate` holds there too), runs it
+    on the tail. The helper is joined before this returns or raises, and
+    an error of the head is raised before one of the tail. Returns the
+    results in block order: `[head, tail]`, or `[work(blocks)]` when the
+    process may use only one CPU or the blocks hold fewer than two
+    `_BLOCK`s of elements."""
+    total = sum(sizes)
+    if total < 2 * _BLOCK or len(os.sched_getaffinity(0)) < 2:
+        return [work(blocks)]
+    done = 0
+    for cut, size in enumerate(sizes, 1):
+        done += size
+        if 2 * done >= total:
+            break
+    context, tail, failed = contextvars.copy_context(), [], []
 
-    Squares are summed in float64, block by block. A non-finite partial
-    sum means the gradient holds a NaN or Inf (finite float32 squares
-    cannot overflow a float64 sum), which raises naming the parameter."""
-    buf = np.empty(_BLOCK, dtype=np.float64)
-    total = 0.0
+    def run_tail() -> None:
+        try:
+            tail.append(context.run(work, blocks[cut:]))
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=run_tail, name="ctxground-halves")
+    helper.start()
+    try:
+        head = work(blocks[:cut])
+    finally:
+        helper.join()  # nothing returns or raises while the helper still writes
+    if failed:
+        raise failed[0]
+    return [head, tail[0]]
+
+
+def global_norm(grads: dict[str, np.ndarray], scale: float = 1.0) -> float:
+    """The global L2 norm of all gradients, after each is multiplied in
+    place by `scale` (the micro-batch average) when it is not 1.0.
+
+    The gradients are taken in `grads` order as one concatenation, cut
+    into blocks of `_BLOCK` elements, so a block may span parameters. Each
+    block is gathered into a float64 buffer, its squares are summed by
+    `np.einsum`, which calls no BLAS, and the block sums are added in
+    block order; the norm therefore depends neither on the BLAS thread
+    count nor on where `_in_halves` cuts the blocks. A non-finite total
+    means a gradient holds a NaN or Inf (finite float32 squares cannot
+    overflow a float64 sum), which raises naming the first such
+    parameter."""
+    scale = float(scale)
+    blocks, segments, filled = [], [], 0  # each block: the flat segments it gathers
     for name, g in grads.items():
+        if scale != 1.0 and not g.flags.c_contiguous:
+            raise ValueError(f"gradient {name!r} must be C-contiguous to be scaled in place")
         flat = g.reshape(-1)
-        sq = 0.0
-        for lo in range(0, flat.size, _BLOCK):
-            chunk = buf[:min(_BLOCK, flat.size - lo)]
-            chunk[...] = flat[lo:lo + _BLOCK]
-            sq += float(np.dot(chunk, chunk))
-        if not math.isfinite(sq):
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-        total += sq
+        lo = 0
+        while lo < flat.size:
+            take = min(_BLOCK - filled, flat.size - lo)
+            segments.append(flat[lo:lo + take])
+            lo += take
+            filled += take
+            if filled == _BLOCK:
+                blocks.append(segments)
+                segments, filled = [], 0
+    if segments:
+        blocks.append(segments)
+    sizes = [sum(seg.size for seg in segments) for segments in blocks]
+    total = 0.0
+    for part in _in_halves(lambda part: _norm_blocks(part, scale), blocks, sizes):
+        for partial in part:
+            total += partial
+    if not math.isfinite(total):
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+        raise NonFiniteError("the squared global gradient norm overflows float64")
     return math.sqrt(total)
+
+
+def _norm_blocks(blocks: list[list[np.ndarray]], scale: float) -> list[float]:
+    """The float64 sum of squares of each block of flat gradient segments,
+    through one float64 buffer; each segment is first multiplied in place
+    by `scale` unless it is 1.0."""
+    if not blocks:
+        return []
+    buf = np.empty(sum(seg.size for seg in blocks[0]), dtype=np.float64)  # the largest block
+    partials = []
+    for segments in blocks:
+        if scale != 1.0:
+            for seg in segments:
+                np.multiply(seg, scale, out=seg)
+        chunk = buf[:sum(seg.size for seg in segments)]
+        if len(segments) == 1:
+            np.copyto(chunk, segments[0])
+        else:
+            np.concatenate(segments, out=chunk)
+        partials.append(float(np.einsum("i,i->", chunk, chunk)))
+    return partials
 
 
 def _clip_scale(norm: float, max_norm: float) -> float:
@@ -192,13 +272,10 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     write through; every parameter is checked before any update, so a
     refused call changes nothing.
 
-    The parameters' blocks form one list, cut where the running element
-    count first reaches half: the caller's thread updates the head while
-    a helper thread, started for this call and joined before it returns
-    or raises, updates the tail. The update is elementwise, so the cut
-    changes no value. Each block's update is checked for NaN/Inf before
-    it is applied; when both halves hit one, the error of the earlier
-    parameter is raised."""
+    The parameters' blocks form one list, updated by `_in_halves` on two
+    threads. The update is elementwise, so the cut changes no value. Each
+    block's update is checked for NaN/Inf before it is applied; when both
+    halves hit one, the error of the earlier parameter is raised."""
     step = state.step + 1
     beta1, beta2 = float(state.beta1), float(state.beta2)
     scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** step,
@@ -206,8 +283,7 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     # The scalars as 0-d arrays of each parameter dtype: the values the
     # ufuncs would round Python floats to, at less dispatch cost per call.
     typed: dict[np.dtype, tuple[np.ndarray, ...]] = {}
-    blocks = []  # (name, p, m, v, g) views of at most `_ADAM_BLOCK` elements
-    total = 0
+    blocks = []  # (name, p, m, v, g) views of at most `_BLOCK` elements
     for name, p in named_params.items():
         pv, m, v, g = p.values, state.m[name], state.v[name], grads[name]
         if g.shape != pv.shape:
@@ -220,38 +296,13 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if pv.dtype not in typed:
             typed[pv.dtype] = tuple(np.array(x, dtype=pv.dtype) for x in scalars)
         pf, mf, vf, gf = pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
-        for lo in range(0, pf.size, _ADAM_BLOCK):
-            hi = lo + _ADAM_BLOCK
+        for lo in range(0, pf.size, _BLOCK):
+            hi = lo + _BLOCK
             blocks.append((name, pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]))
-        total += pf.size
     state.step = step
     scaled = float(grad_scale) != 1.0
-    # Small models and one-CPU processes run serially.
-    if total < 2 * _ADAM_BLOCK or len(os.sched_getaffinity(0)) < 2:
-        _adam_blocks(blocks, typed, scaled)
-        return state
-    done = 0
-    for cut, (_, pb, *_) in enumerate(blocks, 1):
-        done += pb.size
-        if 2 * done >= total:
-            break
-    context, failed = contextvars.copy_context(), []
-
-    def tail() -> None:
-        # In the caller's context, so that its `np.errstate` holds here too.
-        try:
-            context.run(_adam_blocks, blocks[cut:], typed, scaled)
-        except BaseException as exc:
-            failed.append(exc)
-
-    helper = threading.Thread(target=tail, name="ctxground-adam")
-    helper.start()
-    try:
-        _adam_blocks(blocks[:cut], typed, scaled)
-    finally:
-        helper.join()  # nothing returns or raises while the helper still writes
-    if failed:
-        raise failed[0]
+    _in_halves(lambda part: _adam_blocks(part, typed, scaled), blocks,
+               [pb.size for _, pb, *_ in blocks])
     return state
 
 
@@ -292,8 +343,9 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
 
     Gradients are summed over the micro-batches and divided by the group
     size (normally `cfg.accumulation_steps`; the trailing group of an
-    epoch may be smaller). The clip scale is applied inside the Adam
-    pass, with the same result as `clip_global_norm` before `adam_step`."""
+    epoch may be smaller) inside the norm pass. The clip scale is applied
+    inside the Adam pass, with the same result as `clip_global_norm`
+    before `adam_step`."""
     micro_batches = list(micro_batches)
     if not micro_batches:
         raise ValueError("train_step needs at least one micro-batch")
@@ -307,11 +359,7 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
     # The accumulated gradients are averaged, clipped and consumed in place.
     grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
              for n, t in named.items()}
-    if len(micro_batches) > 1:
-        scale = 1.0 / len(micro_batches)
-        for g in grads.values():
-            g *= scale
-    norm = global_norm(grads)
+    norm = global_norm(grads, scale=1.0 / len(micro_batches))
     clip = _clip_scale(norm, cfg.clip_norm)
     adam_step(named, grads, state, cfg.learning_rate, grad_scale=clip)
     zero_grads(named.values())
@@ -574,6 +622,22 @@ def _flat(config: dict, prefix: str = "") -> dict:
     return out
 
 
+def _fingerprint(records: list[SampleRecord]) -> dict:
+    """The sample count and a SHA-256 over every field of the records but
+    their features: image ids and sizes, tokens, phrase spans and types,
+    ground-truth boxes and proposals, in record order."""
+    digest = hashlib.sha256()
+    for r in records:
+        head = json.dumps([r.image_id, r.width, r.height, r.token_ids.size, r.num_objects,
+                           [[p.first_token, p.last_token, p.entity_type, len(p.gt_boxes)]
+                            for p in r.phrases]]).encode("utf-8")
+        digest.update(struct.pack("<Q", len(head)) + head)
+        digest.update(np.ascontiguousarray(r.token_ids, "<i8"))
+        for boxes in (r.proposals, *(p.gt_boxes for p in r.phrases)):
+            digest.update(np.ascontiguousarray(boxes, "<f8"))
+    return {"samples": len(records), "sha256": digest.hexdigest()}
+
+
 @dataclass
 class FitResult:
     best: Checkpoint
@@ -599,7 +663,8 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     named = model.named_parameters()
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.init(named)
-    config_snapshot = {"model": model.config.to_dict(), "train": cfg.to_dict()}
+    config_snapshot = {"model": model.config.to_dict(), "train": cfg.to_dict(),
+                       "train_set": _fingerprint(train_records)}
     history: list[dict] = []
     best: Optional[Checkpoint] = None  # set by epoch 0 or by resume
     start_epoch = 0
@@ -626,7 +691,12 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
                 f"(interrupted between the two writes?) and cannot be resumed"
             )
         # A resume may extend a run or change its stopping rule; nothing else.
-        saved, now = _flat(last.config), _flat(config_snapshot)
+        # A checkpoint written before training sets were fingerprinted has
+        # no `train_set`, and its set is not checked.
+        now = dict(config_snapshot)
+        if "train_set" not in last.config:
+            del now["train_set"]
+        saved, now = _flat(last.config), _flat(now)
         changed = [key for key in {**now, **saved} if saved.get(key) != now.get(key)
                    and key not in ("train.max_epochs", "train.patience")]
         if changed:
@@ -648,16 +718,18 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     micro = cfg.micro_batch_size
     for epoch in range(start_epoch, cfg.max_epochs):
         order = rng.permutation(len(train_records))
-        step_losses = []
+        steps = []
         # A step collates only its own micro-batches: one step's padded copy at a time.
         for lo in range(0, len(order), cfg.batch_size):
             group = [collate_batch([train_records[i] for i in order[j:j + micro]])
                      for j in range(lo, min(lo + cfg.batch_size, len(order)), micro)]
-            step_losses.append(train_step(group, model, state, cfg, rng).loss)
-        train_loss = float(np.mean(step_losses))
+            steps.append(train_step(group, model, state, cfg, rng))
+        train_loss = float(np.mean([s.loss for s in steps]))
 
         dev_r1 = evaluate(model, dev_records, split="dev").recall_at_1
         history.append({"epoch": epoch, "train_loss": train_loss,
+                        "max_grad_norm": max(s.grad_norm for s in steps),
+                        "clipped_steps": sum(s.clip_scale < 1.0 for s in steps),
                         "dev_recall_at_1": dev_r1})
         if log is not None:
             log(f"epoch {epoch}: train_loss={train_loss:.6f} dev_R@1={dev_r1:.2f}")

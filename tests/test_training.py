@@ -295,7 +295,7 @@ def test_refused_adam_step_changes_nothing():
 def _split_layout(dtype, seed=0):
     """Parameters whose concatenated midpoint lies inside "big", which
     spans several Adam blocks, the last one partial."""
-    block = training._ADAM_BLOCK
+    block = training._BLOCK
     rng = np.random.default_rng(seed)
     return {n: parameter(rng.normal(size=shape).astype(dtype))
             for n, shape in (("first", (1000,)), ("big", (3, block + 77)),
@@ -335,7 +335,7 @@ def _covers_each_element_once(named, ranges):
 
 
 def test_split_adam_cuts_inside_a_parameter_at_its_block_boundary(monkeypatch):
-    block = training._ADAM_BLOCK
+    block = training._BLOCK
     named = _split_layout(np.float32)
     total = sum(t.values.size for t in named.values())
     ranges = _adam_threads(monkeypatch, named, 2)
@@ -470,7 +470,7 @@ import os, signal, numpy as np
 from ctxground import training
 from ctxground.autodiff import parameter
 os.sched_getaffinity = lambda pid: {0, 1}  # split even where this process may use one CPU
-size = 3 * training._ADAM_BLOCK
+size = 3 * training._BLOCK
 named = {"p": parameter(np.ones(size, dtype=np.float32))}
 state = training.AdamState.init(named)
 training.adam_step(named, {"p": np.ones(size, dtype=np.float32)}, state, lr=0.1)
@@ -486,6 +486,146 @@ assert os.waitstatus_to_exitcode(status) == 0
     done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# -- the norm pass on two threads --------------------------------------------------------
+
+
+def _split_grads(seed=0):
+    """Gradients laid out as `_split_layout`: the first norm block spans
+    "first" and "big", the last one "big" and "last", and the cut between
+    the two threads falls inside "big"."""
+    return {n: t.values for n, t in _split_layout(np.float32, seed).items()}
+
+
+def _norm_reference(grads):
+    """The norm's definition: float64 squares of the gradients'
+    concatenation summed by einsum per `_BLOCK` elements, then in block order."""
+    flat = np.concatenate([g.reshape(-1) for g in grads.values()]).astype(np.float64)
+    total = 0.0
+    for lo in range(0, flat.size, training._BLOCK):
+        chunk = flat[lo:lo + training._BLOCK]
+        total += float(np.einsum("i,i->", chunk, chunk))
+    return math.sqrt(total)
+
+
+def _norm_threads(monkeypatch, grads, cpus):
+    """Run `global_norm` on `cpus` CPUs; return the norm and, per thread
+    that summed a block, each block's parameters in order."""
+    owners = {}
+    real_blocks = training._norm_blocks
+
+    def recording_blocks(blocks, scale):
+        mine = owners.setdefault(threading.get_ident(), [])
+        for segments in blocks:
+            mine.append([n for seg in segments for n, g in grads.items()
+                         if np.shares_memory(seg, g)])
+        return real_blocks(blocks, scale)
+
+    with monkeypatch.context() as mp:
+        _on_cpus(mp, cpus)
+        mp.setattr(training, "_norm_blocks", recording_blocks)
+        norm = training.global_norm(grads)
+    return norm, owners
+
+
+def test_norm_blocks_span_parameters_and_split_gives_the_serial_bits(monkeypatch):
+    grads = _split_grads(seed=7)
+    split, owners = _norm_threads(monkeypatch, grads, 2)
+    head, tail = owners.pop(threading.get_ident()), owners.popitem()[1]
+    assert not owners
+    assert head == [["first", "big"], ["big"]]
+    assert tail == [["big"], ["big", "last"]]
+    serial, owners = _norm_threads(monkeypatch, grads, 1)
+    assert list(owners) == [threading.get_ident()]
+    assert split.hex() == serial.hex() == _norm_reference(grads).hex()
+    # The toy's gradients form one block, summed on the caller's thread.
+    small = {"a": np.full(3, 0.5, dtype=np.float32), "b": np.full((2, 2), 2.0, dtype=np.float32)}
+    norm, owners = _norm_threads(monkeypatch, small, 2)
+    assert owners == {threading.get_ident(): [["a", "b"]]}
+    assert norm == math.sqrt(3 * 0.25 + 4 * 4.0)
+
+
+def test_norm_is_the_same_at_any_blas_thread_count():
+    script = """
+import numpy as np
+from ctxground.training import global_norm
+rng = np.random.default_rng(0)
+grads = {n: rng.normal(size=s).astype(np.float32)
+         for n, s in (("a", 1000), ("b", (3, 131149)), ("c", 65541))}
+print(global_norm(grads).hex())
+"""
+    norms = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(training.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        norms.append(done.stdout.strip())
+    assert norms[0] == norms[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bad, expected", [
+    ({"big": (0, 5)}, "big"),                 # block 0, after all of "first"
+    ({"last": (-1,)}, "last"),                # the last block, after the end of "big"
+    ({"big": (2, -1), "last": (0,)}, "big"),  # two in the last block
+], ids=["first-block", "last-block", "two-in-the-last-block"])
+def test_norm_names_the_first_non_finite_parameter_of_a_shared_block(cpus, bad, expected,
+                                                                     monkeypatch):
+    _on_cpus(monkeypatch, cpus)
+    for value in (np.nan, np.inf):
+        grads = _split_grads()
+        for name, index in bad.items():
+            grads[name][index] = value
+        with pytest.raises(NonFiniteError, match=f"parameter '{expected}'"):
+            training.global_norm(grads)
+
+
+def test_norm_overflowing_float64_raises():
+    with pytest.raises(NonFiniteError, match="overflows"):
+        training.global_norm({"w": np.array([1e200, 1.0])})
+
+
+@pytest.mark.parametrize("bad", [None, "first", "last"],
+                         ids=["no-error", "head-raises", "tail-raises"])
+def test_split_norm_leaves_no_thread_running(bad, monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    helpers = []
+    _counting_threads(monkeypatch, helpers)
+    grads = {n: np.ones_like(g) for n, g in _split_grads().items()}
+    before = threading.active_count()
+    if bad is None:
+        norm = training.global_norm(grads, scale=2.0)
+        assert norm == 2.0 * math.sqrt(sum(g.size for g in grads.values()))
+    else:
+        # The scale overflows in one half; the caller's errstate holds in both.
+        grads[bad][0] = np.float32(3e38)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            training.global_norm(grads, scale=2.0)
+    assert len(helpers) == 1 and not helpers[0].is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_norm_scale_equals_averaging_the_gradients_first(cpus, monkeypatch):
+    _on_cpus(monkeypatch, cpus)
+    for count in (2, 3):
+        grads, averaged = _split_grads(seed=count), _split_grads(seed=count)
+        for g in averaged.values():
+            g *= 1.0 / count
+        norm = training.global_norm(grads, scale=1.0 / count)
+        for name, g in grads.items():
+            assert np.array_equal(g, averaged[name]), name
+        assert norm.hex() == _norm_reference(averaged).hex()
+
+
+def test_norm_refuses_to_scale_a_non_contiguous_gradient():
+    grads = {"w": np.ones((4, 6), dtype=np.float32)[:, ::2]}
+    with pytest.raises(ValueError, match="C-contiguous"):
+        training.global_norm(grads, scale=0.5)
+    assert training.global_norm(grads) == math.sqrt(12.0)
 
 
 # -- train_step ------------------------------------------------------------------------
@@ -599,6 +739,41 @@ def test_step_metrics_record_the_clip_scale(clip_norm, clips):
     assert metrics.clip_scale == (clip_norm / metrics.grad_norm if clips else 1.0)
 
 
+@pytest.mark.parametrize("micro", [2, 3])
+def test_train_step_averages_the_gradients_in_the_norm_pass(micro, monkeypatch):
+    # Averaged inside the norm pass, the gradients Adam receives and the
+    # norm equal an explicit average followed by the norm's definition.
+    records = tiny_records(2 * micro, seed=9)
+    batches = [collate_batch(records[i:i + 2]) for i in range(0, 2 * micro, 2)]
+    cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.25, batch_size=2 * micro,
+                      accumulation_steps=micro, max_epochs=1, dropout_p=0.0)
+    seen = []
+    real_adam = training.adam_step
+
+    def recording_adam(named, grads, *args, **kwargs):
+        seen.append({n: g.copy() for n, g in grads.items()})
+        return real_adam(named, grads, *args, **kwargs)
+
+    monkeypatch.setattr(training, "adam_step", recording_adam)
+    model = tiny_model(seed=4)
+    metrics = train_step(batches, model, AdamState.init(model.named_parameters()), cfg,
+                         np.random.default_rng(0))
+
+    ref = tiny_model(seed=4)
+    for mb in batches:
+        loss, _ = ref.batch_loss(mb)
+        backward(loss)
+    grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
+             for n, t in ref.named_parameters().items()}
+    for g in grads.values():
+        g *= 1.0 / micro
+    assert len(seen) == 1 and list(seen[0]) == list(grads)
+    for name, g in grads.items():
+        assert np.array_equal(seen[0][name], g), name
+    assert metrics.grad_norm.hex() == _norm_reference(grads).hex()
+    assert metrics.grad_norm > cfg.clip_norm  # the step clipped
+
+
 def test_accumulation_matches_combined_batch():
     records = tiny_records(8, seed=6)
     half_a = collate_batch(records[:4])
@@ -668,6 +843,30 @@ def test_fit_history_and_best_metric():
     assert [h["epoch"] for h in result.history] == list(range(len(result.history)))
     best = max(h["dev_recall_at_1"] for h in result.history)
     assert result.best.best_metric == best
+
+
+@pytest.mark.parametrize("clip_norm, clipped", [(1e-6, 2), (1e6, 0)])
+def test_fit_history_keeps_the_largest_norm_and_the_clipped_steps(clip_norm, clipped, tmp_path,
+                                                                   monkeypatch):
+    real_step = training.train_step
+    norms = []
+
+    def recording_step(*args):
+        metrics = real_step(*args)
+        norms.append(metrics.grad_norm)
+        return metrics
+
+    monkeypatch.setattr(training, "train_step", recording_step)
+    records = tiny_records()  # batch 4: two steps per epoch
+    result = fit(tiny_model(), records, records, fit_cfg(clip_norm=clip_norm, max_epochs=3),
+                 checkpoint_dir=tmp_path)
+    assert len(norms) == 2 * len(result.history) == 6
+    for epoch, entry in enumerate(result.history):
+        assert list(entry) == ["epoch", "train_loss", "max_grad_norm", "clipped_steps",
+                               "dev_recall_at_1"]
+        assert entry["clipped_steps"] == clipped
+        assert entry["max_grad_norm"] == max(norms[2 * epoch:2 * epoch + 2])
+    assert load_checkpoint(tmp_path / training.LAST_CHECKPOINT).history == result.history
 
 
 def test_fit_collates_each_step_right_before_it(monkeypatch):
@@ -1078,6 +1277,63 @@ def test_resume_refuses_a_changed_config(tmp_path, changed, model_dropout, overr
             checkpoint_dir=tmp_path, resume=True)
     for name, tensor in model.named_parameters().items():
         assert np.array_equal(tensor.values, before[name]), name
+
+
+def _moved_box(records):
+    first = records[0]
+    proposals = first.proposals.copy()
+    proposals[0] += 1.0
+    return [dataclasses.replace(first, proposals=proposals), *records[1:]]
+
+
+@pytest.mark.parametrize("changed, edit", [
+    ("train_set.sha256", lambda records: tiny_records(8, seed=14)),
+    ("train_set.sha256", _moved_box),
+    ("train_set.sha256", lambda records: records[::-1]),
+    ("train_set.samples", lambda records: records[:6]),
+], ids=["other-records", "moved-proposal", "reordered", "fewer-samples"])
+def test_resume_refuses_a_different_training_set(tmp_path, changed, edit):
+    records = tiny_records(8, seed=13)
+    fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=2, patience=50),
+        checkpoint_dir=tmp_path)
+    model = tiny_model(seed=12)
+    before = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    with pytest.raises(ValueError, match=f"changed config: {re.escape(changed)} differs"):
+        fit(model, edit(records), records, fit_cfg(max_epochs=4, patience=50),
+            checkpoint_dir=tmp_path, resume=True)
+    for name, tensor in model.named_parameters().items():
+        assert np.array_equal(tensor.values, before[name]), name
+
+
+def test_resume_ignores_features_and_the_dev_set(tmp_path):
+    # The fingerprint leaves out the features: a run may resume on
+    # re-extracted features of the same samples, or with another dev set.
+    records = tiny_records(8, seed=13)
+    fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=2, patience=50),
+        checkpoint_dir=tmp_path)
+    refeatured = [dataclasses.replace(r, features=r.features * np.float32(2.0)) for r in records]
+    resumed = fit(tiny_model(seed=11), refeatured, records[:4],
+                  fit_cfg(max_epochs=3, patience=50), checkpoint_dir=tmp_path, resume=True)
+    assert [h["epoch"] for h in resumed.history] == [0, 1, 2]
+    assert load_checkpoint(tmp_path / training.LAST_CHECKPOINT).config["train_set"]["samples"] == 8
+
+
+def test_checkpoint_without_a_training_set_fingerprint_resumes_as_before(tmp_path):
+    records = tiny_records(8, seed=13)
+    full = fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=4, patience=50))
+    fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=2, patience=50),
+        checkpoint_dir=tmp_path)
+    for name in (training.LAST_CHECKPOINT, training.BEST_CHECKPOINT):
+        path = tmp_path / name
+        manifest, payload = _split_gckp(path.read_bytes())
+        assert manifest["config"].pop("train_set") == {
+            "samples": 8, "sha256": training._fingerprint(records)["sha256"]}
+        path.write_bytes(_join_gckp(manifest, payload))
+    resumed = fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=4, patience=50),
+                  checkpoint_dir=tmp_path, resume=True)
+    assert resumed.history == full.history
+    for name in full.best.params:
+        assert resumed.best.params[name].tobytes() == full.best.params[name].tobytes(), name
 
 
 @pytest.mark.parametrize("rng_state", [

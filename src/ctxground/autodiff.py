@@ -2,11 +2,12 @@
 
 Tensors wrap numpy arrays (float32 or float64) and record the operations
 applied to them so that `backward` can replay the graph in reverse
-topological order. The op set is exactly what the grounding model needs:
-broadcasting add and multiply, batched matmul, fused linear layers, masked
-softmax, fused multi-head attention, layer norm (with an optional residual
-operand), GELU, dropout, binary cross entropy on logits, gathers and
-reductions.
+topological order. The op set is what the grounding model needs:
+broadcasting add and multiply, fused linear layers, masked softmax, fused
+multi-head attention, layer norm (with an optional residual operand),
+GELU, dropout, binary cross entropy on logits, gathers and reductions.
+The model never calls batched `matmul`; it stays as the unfused reference
+that the attention tests compare the fused op against.
 
 Non-finite results are an error, never silent: every op validates its
 output and raises :class:`NonFiniteError` on NaN/Inf.

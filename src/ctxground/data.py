@@ -38,7 +38,6 @@ __all__ = [
     "write_feature_file",
     "collate_batch",
     "generate_synthetic",
-    "prototype_table",
 ]
 
 # The eight entity categories used for the per-type recall breakdown.
@@ -329,7 +328,6 @@ class Batch:
     object_mask: np.ndarray    # [batch, objects] bool
     spans: list[PhraseSpan]    # flattened across the batch
     span_sample: np.ndarray    # [total_entities] sample index per span
-    sample_offsets: np.ndarray  # [batch + 1] span offsets
     targets: np.ndarray        # [total_entities, objects] 0/1
 
     @property
@@ -386,7 +384,6 @@ def collate_batch(records) -> Batch:
         object_mask=object_mask,
         spans=[p for r in records for p in r.phrases],
         span_sample=np.repeat(np.arange(batch), np.diff(offsets)),
-        sample_offsets=offsets,
         targets=targets,
     )
 
@@ -446,12 +443,6 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         return cls(**d)
-
-
-def prototype_table(spec: SyntheticSpec) -> np.ndarray:
-    """The per-token-id prototype features the generator plants."""
-    rng = np.random.default_rng(spec.seed)
-    return rng.normal(0.0, 1.0, (spec.vocab_size, spec.d_feat))
 
 
 def _grid_boxes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, bce_with_logits, linear, matmul, take_rows
+from .autodiff import Tensor, bce_with_logits, linear, take_rows
 from .encoder import LinearParams, ParamMaker, _init_linear
 
 __all__ = [
@@ -136,7 +136,7 @@ def cross_modal_logits(entities: Tensor, objects: Tensor, object_mask,
                          f"for a batch of {batch}")
     q = linear(entities, params.query.weight, params.query.bias)
     k = linear(objects, params.key.weight, params.key.bias)
-    every = matmul(q, k.transpose((1, 0))).reshape((entities.shape[0] * batch, num_objects))
+    every = linear(q, k.transpose((1, 0))).reshape((entities.shape[0] * batch, num_objects))
     own = take_rows(every, np.arange(sample.size) * batch + sample)
     return GroundingLogits(scores=own * (1.0 / math.sqrt(params.d_joint)),
                            object_mask=object_mask[sample])

@@ -136,25 +136,39 @@ class StepMetrics:
 _BLOCK = 1 << 17
 
 
-def _in_halves(work, blocks: list, sizes: list[int]) -> list:
-    """`work` applied to `blocks`, whose items hold `sizes` elements each,
-    in two halves: the list is cut where the running element count first
-    reaches half, and the caller's thread runs `work` on the head while a
-    helper thread, started for this call in a copy of the caller's
-    `contextvars` context (so its `np.errstate` holds there too), runs it
-    on the tail. The helper is joined before this returns or raises, and
-    an error of the head is raised before one of the tail. Returns the
-    results in block order: `[head, tail]`, or `[work(blocks)]` when the
-    process may use only one CPU or the blocks hold fewer than two
-    `_BLOCK`s of elements."""
-    total = sum(sizes)
-    if total < 2 * _BLOCK or len(os.sched_getaffinity(0)) < 2:
+def _layout(sizes) -> list[list[tuple[str, int, int]]]:
+    """The arrays of the (name, size) pairs `sizes`, in order, as one
+    concatenation cut into blocks of `_BLOCK` elements, each a list of
+    (name, lo, hi) flat ranges; a block may span arrays, and every block
+    but the last is full. The norm and Adam passes both walk it."""
+    blocks, start = [], 0
+    for name, size in sizes:
+        lo = 0
+        while lo < size:
+            offset = (start + lo) % _BLOCK
+            if offset == 0:
+                blocks.append([])
+            hi = min(size, lo + _BLOCK - offset)
+            blocks[-1].append((name, lo, hi))
+            lo = hi
+        start += size
+    return blocks
+
+
+def _in_halves(work, blocks: list) -> list:
+    """`work` applied to the `_layout` blocks `blocks` in two halves: the
+    caller's thread runs it on the first `(len + 1) // 2` blocks (at least
+    half the elements) while a helper thread, started for this call in a
+    copy of the caller's `contextvars` context (so its `np.errstate` holds
+    there too), runs it on the rest. The helper is joined before this
+    returns or raises, and an error of the head is raised before one of
+    the tail. Returns the results in block order: `[head, tail]`, or
+    `[work(blocks)]` when the process may use only one CPU or the blocks
+    hold fewer than two `_BLOCK`s of elements."""
+    elements = sum(hi - lo for block in blocks for _, lo, hi in block)
+    if elements < 2 * _BLOCK or len(os.sched_getaffinity(0)) < 2:
         return [work(blocks)]
-    done = 0
-    for cut, size in enumerate(sizes, 1):
-        done += size
-        if 2 * done >= total:
-            break
+    cut = (len(blocks) + 1) // 2
     context, tail, failed = contextvars.copy_context(), [], []
 
     def run_tail() -> None:
@@ -174,12 +188,11 @@ def _in_halves(work, blocks: list, sizes: list[int]) -> list:
     return [head, tail[0]]
 
 
-def global_norm(grads: dict[str, np.ndarray], scale: float = 1.0) -> float:
-    """The global L2 norm of all gradients, after each is multiplied in
-    place by `scale` (the micro-batch average) when it is not 1.0.
+def global_norm(grads: dict[str, np.ndarray]) -> float:
+    """The global L2 norm of all gradients; nothing is written to them.
 
     The gradients are taken in `grads` order as one concatenation, cut
-    into blocks of `_BLOCK` elements, so a block may span parameters. Each
+    into the blocks of `_layout`, so a block may span parameters. Each
     block is gathered into a float64 buffer, its squares are summed by
     `np.einsum`, which calls no BLAS, and the block sums are added in
     block order; the norm therefore depends neither on the BLAS thread
@@ -187,26 +200,10 @@ def global_norm(grads: dict[str, np.ndarray], scale: float = 1.0) -> float:
     means a gradient holds a NaN or Inf (finite float32 squares cannot
     overflow a float64 sum), which raises naming the first such
     parameter."""
-    scale = float(scale)
-    blocks, segments, filled = [], [], 0  # each block: the flat segments it gathers
-    for name, g in grads.items():
-        if scale != 1.0 and not g.flags.c_contiguous:
-            raise ValueError(f"gradient {name!r} must be C-contiguous to be scaled in place")
-        flat = g.reshape(-1)
-        lo = 0
-        while lo < flat.size:
-            take = min(_BLOCK - filled, flat.size - lo)
-            segments.append(flat[lo:lo + take])
-            lo += take
-            filled += take
-            if filled == _BLOCK:
-                blocks.append(segments)
-                segments, filled = [], 0
-    if segments:
-        blocks.append(segments)
-    sizes = [sum(seg.size for seg in segments) for segments in blocks]
+    flat = {name: g.reshape(-1) for name, g in grads.items()}
+    blocks = _layout((name, g.size) for name, g in flat.items())
     total = 0.0
-    for part in _in_halves(lambda part: _norm_blocks(part, scale), blocks, sizes):
+    for part in _in_halves(lambda part: _norm_blocks(part, flat), blocks):
         for partial in part:
             total += partial
     if not math.isfinite(total):
@@ -217,19 +214,15 @@ def global_norm(grads: dict[str, np.ndarray], scale: float = 1.0) -> float:
     return math.sqrt(total)
 
 
-def _norm_blocks(blocks: list[list[np.ndarray]], scale: float) -> list[float]:
-    """The float64 sum of squares of each block of flat gradient segments,
-    through one float64 buffer; each segment is first multiplied in place
-    by `scale` unless it is 1.0."""
-    if not blocks:
-        return []
-    buf = np.empty(sum(seg.size for seg in blocks[0]), dtype=np.float64)  # the largest block
+def _norm_blocks(blocks: list, flat: dict[str, np.ndarray]) -> list[float]:
+    """The float64 sum of squares of each `_layout` block of the flat
+    gradients `flat`, gathered through one float64 buffer."""
+    buf = np.empty(sum(hi - lo for _, lo, hi in blocks[0]) if blocks else 0,
+                   dtype=np.float64)  # the largest block
     partials = []
-    for segments in blocks:
-        if scale != 1.0:
-            for seg in segments:
-                np.multiply(seg, scale, out=seg)
-        chunk = buf[:sum(seg.size for seg in segments)]
+    for block in blocks:
+        segments = [flat[name][lo:hi] for name, lo, hi in block]
+        chunk = buf[:sum(hi - lo for _, lo, hi in block)]
         if len(segments) == 1:
             np.copyto(chunk, segments[0])
         else:
@@ -272,10 +265,10 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     write through; every parameter is checked before any update, so a
     refused call changes nothing.
 
-    The parameters' blocks form one list, updated by `_in_halves` on two
-    threads. The update is elementwise, so the cut changes no value. Each
-    block's update is checked for NaN/Inf before it is applied; when both
-    halves hit one, the error of the earlier parameter is raised."""
+    `_in_halves` updates the `_layout` blocks on two threads; the update
+    is elementwise, so neither blocks nor cut change a value. Each range's
+    update is checked for NaN/Inf before it is applied; when both halves
+    hit one, the error of the earlier parameter is raised."""
     step = state.step + 1
     beta1, beta2 = float(state.beta1), float(state.beta2)
     scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** step,
@@ -283,7 +276,7 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     # The scalars as 0-d arrays of each parameter dtype: the values the
     # ufuncs would round Python floats to, at less dispatch cost per call.
     typed: dict[np.dtype, tuple[np.ndarray, ...]] = {}
-    blocks = []  # (name, p, m, v, g) views of at most `_BLOCK` elements
+    flat = {}  # name: flat views of the parameter, its moments and its gradient
     for name, p in named_params.items():
         pv, m, v, g = p.values, state.m[name], state.v[name], grads[name]
         if g.shape != pv.shape:
@@ -295,23 +288,23 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise ValueError(f"parameter {name!r} and its Adam moments must be C-contiguous")
         if pv.dtype not in typed:
             typed[pv.dtype] = tuple(np.array(x, dtype=pv.dtype) for x in scalars)
-        pf, mf, vf, gf = pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
-        for lo in range(0, pf.size, _BLOCK):
-            hi = lo + _BLOCK
-            blocks.append((name, pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]))
+        flat[name] = (pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1))
     state.step = step
     scaled = float(grad_scale) != 1.0
-    _in_halves(lambda part: _adam_blocks(part, typed, scaled), blocks,
-               [pb.size for _, pb, *_ in blocks])
+    blocks = _layout((name, p.values.size) for name, p in named_params.items())
+    _in_halves(lambda part: _adam_blocks(part, flat, typed, scaled), blocks)
     return state
 
 
-def _adam_blocks(blocks: list[tuple], typed: dict, scaled: bool) -> None:
-    """Apply the Adam update to each (name, p, m, v, g) block of flat
-    views through one scratch per dtype sized to the largest block."""
-    width = max((pb.size for _, pb, *_ in blocks), default=0)
-    scratch = {pb.dtype: np.empty((2, width), dtype=pb.dtype) for _, pb, *_ in blocks}
-    for name, pb, mb, vb, gb in blocks:
+def _adam_blocks(blocks: list, flat: dict[str, tuple], typed: dict, scaled: bool) -> None:
+    """Apply the Adam update to each range of each `_layout` block of the
+    flat (p, m, v, g) views `flat`, through one scratch per dtype sized to
+    the largest block."""
+    width = sum(hi - lo for _, lo, hi in blocks[0]) if blocks else 0
+    scratch = {dtype: np.empty((2, width), dtype=dtype) for dtype in typed}
+    for name, lo, hi in (r for block in blocks for r in block):
+        pf, mf, vf, gf = flat[name]
+        pb, mb, vb, gb = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
         b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed[pb.dtype]
         s1, s2 = scratch[pb.dtype][:, :pb.size]
         if scaled:
@@ -341,11 +334,12 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
                cfg: TrainConfig, rng: np.random.Generator) -> StepMetrics:
     """Accumulate gradients over the group, average, clip, and update.
 
-    Gradients are summed over the micro-batches and divided by the group
-    size (normally `cfg.accumulation_steps`; the trailing group of an
-    epoch may be smaller) inside the norm pass. The clip scale is applied
-    inside the Adam pass, with the same result as `clip_global_norm`
-    before `adam_step`."""
+    Gradients are summed over the micro-batches; the norm of their sum,
+    divided by the group size `n` (normally `cfg.accumulation_steps`; an
+    epoch's trailing group may be smaller), is the norm of their average.
+    Adam applies the average and the clip scale as one `grad_scale`, so
+    each gradient is written once. For a power-of-two `n` the result is
+    that of averaging, `clip_global_norm` and `adam_step`, bit for bit."""
     micro_batches = list(micro_batches)
     if not micro_batches:
         raise ValueError("train_step needs at least one micro-batch")
@@ -356,12 +350,13 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
         loss, _ = model.batch_loss(mb, rng=rng)
         backward(loss)
         losses.append(loss.item())
-    # The accumulated gradients are averaged, clipped and consumed in place.
+    # The accumulated gradients are scaled and consumed in place.
     grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
              for n, t in named.items()}
-    norm = global_norm(grads, scale=1.0 / len(micro_batches))
+    n = len(micro_batches)
+    norm = global_norm(grads) / n
     clip = _clip_scale(norm, cfg.clip_norm)
-    adam_step(named, grads, state, cfg.learning_rate, grad_scale=clip)
+    adam_step(named, grads, state, cfg.learning_rate, grad_scale=clip / n)
     zero_grads(named.values())
     return StepMetrics(loss=float(np.mean(losses)), grad_norm=norm, clip_scale=clip)
 
@@ -680,7 +675,11 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
             raise ValueError("resume requires a checkpoint_dir")
         # Both files are read and checked before the model changes, so a
         # refused resume leaves the caller's parameters as they were.
-        last = load_checkpoint(checkpoint_dir / LAST_CHECKPOINT)
+        where = checkpoint_dir / LAST_CHECKPOINT
+        if not where.exists():
+            raise FileNotFoundError(f"{where} does not exist: no epoch of this run was "
+                                    f"committed, so start it again without --resume")
+        last = load_checkpoint(where)
         if last.optimizer is None or last.rng_state is None:
             raise ValueError("checkpoint lacks optimizer/rng state; cannot resume")
         best = load_checkpoint(checkpoint_dir / BEST_CHECKPOINT)
@@ -702,7 +701,6 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         if changed:
             raise ValueError(f"{checkpoint_dir}: cannot resume with a changed config: "
                              f"{changed[0]} differs from the checkpoint's")
-        where = checkpoint_dir / LAST_CHECKPOINT
         if not _is_pcg64_state(last.rng_state):
             raise FormatError(f"{where}: 'rng_state' is not a PCG64 state: a field is "
                               f"missing or not an integer in range")

@@ -127,6 +127,12 @@ def adam_ref(param, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return param - lr * mhat / (math.sqrt(vhat) + eps), m, v
 
 
+def prototype_table(seed, vocab_size, d_feat):
+    """The per-token-id prototype features the synthetic generator plants:
+    the first draw of `np.random.default_rng(seed)`."""
+    return np.random.default_rng(seed).normal(0.0, 1.0, (vocab_size, d_feat))
+
+
 def attention_ref(x, wq, bq, wk, wv, bv, wo, bo, num_heads):
     """Loop-based multi-head self-attention on a single [seq, d] input.
 

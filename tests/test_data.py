@@ -21,14 +21,13 @@ from ctxground.data import (
     label_positives,
     load_feature_file,
     parse_dataset,
-    prototype_table,
     write_dataset,
     write_feature_file,
 )
 from ctxground.head import PhraseSpan
 
 from fuzzing import mutate
-from oracles import iou_cell_count, iou_ref
+from oracles import iou_cell_count, iou_ref, prototype_table
 
 
 def make_record(image_id="img-0", num_objects=3, num_tokens=5, d_feat=4, seed=0):
@@ -413,7 +412,7 @@ def test_collate_slicing_recovers_originals():
     batch = collate_batch(records)
     for i, record in enumerate(records):
         s, o = batch.text_mask[i].sum(), batch.object_mask[i].sum()
-        lo, hi = batch.sample_offsets[i], batch.sample_offsets[i + 1]
+        lo, hi = np.searchsorted(batch.span_sample, (i, i + 1))
         assert np.array_equal(batch.token_ids[i, :s], record.token_ids)
         assert np.array_equal(batch.features[i, :o], record.features)
         assert np.array_equal(batch.boxes[i, :o], record.proposals)
@@ -425,7 +424,7 @@ def test_collate_targets_match_per_record_labels():
     records = [make_record("a", 2, 3, seed=1), make_record("b", 4, 6, seed=2)]
     batch = collate_batch(records)
     for i, record in enumerate(records):
-        targets = batch.targets[batch.sample_offsets[i]:batch.sample_offsets[i + 1]]
+        targets = batch.targets[batch.span_sample == i]
         for row, phrase in zip(targets, record.phrases):
             want = label_positives(record.proposals, phrase.gt_boxes)
             np.testing.assert_array_equal(row[:record.num_objects], want)
@@ -502,7 +501,7 @@ def test_synthetic_differs_across_seeds():
 
 def test_synthetic_zero_noise_plants_exact_prototypes():
     spec = SyntheticSpec(**{**SPEC.to_dict(), "noise_scale": 0.0})
-    protos = prototype_table(spec).astype(np.float32)
+    protos = prototype_table(spec.seed, spec.vocab_size, spec.d_feat).astype(np.float32)
     for record in generate_synthetic(spec):
         for phrase in record.phrases:
             tid = record.token_ids[phrase.last_token]

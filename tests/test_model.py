@@ -194,7 +194,7 @@ def test_batched_scores_match_per_sample_head_on_ragged_batch():
     assert logits.scores.shape == (6, 6) and logits.object_mask.shape == (6, 6)
     text_hidden, image_hidden = model.encode(batch)
     for b, record in enumerate(records):
-        lo, hi = batch.sample_offsets[b], batch.sample_offsets[b + 1]
+        lo, hi = np.searchsorted(batch.span_sample, (b, b + 1))
         o = record.num_objects
         first = np.zeros(hi - lo, dtype=int)  # each sample on its own, as a batch of 1
         entities = extract_entity_states(constant(text_hidden.values[b:b + 1]),

@@ -294,7 +294,7 @@ def test_refused_adam_step_changes_nothing():
 
 def _split_layout(dtype, seed=0):
     """Parameters whose concatenated midpoint lies inside "big", which
-    spans several Adam blocks, the last one partial."""
+    spans several blocks; their `_layout` is `_split_blocks()`."""
     block = training._BLOCK
     rng = np.random.default_rng(seed)
     return {n: parameter(rng.normal(size=shape).astype(dtype))
@@ -302,29 +302,45 @@ def _split_layout(dtype, seed=0):
                              ("last", (block // 2 + 5,)))}
 
 
+def _split_blocks():
+    """The `_layout` of `_split_layout`'s parameters, written out: three
+    full blocks and a partial one; the first spans "first" and "big", the
+    last "big" and "last"."""
+    block = training._BLOCK
+    return [[("first", 0, 1000), ("big", 0, block - 1000)],
+            [("big", block - 1000, 2 * block - 1000)],
+            [("big", 2 * block - 1000, 3 * block - 1000)],
+            [("big", 3 * block - 1000, 3 * (block + 77)), ("last", 0, block // 2 + 5)]]
+
+
 def _on_cpus(monkeypatch, count):
     monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _record_work(monkeypatch, name):
+    """Wrap the work function `training.<name>` of the norm or the Adam
+    pass; return {thread: [the blocks of each call that thread made]}."""
+    calls = {}
+    real = getattr(training, name)
+
+    def recording(blocks, *args):
+        calls.setdefault(threading.get_ident(), []).append(blocks)
+        return real(blocks, *args)
+
+    monkeypatch.setattr(training, name, recording)
+    return calls
 
 
 def _adam_threads(monkeypatch, named, cpus):
     """Run one `adam_step` on `cpus` CPUs and return, per thread that
     updated a block, the (name, lo, hi) element ranges it updated."""
-    ranges = {}
-    real_blocks = training._adam_blocks
-
-    def recording_blocks(blocks, typed, scaled):
-        mine = ranges.setdefault(threading.get_ident(), [])
-        for name, pb, *_ in blocks:
-            lo = (pb.ctypes.data - named[name].values.ctypes.data) // pb.itemsize
-            mine.append((name, lo, lo + pb.size))
-        real_blocks(blocks, typed, scaled)
-
     with monkeypatch.context() as mp:
         _on_cpus(mp, cpus)
-        mp.setattr(training, "_adam_blocks", recording_blocks)
+        calls = _record_work(mp, "_adam_blocks")
         adam_step(named, {n: np.ones(t.shape, dtype=t.dtype) for n, t in named.items()},
                   AdamState.init(named), lr=1e-3)
-    return ranges
+    return {thread: [r for blocks in work for block in blocks for r in block]
+            for thread, work in calls.items()}
 
 
 def _covers_each_element_once(named, ranges):
@@ -341,14 +357,15 @@ def test_split_adam_cuts_inside_a_parameter_at_its_block_boundary(monkeypatch):
     ranges = _adam_threads(monkeypatch, named, 2)
     head, tail = ranges.pop(threading.get_ident()), ranges.popitem()[1]
     assert not ranges
-    # The head ends with the block that first reaches half the elements,
-    # inside "big", which holds the midpoint; the tail starts right after.
-    assert [r[0] for r in head] == ["first", "big", "big"]
-    assert [r[0] for r in tail] == ["big", "big", "last"]
+    # The head is the layout's first two blocks, the first of them
+    # spanning "first" and "big"; it ends inside "big", which holds the
+    # midpoint, and the tail starts right after.
+    assert head == [r for b in _split_blocks()[:2] for r in b]
+    assert tail == [r for b in _split_blocks()[2:] for r in b]
     (_, _, cut), (name, after, _) = head[-1], tail[0]
-    assert name == "big" and cut == after == 2 * block
+    assert name == "big" and cut == after == 2 * block - 1000
     done = sum(hi - lo for _, lo, hi in head)
-    assert done - block < total / 2 <= done
+    assert done == 2 * block and done - block < total / 2 <= done
     _covers_each_element_once(named, head + tail)
     # One CPU, or under two blocks of work: the caller's thread updates everything.
     for cpus, layout in ((1, named), (2, {"a": parameter(np.ones(block, dtype=np.float32)),
@@ -511,22 +528,13 @@ def _norm_reference(grads):
 
 def _norm_threads(monkeypatch, grads, cpus):
     """Run `global_norm` on `cpus` CPUs; return the norm and, per thread
-    that summed a block, each block's parameters in order."""
-    owners = {}
-    real_blocks = training._norm_blocks
-
-    def recording_blocks(blocks, scale):
-        mine = owners.setdefault(threading.get_ident(), [])
-        for segments in blocks:
-            mine.append([n for seg in segments for n, g in grads.items()
-                         if np.shares_memory(seg, g)])
-        return real_blocks(blocks, scale)
-
+    that summed a block, the blocks it summed."""
     with monkeypatch.context() as mp:
         _on_cpus(mp, cpus)
-        mp.setattr(training, "_norm_blocks", recording_blocks)
+        calls = _record_work(mp, "_norm_blocks")
         norm = training.global_norm(grads)
-    return norm, owners
+    return norm, {thread: [block for blocks in work for block in blocks]
+                  for thread, work in calls.items()}
 
 
 def test_norm_blocks_span_parameters_and_split_gives_the_serial_bits(monkeypatch):
@@ -534,16 +542,36 @@ def test_norm_blocks_span_parameters_and_split_gives_the_serial_bits(monkeypatch
     split, owners = _norm_threads(monkeypatch, grads, 2)
     head, tail = owners.pop(threading.get_ident()), owners.popitem()[1]
     assert not owners
-    assert head == [["first", "big"], ["big"]]
-    assert tail == [["big"], ["big", "last"]]
+    assert head == _split_blocks()[:2]
+    assert tail == _split_blocks()[2:]
     serial, owners = _norm_threads(monkeypatch, grads, 1)
-    assert list(owners) == [threading.get_ident()]
+    assert owners == {threading.get_ident(): _split_blocks()}
     assert split.hex() == serial.hex() == _norm_reference(grads).hex()
     # The toy's gradients form one block, summed on the caller's thread.
     small = {"a": np.full(3, 0.5, dtype=np.float32), "b": np.full((2, 2), 2.0, dtype=np.float32)}
     norm, owners = _norm_threads(monkeypatch, small, 2)
-    assert owners == {threading.get_ident(): [["a", "b"]]}
+    assert owners == {threading.get_ident(): [[("a", 0, 3), ("b", 0, 4)]]}
     assert norm == math.sqrt(3 * 0.25 + 4 * 4.0)
+
+
+def test_norm_and_adam_walk_one_layout_and_cut_it_at_the_same_block(monkeypatch):
+    named = _split_layout(np.float32)
+    grads = {n: np.ones(t.shape, dtype=np.float32) for n, t in named.items()}
+    blocks = _split_blocks()
+    assert training._layout((n, t.values.size) for n, t in named.items()) == blocks
+    for cpus, halves in ((2, [blocks[:2], blocks[2:]]), (1, [blocks])):
+        with monkeypatch.context() as mp:
+            _on_cpus(mp, cpus)
+            norm_calls = _record_work(mp, "_norm_blocks")
+            adam_calls = _record_work(mp, "_adam_blocks")
+            training.global_norm(grads)
+            adam_step(named, grads, AdamState.init(named), lr=1e-3)
+        # Each pass makes one work call per thread, the caller's on the
+        # head, so the block spanning "first" and "big" is updated by Adam
+        # in one call.
+        for calls in (norm_calls, adam_calls):
+            assert calls.pop(threading.get_ident()) == [halves[0]]
+            assert list(calls.values()) == [[half] for half in halves[1:]]
 
 
 def test_norm_is_the_same_at_any_blas_thread_count():
@@ -589,7 +617,7 @@ def test_norm_overflowing_float64_raises():
 
 
 @pytest.mark.parametrize("bad", [None, "first", "last"],
-                         ids=["no-error", "head-raises", "tail-raises"])
+                         ids=["no-error", "nan-in-head", "nan-in-tail"])
 def test_split_norm_leaves_no_thread_running(bad, monkeypatch):
     _on_cpus(monkeypatch, 2)
     helpers = []
@@ -597,35 +625,29 @@ def test_split_norm_leaves_no_thread_running(bad, monkeypatch):
     grads = {n: np.ones_like(g) for n, g in _split_grads().items()}
     before = threading.active_count()
     if bad is None:
-        norm = training.global_norm(grads, scale=2.0)
-        assert norm == 2.0 * math.sqrt(sum(g.size for g in grads.values()))
+        assert training.global_norm(grads) == math.sqrt(sum(g.size for g in grads.values()))
     else:
-        # The scale overflows in one half; the caller's errstate holds in both.
-        grads[bad][0] = np.float32(3e38)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            training.global_norm(grads, scale=2.0)
+        # Neither half raises; the total, summed after the join, is NaN.
+        grads[bad][0] = np.nan
+        with pytest.raises(NonFiniteError, match=f"parameter '{bad}'"):
+            training.global_norm(grads)
     assert len(helpers) == 1 and not helpers[0].is_alive()
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_norm_scale_equals_averaging_the_gradients_first(cpus, monkeypatch):
-    _on_cpus(monkeypatch, cpus)
-    for count in (2, 3):
-        grads, averaged = _split_grads(seed=count), _split_grads(seed=count)
-        for g in averaged.values():
-            g *= 1.0 / count
-        norm = training.global_norm(grads, scale=1.0 / count)
+def test_norm_leaves_every_gradient_byte_identical(monkeypatch):
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        grads = _split_grads(seed=5)
+        grads["big"][0, :2] = (-0.0, 1e-45)  # a signed zero and a subnormal
+        grads["strided"] = np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2]
+        before = {n: g.tobytes() for n, g in grads.items()}
+        assert training.global_norm(grads).hex() == _norm_reference(grads).hex()
         for name, g in grads.items():
-            assert np.array_equal(g, averaged[name]), name
-        assert norm.hex() == _norm_reference(averaged).hex()
-
-
-def test_norm_refuses_to_scale_a_non_contiguous_gradient():
-    grads = {"w": np.ones((4, 6), dtype=np.float32)[:, ::2]}
-    with pytest.raises(ValueError, match="C-contiguous"):
-        training.global_norm(grads, scale=0.5)
-    assert training.global_norm(grads) == math.sqrt(12.0)
+            assert g.tobytes() == before[name], (cpus, name)
+    # A non-contiguous gradient is read as it is.
+    strided = {"w": np.ones((4, 6), dtype=np.float32)[:, ::2]}
+    assert training.global_norm(strided) == math.sqrt(12.0)
 
 
 # -- train_step ------------------------------------------------------------------------
@@ -655,11 +677,12 @@ def test_single_micro_batch_is_ordinary_step():
         np.testing.assert_array_equal(t.values, named_b[name].values, err_msg=name)
 
 
-@pytest.mark.parametrize("accumulation", [1, 2])
+@pytest.mark.parametrize("accumulation", [1, 2, 4])
 def test_train_steps_equal_fresh_gradients_clipped_then_adam(accumulation):
-    # Reused gradient arrays and the clip scale applied inside the Adam pass
-    # give the bits of freshly allocated gradients, clip_global_norm and a
-    # default-scale adam_step, step after step.
+    # Reused gradient arrays, and the average and the clip scale applied
+    # inside the Adam pass, give the bits of freshly allocated gradients
+    # averaged, clip_global_norm and a default-scale adam_step, step after
+    # step, for any power-of-two group size.
     records = tiny_records(8, seed=9)
     batches = [collate_batch(records[i:i + 2]) for i in range(0, 8, 2)]
     cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.25, batch_size=2 * accumulation,
@@ -741,8 +764,10 @@ def test_step_metrics_record_the_clip_scale(clip_norm, clips):
 
 @pytest.mark.parametrize("micro", [2, 3])
 def test_train_step_averages_the_gradients_in_the_norm_pass(micro, monkeypatch):
-    # Averaged inside the norm pass, the gradients Adam receives and the
-    # norm equal an explicit average followed by the norm's definition.
+    # The norm of the average is the norm of the summed gradients divided
+    # by the group size, and Adam receives the sums with the average and
+    # the clip in one grad_scale. Against an explicit average, clip and
+    # Adam that is bit for bit at 2 micro-batches, and within 1e-6 at 3.
     records = tiny_records(2 * micro, seed=9)
     batches = [collate_batch(records[i:i + 2]) for i in range(0, 2 * micro, 2)]
     cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.25, batch_size=2 * micro,
@@ -750,9 +775,9 @@ def test_train_step_averages_the_gradients_in_the_norm_pass(micro, monkeypatch):
     seen = []
     real_adam = training.adam_step
 
-    def recording_adam(named, grads, *args, **kwargs):
-        seen.append({n: g.copy() for n, g in grads.items()})
-        return real_adam(named, grads, *args, **kwargs)
+    def recording_adam(named, grads, state, lr, grad_scale=1.0):
+        seen.append(({n: g.copy() for n, g in grads.items()}, grad_scale))
+        return real_adam(named, grads, state, lr, grad_scale=grad_scale)
 
     monkeypatch.setattr(training, "adam_step", recording_adam)
     model = tiny_model(seed=4)
@@ -760,18 +785,28 @@ def test_train_step_averages_the_gradients_in_the_norm_pass(micro, monkeypatch):
                          np.random.default_rng(0))
 
     ref = tiny_model(seed=4)
+    ref_named = ref.named_parameters()
     for mb in batches:
         loss, _ = ref.batch_loss(mb)
         backward(loss)
     grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
-             for n, t in ref.named_parameters().items()}
+             for n, t in ref_named.items()}
+    assert len(seen) == 1 and list(seen[0][0]) == list(grads)
+    for name, g in grads.items():
+        assert np.array_equal(seen[0][0][name], g), name
+    assert metrics.grad_norm > cfg.clip_norm  # the step clipped
+    assert seen[0][1] == metrics.clip_scale / micro
+    assert metrics.grad_norm == training.global_norm(grads) / micro
+
     for g in grads.values():
         g *= 1.0 / micro
-    assert len(seen) == 1 and list(seen[0]) == list(grads)
-    for name, g in grads.items():
-        assert np.array_equal(seen[0][name], g), name
-    assert metrics.grad_norm.hex() == _norm_reference(grads).hex()
-    assert metrics.grad_norm > cfg.clip_norm  # the step clipped
+    _, norm = clip_global_norm(grads, cfg.clip_norm)
+    adam_step(ref_named, grads, AdamState.init(ref_named), cfg.learning_rate)
+    tolerance = 0.0 if micro == 2 else 1e-6
+    assert math.isclose(metrics.grad_norm, norm, rel_tol=tolerance, abs_tol=0.0)
+    for name, t in model.named_parameters().items():
+        np.testing.assert_allclose(t.values, ref_named[name].values, rtol=tolerance, atol=0,
+                                   err_msg=name)
 
 
 def test_accumulation_matches_combined_batch():
@@ -1443,6 +1478,31 @@ def test_crash_between_checkpoint_writes_is_detected_on_resume(tmp_path, monkeyp
         fit(model, records, records, fit_cfg(max_epochs=6, patience=50),
             checkpoint_dir=tmp_path, resume=True)
     # The refused resume left the model as it was passed in.
+    for name, tensor in model.named_parameters().items():
+        assert np.array_equal(tensor.values, before[name]), name
+
+
+@pytest.mark.parametrize("crash_at", [training.BEST_CHECKPOINT, training.LAST_CHECKPOINT])
+def test_resume_before_any_committed_epoch_names_the_missing_file(tmp_path, monkeypatch,
+                                                                   crash_at):
+    records = tiny_records(8, seed=13)
+    real_save = training.save_checkpoint
+
+    def crash_in_epoch_0(ckpt, path):
+        if path.name == crash_at:
+            raise KeyboardInterrupt("simulated crash")
+        real_save(ckpt, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", crash_in_epoch_0)
+    with pytest.raises(KeyboardInterrupt):
+        fit(tiny_model(seed=11), records, records, fit_cfg(), checkpoint_dir=tmp_path)
+    monkeypatch.setattr(training, "save_checkpoint", real_save)
+    assert not (tmp_path / training.LAST_CHECKPOINT).exists()
+    model = tiny_model(seed=11)
+    before = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    with pytest.raises(FileNotFoundError, match=r"last\.gckp does not exist: no epoch of this "
+                                                r"run was committed, .* without --resume"):
+        fit(model, records, records, fit_cfg(), checkpoint_dir=tmp_path, resume=True)
     for name, tensor in model.named_parameters().items():
         assert np.array_equal(tensor.values, before[name]), name
 

@@ -398,10 +398,10 @@ class SyntheticSpec:
 
     Each token id owns a prototype feature vector. Entities are drawn
     from a small pool of the first `entity_vocab_size` ids (captions
-    keep a limited entity vocabulary, like real data); an entity's
-    positive objects get its prototype plus noise, distractor objects
-    get pool prototypes absent from the caption, so they act as hard
-    negatives. Filler token ids come from the rest of the vocab."""
+    keep a limited entity vocabulary, like real data); each entity gets
+    one planted positive object, its prototype plus noise, and the other
+    objects get pool prototypes absent from the caption, so they act as
+    hard negatives. Filler token ids come from the rest of the vocab."""
 
     seed: int
     num_samples: int
@@ -412,7 +412,6 @@ class SyntheticSpec:
     d_feat: int
     entity_vocab_size: int | None = None  # defaults to min(8, vocab_size)
     noise_scale: float = 0.05
-    positives_per_entity: int = 1
     image_size: int = 128
 
     def __post_init__(self):
@@ -423,9 +422,7 @@ class SyntheticSpec:
             object.__setattr__(self, "entity_vocab_size", min(8, self.vocab_size))
         if self.entities_per_sample > self.tokens_per_sample:
             raise ValueError("more entities than tokens per sample")
-        if self.positives_per_entity < 1:
-            raise ValueError("each entity needs at least one planted positive")
-        if self.entities_per_sample * self.positives_per_entity > self.objects_per_sample:
+        if self.entities_per_sample > self.objects_per_sample:
             raise ValueError("not enough objects for the planted positives")
         if not self.entities_per_sample < self.entity_vocab_size <= self.vocab_size:
             raise ValueError(
@@ -465,8 +462,8 @@ def _grid_boxes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[SampleRecord]:
-    """Deterministic in the seed; every entity gets >= 1 proposal with
-    IoU 1.0 against its ground truth, so the detector upper bound is
+    """Deterministic in the seed; each entity's ground truth is its one
+    planted proposal's box (IoU 1.0), so the detector upper bound is
     100% by construction."""
     rng = np.random.default_rng(spec.seed)
     protos = rng.normal(0.0, 1.0, (spec.vocab_size, spec.d_feat))
@@ -481,14 +478,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SampleRecord]:
         token_ids[positions] = entity_tids
 
         boxes = _grid_boxes(spec, rng)
-        planted = rng.choice(spec.objects_per_sample,
-                             spec.entities_per_sample * spec.positives_per_entity,
-                             replace=False)
-        planted_of = {
-            int(obj): j
-            for j, chunk in enumerate(np.split(planted, spec.entities_per_sample))
-            for obj in chunk
-        }
+        # planted[j] is entity j's one positive object.
+        planted = rng.choice(spec.objects_per_sample, spec.entities_per_sample, replace=False)
+        planted_of = {int(obj): j for j, obj in enumerate(planted)}
 
         distractor_pool = np.setdiff1d(pool, entity_tids)
         features = np.empty((spec.objects_per_sample, spec.d_feat), dtype=np.float64)
@@ -499,15 +491,10 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SampleRecord]:
                 proto = protos[rng.choice(distractor_pool)]
             features[o] = proto + spec.noise_scale * rng.normal(0.0, 1.0, spec.d_feat)
 
-        phrases = []
-        for j in range(spec.entities_per_sample):
-            own = [o for o, jj in planted_of.items() if jj == j]
-            phrases.append(PhraseSpan(
-                first_token=int(positions[j]),
-                last_token=int(positions[j]),
-                entity_type=str(rng.choice(ENTITY_TYPES)),
-                gt_boxes=boxes[np.sort(own)],
-            ))
+        phrases = [PhraseSpan(first_token=int(positions[j]), last_token=int(positions[j]),
+                              entity_type=str(rng.choice(ENTITY_TYPES)),
+                              gt_boxes=boxes[planted[j:j + 1]])
+                   for j in range(spec.entities_per_sample)]
 
         records.append(SampleRecord(
             image_id=f"synthetic-{s:05d}",

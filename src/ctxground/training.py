@@ -216,17 +216,13 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
 
 def _norm_blocks(blocks: list, flat: dict[str, np.ndarray]) -> list[float]:
     """The float64 sum of squares of each `_layout` block of the flat
-    gradients `flat`, gathered through one float64 buffer."""
+    gradients `flat`, each gathered by one `np.concatenate` into a buffer."""
     buf = np.empty(sum(hi - lo for _, lo, hi in blocks[0]) if blocks else 0,
                    dtype=np.float64)  # the largest block
     partials = []
     for block in blocks:
-        segments = [flat[name][lo:hi] for name, lo, hi in block]
         chunk = buf[:sum(hi - lo for _, lo, hi in block)]
-        if len(segments) == 1:
-            np.copyto(chunk, segments[0])
-        else:
-            np.concatenate(segments, out=chunk)
+        np.concatenate([flat[name][lo:hi] for name, lo, hi in block], out=chunk)
         partials.append(float(np.einsum("i,i->", chunk, chunk)))
     return partials
 
@@ -252,15 +248,14 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float
 
 def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float, grad_scale: float = 1.0) -> AdamState:
-    """One bias-corrected Adam update, applied in place.
+    """One bias-corrected Adam update of the parameters and moments, in place.
 
     Parameters, moments and gradients are streamed in cache-sized blocks
     through two scratch blocks, with the operations of the textbook
     formula in the same order, so the result is bit-identical to
-    evaluating it on whole arrays. A `grad_scale` other than 1.0 first
-    multiplies each gradient block in place, while it is in cache, by the
-    same float multiply with which `clip_global_norm` scales the whole
-    gradient. Parameters, moments and gradients share one dtype, and
+    evaluating it on whole arrays. Gradients are only read: each block is
+    multiplied by `grad_scale` into scratch, as `clip_global_norm` scales
+    them. Parameters, moments and gradients share one dtype, and
     parameters and moments must be C-contiguous so that their flat views
     write through; every parameter is checked before any update, so a
     refused call changes nothing.
@@ -290,16 +285,15 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
             typed[pv.dtype] = tuple(np.array(x, dtype=pv.dtype) for x in scalars)
         flat[name] = (pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1))
     state.step = step
-    scaled = float(grad_scale) != 1.0
     blocks = _layout((name, p.values.size) for name, p in named_params.items())
-    _in_halves(lambda part: _adam_blocks(part, flat, typed, scaled), blocks)
+    _in_halves(lambda part: _adam_blocks(part, flat, typed), blocks)
     return state
 
 
-def _adam_blocks(blocks: list, flat: dict[str, tuple], typed: dict, scaled: bool) -> None:
+def _adam_blocks(blocks: list, flat: dict[str, tuple], typed: dict) -> None:
     """Apply the Adam update to each range of each `_layout` block of the
     flat (p, m, v, g) views `flat`, through one scratch per dtype sized to
-    the largest block."""
+    the largest block; the gradients are only read."""
     width = sum(hi - lo for _, lo, hi in blocks[0]) if blocks else 0
     scratch = {dtype: np.empty((2, width), dtype=dtype) for dtype in typed}
     for name, lo, hi in (r for block in blocks for r in block):
@@ -307,15 +301,15 @@ def _adam_blocks(blocks: list, flat: dict[str, tuple], typed: dict, scaled: bool
         pb, mb, vb, gb = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
         b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed[pb.dtype]
         s1, s2 = scratch[pb.dtype][:, :pb.size]
-        if scaled:
-            np.multiply(gb, scale, out=gb)
+        # g = grad_scale * gradient, in s2 until the v / correct2 step
+        np.multiply(gb, scale, out=s2)
         # m = beta1 * m + (1 - beta1) * g
         np.multiply(mb, b1, out=mb)
-        np.multiply(gb, one_minus_b1, out=s1)
+        np.multiply(s2, one_minus_b1, out=s1)
         np.add(mb, s1, out=mb)
         # v = beta2 * v + (1 - beta2) * (g * g)
         np.multiply(vb, b2, out=vb)
-        np.multiply(gb, gb, out=s1)
+        np.multiply(s2, s2, out=s1)
         np.multiply(s1, one_minus_b2, out=s1)
         np.add(vb, s1, out=vb)
         # update = lr * (m / correct1) / (sqrt(v / correct2) + eps)
@@ -337,9 +331,9 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
     Gradients are summed over the micro-batches; the norm of their sum,
     divided by the group size `n` (normally `cfg.accumulation_steps`; an
     epoch's trailing group may be smaller), is the norm of their average.
-    Adam applies the average and the clip scale as one `grad_scale`, so
-    each gradient is written once. For a power-of-two `n` the result is
-    that of averaging, `clip_global_norm` and `adam_step`, bit for bit."""
+    Adam applies the average and the clip scale as one `grad_scale`; no
+    pass writes a gradient. For a power-of-two `n` the result is that of
+    averaging, `clip_global_norm` and `adam_step`, bit for bit."""
     micro_batches = list(micro_batches)
     if not micro_batches:
         raise ValueError("train_step needs at least one micro-batch")
@@ -350,7 +344,7 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
         loss, _ = model.batch_loss(mb, rng=rng)
         backward(loss)
         losses.append(loss.item())
-    # The accumulated gradients are scaled and consumed in place.
+    # The accumulated gradients, read by the norm and Adam passes.
     grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
              for n, t in named.items()}
     n = len(micro_batches)
@@ -683,11 +677,14 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         if last.optimizer is None or last.rng_state is None:
             raise ValueError("checkpoint lacks optimizer/rng state; cannot resume")
         best = load_checkpoint(checkpoint_dir / BEST_CHECKPOINT)
-        if best.best_epoch != last.best_epoch:
+        # A crash between an improving epoch's two writes leaves `best` one
+        # epoch ahead of `last`; replaying that epoch rebuilds it bit for bit.
+        if best.best_epoch != last.best_epoch and not (
+                best.best_epoch == last.epoch + 1 < cfg.max_epochs):
             raise ValueError(
                 f"{checkpoint_dir}: {BEST_CHECKPOINT} holds epoch {best.best_epoch} but "
-                f"{LAST_CHECKPOINT} expects epoch {last.best_epoch}; the pair is inconsistent "
-                f"(interrupted between the two writes?) and cannot be resumed"
+                f"{LAST_CHECKPOINT} expects epoch {last.best_epoch}, and max_epochs "
+                f"{cfg.max_epochs} replays no epoch that rebuilds it; the pair is inconsistent"
             )
         # A resume may extend a run or change its stopping rule; nothing else.
         # A checkpoint written before training sets were fingerprinted has

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -245,15 +246,41 @@ def test_adam_grad_scale_equals_scaling_the_gradient_first(dtype):
     inside, first = parameter(start.copy()), parameter(start.copy())
     state_inside, state_first = AdamState.init({"p": inside}), AdamState.init({"p": first})
     for scale in (0.3, 0.123456789, 1.0):
-        g = rng.normal(size=size).astype(dtype)
-        g_inside, g_first = g.copy(), g.copy()
+        g_inside = rng.normal(size=size).astype(dtype)
+        g_first = g_inside.copy()
         adam_step({"p": inside}, {"p": g_inside}, state_inside, lr=1e-3, grad_scale=scale)
+        assert g_inside.tobytes() == g_first.tobytes()  # scaled in scratch, never written
         g_first *= scale
         adam_step({"p": first}, {"p": g_first}, state_first, lr=1e-3)
-        assert np.array_equal(g_inside, g_first)
         assert np.array_equal(inside.values, first.values)
         assert np.array_equal(state_inside.m["p"], state_first.m["p"])
         assert np.array_equal(state_inside.v["p"], state_first.v["p"])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_adam_takes_read_only_gradients_and_writes_none(cpus, monkeypatch):
+    _on_cpus(monkeypatch, cpus)
+
+    def run(read_only):
+        named = _split_layout(np.float32)  # "big" spans several `_BLOCK`s
+        state = AdamState.init(named)
+        rng = np.random.default_rng(5)
+        for scale in (0.5, 1.0):
+            grads = {n: rng.normal(size=t.shape).astype(np.float32) for n, t in named.items()}
+            before = {n: g.tobytes() for n, g in grads.items()}
+            for g in grads.values():
+                g.flags.writeable = not read_only
+            adam_step(named, grads, state, lr=1e-3, grad_scale=scale)
+            assert {n: g.tobytes() for n, g in grads.items()} == before
+        return named, state
+
+    named, state = run(read_only=True)
+    want_named, want_state = run(read_only=False)
+    assert state.step == want_state.step == 2
+    for n, t in want_named.items():
+        assert np.array_equal(named[n].values, t.values), n
+        assert np.array_equal(state.m[n], want_state.m[n]), n
+        assert np.array_equal(state.v[n], want_state.v[n]), n
 
 
 def test_adam_rejects_non_contiguous_parameter():
@@ -1452,30 +1479,86 @@ def test_best_checkpoint_is_written_only_when_dev_recall_improves(tmp_path, monk
     assert best.history == result.history[:improved[-1] + 1]
 
 
-def test_crash_between_checkpoint_writes_is_detected_on_resume(tmp_path, monkeypatch):
-    records = tiny_records(8, seed=13)
+def _crash_before_save(monkeypatch, k):
+    """Make the k-th `save_checkpoint` call of `fit` (counting from 0)
+    raise KeyboardInterrupt before it writes anything. Returns the list
+    of (file name, epoch) of the calls, the crashed one last."""
     real_save = training.save_checkpoint
-    crashed = []
+    calls = []
 
-    def save_then_crash(ckpt, path):
-        # Crash on the first `last` write of an epoch that set a new best,
-        # after `best` for that epoch is already on disk.
-        if path.name == training.LAST_CHECKPOINT and 0 < ckpt.epoch == ckpt.best_epoch:
-            crashed.append(ckpt.epoch)
+    def save(ckpt, path):
+        calls.append((path.name, ckpt.epoch))
+        if len(calls) > k:
             raise KeyboardInterrupt("simulated crash")
         real_save(ckpt, path)
 
-    monkeypatch.setattr(training, "save_checkpoint", save_then_crash)
-    with pytest.raises(KeyboardInterrupt):
-        fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=6, patience=50),
-            checkpoint_dir=tmp_path)
-    assert crashed, "no epoch improved on the best; the crash was never simulated"
-    monkeypatch.setattr(training, "save_checkpoint", real_save)
-    assert load_checkpoint(tmp_path / "last.gckp").epoch == crashed[0] - 1
-    model = tiny_model(seed=11)
+    monkeypatch.setattr(training, "save_checkpoint", save)
+    return calls
+
+
+def test_every_crash_point_after_the_first_commit_resumes_to_the_uninterrupted_run(
+        tmp_path, monkeypatch):
+    records = tiny_records(8, seed=13)
+    cfg = fit_cfg(learning_rate=5e-3, max_epochs=6, patience=50, clip_norm=0.05,
+                  dropout_p=0.2)
+
+    def run(where, resume=False):
+        return fit(tiny_model(seed=0, dropout=0.2), records, records, cfg,
+                   checkpoint_dir=where, resume=resume)
+
+    full = run(tmp_path / "full")
+    files = {name: (tmp_path / "full" / name).read_bytes()
+             for name in (training.BEST_CHECKPOINT, training.LAST_CHECKPOINT)}
+    writes = []
+    for k in itertools.count():
+        where = tmp_path / f"crash-{k}"
+        with monkeypatch.context() as mp:
+            calls = _crash_before_save(mp, k)
+            try:
+                run(where)
+            except KeyboardInterrupt:
+                writes.append(calls[-1])
+            else:
+                break
+        if k < 2:  # epoch 0's `best` and `last`: nothing is committed yet
+            assert writes[-1][1] == 0
+            with pytest.raises(FileNotFoundError, match="no epoch of this run was committed"):
+                run(where, resume=True)
+            continue
+        resumed = run(where, resume=True)
+        assert resumed.history == full.history, writes[-1]
+        assert resumed.best.best_epoch == full.best.best_epoch, writes[-1]
+        for name, arr in full.best.params.items():
+            assert resumed.best.params[name].tobytes() == arr.tobytes(), (writes[-1], name)
+        for name, blob in files.items():
+            assert (where / name).read_bytes() == blob, (writes[-1], name)
+    # Every write was a crash point, among them the `last` of improving
+    # epochs after 0: `best.gckp` one epoch ahead, the case resume replays.
+    improved = [e for e in range(1, len(full.history))
+                if (training.BEST_CHECKPOINT, e) in writes]
+    assert len(writes) == len(full.history) + 1 + len(improved)
+    assert len(improved) >= 2
+
+
+def test_resume_refuses_a_best_ahead_that_the_lowered_max_epochs_would_not_replay(
+        tmp_path, monkeypatch):
+    records = tiny_records(8, seed=13)
+    cfg = fit_cfg(learning_rate=5e-3, max_epochs=6, patience=50, dropout_p=0.2)
+    with monkeypatch.context() as mp:
+        # Epoch 1 improves on epoch 0: crash before its `last`, the fourth write.
+        calls = _crash_before_save(mp, 3)
+        with pytest.raises(KeyboardInterrupt):
+            fit(tiny_model(seed=0, dropout=0.2), records, records, cfg, checkpoint_dir=tmp_path)
+    assert calls == [(training.BEST_CHECKPOINT, 0), (training.LAST_CHECKPOINT, 0),
+                     (training.BEST_CHECKPOINT, 1), (training.LAST_CHECKPOINT, 1)]
+    assert load_checkpoint(tmp_path / training.BEST_CHECKPOINT).best_epoch == 1
+    assert load_checkpoint(tmp_path / training.LAST_CHECKPOINT).epoch == 0
+    model = tiny_model(seed=0, dropout=0.2)
     before = {n: t.values.copy() for n, t in model.named_parameters().items()}
-    with pytest.raises(ValueError, match="inconsistent"):
-        fit(model, records, records, fit_cfg(max_epochs=6, patience=50),
+    with pytest.raises(ValueError, match="best.gckp holds epoch 1 but last.gckp expects epoch "
+                                         "0, and max_epochs 1 replays no epoch that rebuilds "
+                                         "it; the pair is inconsistent"):
+        fit(model, records, records, dataclasses.replace(cfg, max_epochs=1),
             checkpoint_dir=tmp_path, resume=True)
     # The refused resume left the model as it was passed in.
     for name, tensor in model.named_parameters().items():
@@ -1486,17 +1569,13 @@ def test_crash_between_checkpoint_writes_is_detected_on_resume(tmp_path, monkeyp
 def test_resume_before_any_committed_epoch_names_the_missing_file(tmp_path, monkeypatch,
                                                                    crash_at):
     records = tiny_records(8, seed=13)
-    real_save = training.save_checkpoint
-
-    def crash_in_epoch_0(ckpt, path):
-        if path.name == crash_at:
-            raise KeyboardInterrupt("simulated crash")
-        real_save(ckpt, path)
-
-    monkeypatch.setattr(training, "save_checkpoint", crash_in_epoch_0)
-    with pytest.raises(KeyboardInterrupt):
-        fit(tiny_model(seed=11), records, records, fit_cfg(), checkpoint_dir=tmp_path)
-    monkeypatch.setattr(training, "save_checkpoint", real_save)
+    with monkeypatch.context() as mp:
+        # Epoch 0 always sets the best: it writes `best`, then `last`.
+        calls = _crash_before_save(mp, [training.BEST_CHECKPOINT,
+                                        training.LAST_CHECKPOINT].index(crash_at))
+        with pytest.raises(KeyboardInterrupt):
+            fit(tiny_model(seed=11), records, records, fit_cfg(), checkpoint_dir=tmp_path)
+    assert calls[-1] == (crash_at, 0)
     assert not (tmp_path / training.LAST_CHECKPOINT).exists()
     model = tiny_model(seed=11)
     before = {n: t.values.copy() for n, t in model.named_parameters().items()}

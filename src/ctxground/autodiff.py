@@ -2,10 +2,12 @@
 
 Tensors wrap numpy arrays (float32 or float64) and record the operations
 applied to them so that `backward` can replay the graph in reverse
-topological order. The op set is what the grounding model needs:
-broadcasting add and multiply, fused linear layers, masked softmax, fused
-multi-head attention, layer norm (with an optional residual operand),
-GELU, dropout, binary cross entropy on logits, gathers and reductions.
+topological order, once: it drops each op node's gradient after use and
+releases the graph when it returns. The op set is what the grounding
+model needs: broadcasting add and multiply, fused linear layers, masked
+softmax, fused multi-head attention, layer norm (with an optional
+residual operand), GELU, dropout, binary cross entropy on logits, gathers
+and reductions.
 The model never calls batched `matmul`; it stays as the unfused reference
 that the attention tests compare the fused op against.
 
@@ -81,12 +83,14 @@ class Tensor:
 
     `values` is immutable by convention once the tensor has entered a
     graph; only leaf parameters are updated in place (by the optimizer,
-    between graphs). `grad` accumulates additively across backward calls
-    until cleared. `zero_grads` parks the cleared array on the tensor, and
-    the next backward writes the tensor's first gradient into it.
+    between graphs). A leaf's `grad` accumulates additively across
+    backward calls until cleared; an op node holds a gradient only while
+    `backward` runs. `zero_grads` parks the cleared array on the tensor,
+    and the next backward writes the tensor's first gradient into it.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_parked", "_parents", "_backward_fn")
+    __slots__ = ("values", "requires_grad", "grad", "_parked", "_parents", "_backward_fn",
+                 "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None):
         arr = np.asarray(values, dtype=dtype)
@@ -190,11 +194,18 @@ def _first_grad(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add `g` into `t.grad`. `fresh` says that nothing else holds `g`'s
+    memory: an op node (never a leaf) then takes `g` itself as its first
+    gradient instead of a copy, when the copy would have `g`'s layout."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        np.copyto(_first_grad(t), g)
+        if (fresh and t._backward_fn is not None and g.dtype == t.dtype
+                and g.flags.c_contiguous and t.values.flags.c_contiguous):
+            t.grad = g
+        else:
+            np.copyto(_first_grad(t), g)
     else:
         t.grad += g
 
@@ -232,9 +243,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.values, a.shape))
+            _accumulate(a, _unbroadcast(g * b.values, a.shape), fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.values, b.shape))
+            _accumulate(b, _unbroadcast(g * a.values, b.shape), fresh=True)
 
     return _make(a.values * b.values, "mul", (a, b), backward_fn)
 
@@ -242,11 +253,22 @@ def mul(a: Tensor, b) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form."""
     x = a.values
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    # 0.5 * (1 + erf(x / sqrt(2))), through one temporary
+    cdf = np.divide(x, math.sqrt(2.0))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward_fn(g):
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        _accumulate(a, g * (cdf + x * pdf))
+        # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)), through one temporary
+        d = np.multiply(x, -0.5)
+        d *= x
+        np.exp(d, out=d)
+        d /= math.sqrt(2.0 * math.pi)
+        d *= x
+        d += cdf
+        d *= g
+        _accumulate(a, d, fresh=True)
 
     return _make(x * cdf, "gelu", (a,), backward_fn)
 
@@ -340,7 +362,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward_fn(g):
         g2 = _rows(g)
         if x.requires_grad:
-            _accumulate(x, (g2 @ weight.values.T).reshape(x.shape))
+            _accumulate(x, (g2 @ weight.values.T).reshape(x.shape), fresh=True)
         if weight.requires_grad:
             x_rows = _rows(x.values).T
             if weight.grad is None:
@@ -412,7 +434,7 @@ def softmax_lastdim(a: Tensor, mask=None) -> Tensor:
     out_values = _softmax(a.values, mask)
 
     def backward_fn(g):
-        _accumulate(a, _softmax_backward(out_values, g))
+        _accumulate(a, _softmax_backward(out_values, g), fresh=True)
 
     return _make(out_values, "softmax_lastdim", (a,), backward_fn)
 
@@ -444,11 +466,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tens
         do = np.ascontiguousarray(heads(g))
         dl = _softmax_backward(p, np.matmul(do, vh.swapaxes(-1, -2))) * scale
         if q.requires_grad:
-            _accumulate(q, merge(np.matmul(dl, kh)))
+            _accumulate(q, merge(np.matmul(dl, kh)), fresh=True)
         if k.requires_grad:
-            _accumulate(k, merge(np.matmul(qh.swapaxes(-1, -2), dl).swapaxes(-1, -2)))
+            _accumulate(k, merge(np.matmul(qh.swapaxes(-1, -2), dl).swapaxes(-1, -2)), fresh=True)
         if v.requires_grad:
-            _accumulate(v, merge(np.matmul(p.swapaxes(-1, -2), do)))
+            _accumulate(v, merge(np.matmul(p.swapaxes(-1, -2), do)), fresh=True)
 
     return _make(merge(np.matmul(p, vh)), "attention", (q, k, v), backward_fn)
 
@@ -478,8 +500,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
-        for t in inputs:
-            _accumulate(t, _unbroadcast(dx, t.shape))
+        if residual is not None:
+            _accumulate(residual, _unbroadcast(dx, residual.shape))
+        _accumulate(a, _unbroadcast(dx, a.shape), fresh=True)
 
     inputs = (a,) if residual is None else (a, residual)
     return _make(xhat * gain.values + bias.values, "layer_norm", (*inputs, gain, bias),
@@ -504,7 +527,7 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     def backward_fn(g):
         sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
                        np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(np.minimum(z, 0.0))))
-        _accumulate(logits, g * (sig - t))
+        _accumulate(logits, g * (sig - t), fresh=True)
 
     return _make(values, "bce_with_logits", (logits,), backward_fn)
 
@@ -520,13 +543,17 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return a
-    keep = (rng.random(a.shape) >= p).astype(a.dtype)
+    keep = rng.random(a.shape) >= p  # bool; a multiply casts it to the tensor's dtype
     scale = 1.0 / (1.0 - p)
 
     def backward_fn(g):
-        _accumulate(a, g * keep * scale)
+        d = g * keep
+        d *= scale
+        _accumulate(a, d, fresh=True)
 
-    return _make(a.values * keep * scale, "dropout", (a,), backward_fn)
+    out = a.values * keep
+    out *= scale
+    return _make(out, "dropout", (a,), backward_fn)
 
 
 # -- backward pass ---------------------------------------------------------
@@ -552,17 +579,36 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g: np.ndarray) -> None:
+    """The backward function of every op node of a graph that `backward`
+    has run through. `backward` refuses a graph that reaches one."""
+    raise AssertionError("backward reached a released graph")
+
+
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss, accumulating into `.grad` slots."""
+    """Backpropagate from a scalar loss, accumulating into the leaves'
+    `.grad` slots, and release the graph.
+
+    Each op node's gradient is dropped once its backward function has
+    used it. When the pass ends, every op node lets go of its parents and
+    its backward function, so the activations those held die once the
+    caller drops the output. A later backward through any released node
+    raises ValueError before it writes a gradient."""
     if loss.values.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not depend on any tensor requiring gradients")
     order = topo_order(loss)
+    if any(node._backward_fn is _released for node in order):
+        raise ValueError("the graph was released by an earlier backward; run the forward again")
     loss.grad = np.ones_like(loss.values)
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
+    for node in order:
+        if node._backward_fn is not None:
+            node._parents, node._backward_fn = (), _released
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

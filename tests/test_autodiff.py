@@ -1,11 +1,15 @@
 import math
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
+from ctxground import autodiff
 from ctxground.autodiff import (
     NonFiniteError,
     ShapeError,
@@ -34,6 +38,10 @@ from oracles import bce_ref, gelu_ref, layer_norm_ref, matmul_ref, softmax_ref
 def fdcheck(f, x, tol=1e-6, h=1e-5):
     err = finite_diff_check(f, x, h)
     assert err < tol, f"finite-difference mismatch: {err}"
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # -- matmul --------------------------------------------------------------------
@@ -462,6 +470,24 @@ def test_dropout_gradient_with_fixed_mask():
     fdcheck(lambda t: dropout(t, 0.5, np.random.default_rng(5)).sum(), x)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_keeps_a_bool_mask_with_the_float_mask_values(dtype):
+    # A multiply casts the bool mask to the tensor's dtype, so values and
+    # gradients are those of the mask in that dtype, bit for bit.
+    rng = np.random.default_rng(8)
+    x = parameter(rng.normal(size=(5, 7)), dtype=dtype)
+    g = rng.normal(size=(5, 7)).astype(dtype)
+    out = dropout(x, 0.3, np.random.default_rng(12))
+    held = [c.cell_contents for c in out._backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.dtype for a in held] == [np.dtype(bool)]
+    keep = (np.random.default_rng(12).random((5, 7)) >= 0.3).astype(dtype)
+    scale = 1.0 / (1.0 - 0.3)
+    assert same_bits(out.values, x.values * keep * scale)
+    backward((out * constant(g)).sum())
+    assert same_bits(x.grad, g * keep * scale)
+
+
 # -- gelu and misc ops -------------------------------------------------------------
 
 
@@ -474,6 +500,23 @@ def test_gelu_matches_reference():
 def test_gelu_gradient():
     x = parameter(np.linspace(-3, 3, 10))
     fdcheck(lambda t: gelu(t).sum(), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_in_place_chain_equals_the_plain_formula(dtype):
+    # The forward and backward chains run through one temporary each; they
+    # give the values of the expressions below bit for bit, in the tails too.
+    rng = np.random.default_rng(13)
+    xs = np.concatenate([np.linspace(-12, 12, 241), rng.normal(scale=4.0, size=300)])
+    x = parameter(xs, dtype=dtype)
+    g = rng.normal(size=xs.shape).astype(dtype)
+    v = x.values
+    cdf = 0.5 * (1.0 + erf(v / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+    out = gelu(x)
+    assert same_bits(out.values, v * cdf)
+    backward((out * constant(g)).sum())
+    assert same_bits(x.grad, g * (cdf + v * pdf))
 
 
 def test_elementwise_gradients():
@@ -590,6 +633,83 @@ def test_backward_rejects_non_scalar_loss():
     x = parameter(np.ones(3))
     with pytest.raises(ValueError, match="scalar"):
         backward(x * 2.0)
+
+
+def _linear_gelu_loss(rng):
+    w = parameter(rng.normal(size=(4, 3)))
+    b = parameter(np.zeros(3))
+    h = gelu(linear(constant(rng.normal(size=(5, 4))), w, b))
+    return w, b, h, (h * 2.0).sum()
+
+
+def test_backward_keeps_leaf_gradients_and_releases_the_graph():
+    w, b, h, loss = _linear_gelu_loss(np.random.default_rng(30))
+    nodes = topo_order(loss)
+    ops = [n for n in nodes if n._backward_fn is not None]
+    assert len(ops) == 4  # linear, gelu, mul, sum
+    backward(loss)
+    for node in ops:
+        assert node.grad is None and node._parents == ()
+        assert node._backward_fn is autodiff._released
+    for leaf in (w, b):
+        assert leaf.grad is not None and leaf._backward_fn is None
+    assert topo_order(loss) == [loss]
+
+
+def test_intermediate_tensors_die_when_backward_returns():
+    # The caller keeps the loss, as train_step does until its next forward,
+    # and drops the layer output; the graph behind the loss is gone.
+    w, b, h, loss = _linear_gelu_loss(np.random.default_rng(31))
+    refs = [weakref.ref(h), weakref.ref(h._parents[0]), weakref.ref(h.values)]
+    del h
+    backward(loss)
+    assert [r() for r in refs] == [None, None, None]
+    assert w.grad is not None and loss.grad is None
+
+
+def test_a_second_backward_on_a_released_graph_raises_before_writing():
+    x = parameter([1.0, 2.0])
+    h = x * x
+    loss = h.sum()
+    backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        backward(loss)
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        backward((h * 3.0 + x).sum())  # a new graph through a released node
+    assert np.array_equal(x.grad, first)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_peak_stays_within_the_forward_plus_two_activations(dtype):
+    # Without freeing, every op node's gradient stays until backward returns
+    # (about 14 activations here). With it, the peak over what the forward
+    # retained is the leaves' gradients, two activations (the gradient in
+    # use and the one being made) and one ufunc buffer, through which a
+    # multiply casts dropout's bool mask.
+    rng = np.random.default_rng(32)
+    rows, width = 4096, 32
+    weights = [parameter(rng.normal(size=(width, width)) / 8, dtype=dtype) for _ in range(4)]
+    biases = [parameter(np.zeros(width), dtype=dtype) for _ in range(4)]
+    h = constant(rng.normal(size=(rows, width)), dtype=dtype)
+    activation = h.values.nbytes
+    drop_rng = np.random.default_rng(33)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for w, b in zip(weights, biases):
+            h = dropout(gelu(linear(h, w, b)), 0.1, drop_rng)
+        loss = h.sum()
+        del h
+        retained = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    leaf_grads = sum(p.grad.nbytes for p in weights + biases)
+    buffer = np.getbufsize() * np.dtype(dtype).itemsize
+    assert peak <= retained + leaf_grads + 2 * activation + buffer
 
 
 def test_topo_order_visits_each_node_once():

@@ -748,20 +748,32 @@ def test_train_steps_equal_fresh_gradients_clipped_then_adam(accumulation):
 def test_train_steps_reuse_each_parameter_gradient_array(monkeypatch):
     # Every parameter's first gradient of a step lands in the array its
     # first step allocated; no intermediate node of a graph gets one of them.
+    # The graph is captured before backward, which releases it.
     records = tiny_records(8, seed=9)
     batches = [collate_batch(records[i:i + 2]) for i in range(0, 8, 2)]
     cfg = TrainConfig(learning_rate=1e-2, batch_size=4, accumulation_steps=2,
                       max_epochs=1, dropout_p=0.1)
     model = tiny_model(seed=4, dropout=0.1)
     named = model.named_parameters()
-    seen = []  # per backward: each parameter's gradient array, and the intermediates
+    seen = []  # per backward: each parameter's gradient array, and the intermediates' first
+    given = []  # per backward: (tensor, array) for each first gradient array handed out
+    first_grad = autodiff._first_grad
+
+    def recording_first_grad(t):
+        given.append((t, first_grad(t)))
+        return given[-1][1]
 
     def recording_backward(loss):
+        intermediates = [t for t in autodiff.topo_order(loss)
+                         if all(t is not p for p in named.values())]
+        assert any(t._backward_fn is not None for t in intermediates)
+        assert all(t._parked is None for t in intermediates)
+        given.clear()
         backward(loss)
-        nodes = autodiff.topo_order(loss)
         seen.append(({n: t.grad for n, t in named.items()},
-                     [t for t in nodes if all(t is not p for p in named.values())]))
+                     [g for t, g in given if any(t is u for u in intermediates)]))
 
+    monkeypatch.setattr(autodiff, "_first_grad", recording_first_grad)
     monkeypatch.setattr(training, "backward", recording_backward)
     state, rng = AdamState.init(named), np.random.default_rng(6)
     for step in range(3):
@@ -771,10 +783,10 @@ def test_train_steps_reuse_each_parameter_gradient_array(monkeypatch):
     assert all(g is not None for g in first.values())
     for grads, _ in seen:
         assert all(grads[n] is first[n] for n in named)
-    for _, intermediates in seen:
-        for node in intermediates:
-            assert node._parked is None
-            assert all(node.grad is not g for g in first.values())
+    assert all(arrays for _, arrays in seen)
+    for _, arrays in seen:
+        for g in arrays:
+            assert all(g is not p for p in first.values())
 
 
 @pytest.mark.parametrize("clip_norm,clips", [(0.25, True), (1e6, False)])

@@ -28,7 +28,6 @@ from .encoder import (
     default_image_config,
     default_text_config,
     model_label,
-    normalize_box,
 )
 from .evaluate import EvalReport, emit_report, evaluate, load_report, recall_at_k, upper_bound
 from .head import GroundingLogits, HeadParams, PhraseSpan, grounding_loss, rank_objects

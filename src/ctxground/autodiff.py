@@ -8,8 +8,9 @@ model needs: broadcasting add and multiply, fused linear layers, masked
 softmax, fused multi-head attention, layer norm (with an optional
 residual operand), GELU, dropout, binary cross entropy on logits, gathers
 and reductions.
-The model never calls batched `matmul`; it stays as the unfused reference
-that the attention tests compare the fused op against.
+The model never calls `matmul`, which takes numpy's broadcast product,
+a 2-d right operand too; it stays as the unfused reference that the
+attention tests compare the fused op against.
 
 Non-finite results are an error, never silent: every op validates its
 output and raises :class:`NonFiniteError` on NaN/Inf.
@@ -347,7 +348,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     The leading axes of `x` fold into one GEMM, forward and in both
     gradient products. The bias is added in place into the GEMM output and
     its gradient is reduced as `add` reduces it, so values and gradients
-    equal those of `matmul(x, weight) + bias` bit for bit."""
+    equal those of `linear(x, weight) + bias` bit for bit."""
     if weight.values.ndim != 2 or x.values.ndim < 1 or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear shapes disagree: {x.shape} @ {weight.shape}")
     if bias is not None and bias.shape != weight.shape[1:]:
@@ -377,10 +378,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product [..., m, k] @ [..., k, n] -> [..., m, n].
-
-    A 2-d right operand (a linear layer's weight) goes through `linear`.
-    """
+    """numpy's broadcast matrix product [..., m, k] @ [..., k, n] -> [..., m, n]."""
     b = _as_tensor(b, a.dtype)
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise ShapeError(
@@ -388,9 +386,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    if b.values.ndim == 2:
-        return linear(a, b)
-
     try:
         values = np.matmul(a.values, b.values)
     except ValueError as exc:

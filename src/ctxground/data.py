@@ -131,6 +131,9 @@ class SampleRecord:
             raise ValueError(
                 f"feature rows {self.features.shape} do not match {self.proposals.shape[0]} proposals"
             )
+        if not np.isfinite(self.features).all():
+            row = np.argmin(np.isfinite(self.features).all(axis=1))
+            raise ValueError(f"non-finite feature value for proposal {row}")
         for phrase in self.phrases:
             if phrase.last_token >= self.token_ids.size:
                 raise ValueError(
@@ -428,8 +431,8 @@ class SyntheticSpec:
             raise ValueError(
                 "entity_vocab_size must leave at least one distractor id and fit the vocab"
             )
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
+        if not 0 <= self.noise_scale < math.inf:  # positive form: NaN fails
+            raise ValueError("noise_scale must be finite and non-negative")
         grid = math.ceil(math.sqrt(self.objects_per_sample))
         if self.image_size < 4 * grid:
             raise ValueError(f"image_size {self.image_size} too small for {grid}x{grid} grid")

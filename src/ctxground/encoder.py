@@ -51,7 +51,6 @@ __all__ = [
     "init_text_branch",
     "init_image_branch",
     "embed_tokens",
-    "normalize_box",
     "normalize_boxes",
     "spatial_embed",
     "multi_head_self_attention",
@@ -359,16 +358,11 @@ def check_boxes(boxes, name: str = "box", sizes=None, valid=None) -> np.ndarray:
     raise ValueError(f"{name} {box} outside image bounds {size}")
 
 
-def normalize_box(box, width: float, height: float) -> np.ndarray:
-    """Scale-free 5-d descriptor: corners over image size plus relative area."""
-    box = check_boxes(np.reshape(box, (1, 1, 4)), "box", (width, height))
-    return normalize_boxes(box, [[width, height]])[0, 0]
-
-
 def normalize_boxes(boxes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """:func:`normalize_box` over [batch, objects, 4] boxes and [batch, 2]
-    sizes, without validation: a `BranchInput` has checked its boxes, and
-    padded slots carry :data:`PAD_BOX`."""
+    """Scale-free 5-d descriptors of [batch, objects, 4] boxes in images of
+    [batch, 2] sizes: corners over image size plus relative area. Nothing
+    is validated here: a `BranchInput` has checked its boxes, and padded
+    slots carry :data:`PAD_BOX`."""
     boxes = np.asarray(boxes, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)[:, None, :]
     w, h = sizes[..., 0], sizes[..., 1]

@@ -74,8 +74,9 @@ class TrainConfig:
     dropout_p: float = 0.4
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+        # Positive form, so a NaN fails: JSON configs may hold NaN and Infinity.
+        if not (0 < self.learning_rate < math.inf and 0 < self.clip_norm < math.inf):
+            raise ValueError("learning_rate and clip_norm must be finite and positive")
         if self.batch_size < 1 or self.accumulation_steps < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, accumulation_steps and max_epochs must be positive")
         if self.batch_size % self.accumulation_steps != 0:
@@ -254,11 +255,11 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     through two scratch blocks, with the operations of the textbook
     formula in the same order, so the result is bit-identical to
     evaluating it on whole arrays. Gradients are only read: each block is
-    multiplied by `grad_scale` into scratch, as `clip_global_norm` scales
-    them. Parameters, moments and gradients share one dtype, and
-    parameters and moments must be C-contiguous so that their flat views
-    write through; every parameter is checked before any update, so a
-    refused call changes nothing.
+    multiplied by `grad_scale` into scratch, as scaling them in place
+    first would. All parameters, moments and gradients of a call share
+    one dtype, and parameters and moments must be C-contiguous so that
+    their flat views write through; every parameter is checked before any
+    update, so a refused call changes nothing.
 
     `_in_halves` updates the `_layout` blocks on two threads; the update
     is elementwise, so neither blocks nor cut change a value. Each range's
@@ -268,21 +269,20 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     beta1, beta2 = float(state.beta1), float(state.beta2)
     scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** step,
                float(lr), 1.0 - beta2 ** step, float(state.eps), float(grad_scale))
-    # The scalars as 0-d arrays of each parameter dtype: the values the
+    # The scalars as 0-d arrays of the first parameter's dtype: the values the
     # ufuncs would round Python floats to, at less dispatch cost per call.
-    typed: dict[np.dtype, tuple[np.ndarray, ...]] = {}
+    dtype = next((p.values.dtype for p in named_params.values()), None)
+    typed = tuple(np.array(x, dtype=dtype) for x in scalars)
     flat = {}  # name: flat views of the parameter, its moments and its gradient
     for name, p in named_params.items():
         pv, m, v, g = p.values, state.m[name], state.v[name], grads[name]
         if g.shape != pv.shape:
             raise ValueError(f"gradient shape {g.shape} does not match {name!r} {pv.shape}")
-        if not pv.dtype == m.dtype == v.dtype == g.dtype:
-            raise ValueError(f"parameter, moments and gradient of {name!r} differ in dtype: "
-                             f"{pv.dtype}, {m.dtype}, {v.dtype}, {g.dtype}")
+        if not dtype == pv.dtype == m.dtype == v.dtype == g.dtype:
+            raise ValueError(f"parameter, moments and gradient of {name!r} are {pv.dtype}, "
+                             f"{m.dtype}, {v.dtype}, {g.dtype}; a call takes one dtype, {dtype}")
         if not (pv.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError(f"parameter {name!r} and its Adam moments must be C-contiguous")
-        if pv.dtype not in typed:
-            typed[pv.dtype] = tuple(np.array(x, dtype=pv.dtype) for x in scalars)
         flat[name] = (pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1))
     state.step = step
     blocks = _layout((name, p.values.size) for name, p in named_params.items())
@@ -290,17 +290,17 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     return state
 
 
-def _adam_blocks(blocks: list, flat: dict[str, tuple], typed: dict) -> None:
+def _adam_blocks(blocks: list, flat: dict[str, tuple], typed: tuple) -> None:
     """Apply the Adam update to each range of each `_layout` block of the
-    flat (p, m, v, g) views `flat`, through one scratch per dtype sized to
-    the largest block; the gradients are only read."""
+    flat (p, m, v, g) views `flat`, with the 0-d scalars `typed`, through
+    one scratch sized to the largest block; the gradients are only read."""
+    b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed
     width = sum(hi - lo for _, lo, hi in blocks[0]) if blocks else 0
-    scratch = {dtype: np.empty((2, width), dtype=dtype) for dtype in typed}
+    scratch = np.empty((2, width), dtype=b1.dtype)
     for name, lo, hi in (r for block in blocks for r in block):
         pf, mf, vf, gf = flat[name]
         pb, mb, vb, gb = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
-        b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed[pb.dtype]
-        s1, s2 = scratch[pb.dtype][:, :pb.size]
+        s1, s2 = scratch[:, :pb.size]
         # g = grad_scale * gradient, in s2 until the v / correct2 step
         np.multiply(gb, scale, out=s2)
         # m = beta1 * m + (1 - beta1) * g
@@ -333,7 +333,7 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
     epoch's trailing group may be smaller), is the norm of their average.
     Adam applies the average and the clip scale as one `grad_scale`; no
     pass writes a gradient. For a power-of-two `n` the result is that of
-    averaging, `clip_global_norm` and `adam_step`, bit for bit."""
+    averaging and clipping in place, then `adam_step`, bit for bit."""
     micro_batches = list(micro_batches)
     if not micro_batches:
         raise ValueError("train_step needs at least one micro-batch")
@@ -453,7 +453,8 @@ def _check_manifest(manifest: dict, shapes: list[tuple[str, tuple]], where) -> N
 
     for key, check, what in (("config", lambda x: isinstance(x, dict), "an object"),
                              ("epoch", _is_count, "a non-negative integer"),
-                             ("best_metric", _is_number, "a number"),
+                             ("best_metric", lambda x: _is_number(x) and 0 <= x <= 100,
+                              "a finite number in [0, 100]"),
                              ("best_epoch", _is_count, "a non-negative integer")):
         if key not in manifest:
             raise bad(f"manifest has no {key!r}")

@@ -73,6 +73,12 @@ def iou_cell_count(a, b):
     return inter / union if union else 0.0
 
 
+def positives_ref(proposals, gt_boxes, threshold=0.5):
+    """1.0 for each proposal whose scalar IoU with some ground-truth box
+    reaches `threshold`, else 0.0: a phrase's supervision target row."""
+    return [float(any(iou_ref(p, gt) >= threshold for gt in gt_boxes)) for p in proposals]
+
+
 def rank_ref(scores, valid):
     """Descending-score ranking over valid indices, index tiebreak,
     via repeated selection instead of a sort."""

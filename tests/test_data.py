@@ -28,7 +28,7 @@ from ctxground.data import (
 from ctxground.head import PhraseSpan
 
 from fuzzing import mutate
-from oracles import iou_cell_count, iou_ref, prototype_table
+from oracles import iou_cell_count, iou_ref, positives_ref, prototype_table
 
 
 def make_record(image_id="img-0", num_objects=3, num_tokens=5, d_feat=4, seed=0):
@@ -275,6 +275,27 @@ def test_non_finite_box_in_jsonl_rejected(tmp_path, where, bad):
         parse_dataset(path)
 
 
+@pytest.mark.parametrize("storage", ["inline", "files"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_feature_rejected_naming_the_line(tmp_path, storage, bad):
+    # Inline JSONL and a GRND payload both carry NaN/Inf as floats; the
+    # record refuses them instead of a forward pass failing far away.
+    path = tmp_path / "bad.jsonl"
+    write_dataset([make_record("img-0"), make_record("img-F", seed=1)], path, storage)
+    if storage == "inline":
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["features"][2][1] = bad
+        path.write_text(f"{lines[0]}\n{json.dumps(obj)}\n")
+    else:
+        features = make_record("img-F", seed=1).features.copy()
+        features[2, 1] = bad
+        write_feature_file(tmp_path / "features" / "img-F.grnd", features)
+    with pytest.raises(DatasetError, match=r":2: .*'img-F'.*non-finite feature .* proposal 2"):
+        parse_dataset(path)
+
+
 @pytest.mark.parametrize("old,new", [
     pytest.param('"first": 0', '"first": 1e999', id="first-1e999"),
     pytest.param('"width": 100', '"width": 1e999', id="width-1e999"),
@@ -427,7 +448,7 @@ def test_collate_targets_match_per_record_labels():
     for i, record in enumerate(records):
         targets = batch.targets[batch.span_sample == i]
         for row, phrase in zip(targets, record.phrases):
-            want = label_positives(record.proposals, phrase.gt_boxes)
+            want = positives_ref(record.proposals, phrase.gt_boxes)
             np.testing.assert_array_equal(row[:record.num_objects], want)
             assert not row[record.num_objects:].any()
 
@@ -506,7 +527,7 @@ def test_synthetic_zero_noise_plants_exact_prototypes():
     for record in generate_synthetic(spec):
         for phrase in record.phrases:
             tid = record.token_ids[phrase.last_token]
-            positives = label_positives(record.proposals, phrase.gt_boxes).astype(bool)
+            positives = np.array(positives_ref(record.proposals, phrase.gt_boxes), dtype=bool)
             assert positives.any()
             for o in np.flatnonzero(positives):
                 np.testing.assert_array_equal(record.features[o], protos[tid])
@@ -544,6 +565,12 @@ def test_synthetic_spec_validation():
         SyntheticSpec(**{**base, "noise_scale": -1.0})
     with pytest.raises(ValueError, match="grid"):
         SyntheticSpec(**{**base, "image_size": 4})
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_synthetic_spec_refuses_non_finite_noise(noise):
+    with pytest.raises(ValueError, match="noise_scale must be finite"):
+        SyntheticSpec(**{**SPEC.to_dict(), "noise_scale": noise})
 
 
 def _records_sha256(records) -> str:

@@ -19,7 +19,7 @@ from ctxground.encoder import (
     init_text_branch,
     model_label,
     multi_head_self_attention,
-    normalize_box,
+    normalize_boxes,
     spatial_embed,
 )
 from ctxground.model import named_parameters
@@ -109,30 +109,32 @@ def test_branch_config_dict_round_trip():
 
 
 def test_normalize_box_full_image():
-    np.testing.assert_allclose(normalize_box((0, 0, 640, 480), 640, 480),
-                               [0, 0, 1, 1, 1])
+    np.testing.assert_allclose(normalize_boxes(np.array([[[0, 0, 640, 480]]]), [[640, 480]]),
+                               [[[0, 0, 1, 1, 1]]])
 
 
 def test_normalize_box_quarter():
-    np.testing.assert_allclose(normalize_box((0, 0, 320, 240), 640, 480),
-                               [0, 0, 0.5, 0.5, 0.25])
+    np.testing.assert_allclose(normalize_boxes(np.array([[[0, 0, 320, 240]]]), [[640, 480]]),
+                               [[[0, 0, 0.5, 0.5, 0.25]]])
 
 
 def test_normalize_box_translation_preserves_area_component():
-    a = normalize_box((10, 20, 110, 120), 640, 480)
-    b = normalize_box((50, 60, 150, 160), 640, 480)
+    a = normalize_boxes(np.array([[[10, 20, 110, 120]]]), [[640, 480]])[0, 0]
+    b = normalize_boxes(np.array([[[50, 60, 150, 160]]]), [[640, 480]])[0, 0]
     assert not np.allclose(a[:4], b[:4])
     assert a[4] == b[4]
 
 
+# `normalize_boxes` validates nothing; `check_boxes` refuses a box before it
+# reaches the branch.
 def test_normalize_box_rejects_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
-        normalize_box((10, 10, 10, 20), 100, 100)
+        check_boxes(np.array([[[10, 10, 10, 20]]]), "box", (100, 100))
 
 
 def test_normalize_box_rejects_out_of_bounds():
     with pytest.raises(ValueError, match="bounds"):
-        normalize_box((-1, 0, 10, 10), 100, 100)
+        check_boxes(np.array([[[-1, 0, 10, 10]]]), "box", (100, 100))
 
 
 @settings(deadline=None)
@@ -141,7 +143,8 @@ def test_normalize_box_rejects_out_of_bounds():
 def test_normalize_box_components_in_unit_range(w_extent, h_extent, x1, y1):
     x1 = min(x1, 639 - w_extent)
     y1 = min(y1, 479 - h_extent)
-    out = normalize_box((x1, y1, x1 + w_extent, y1 + h_extent), 640, 480)
+    out = normalize_boxes(np.array([[[x1, y1, x1 + w_extent, y1 + h_extent]]]), [[640, 480]])
+    assert out.shape == (1, 1, 5)
     assert ((out >= 0) & (out <= 1)).all()
 
 
@@ -197,8 +200,7 @@ def test_spatial_embed_zero_weights_returns_bias():
 
 
 def test_spatial_embed_distinguishes_boxes_under_random_weights():
-    a = normalize_box((0, 0, 50, 50), 100, 100)
-    b = normalize_box((50, 50, 100, 100), 100, 100)
+    a, b = normalize_boxes(np.array([[[0, 0, 50, 50], [50, 50, 100, 100]]]), [[100, 100]])[0]
     for seed in range(10):
         rng = np.random.default_rng(seed)
         mlp = SpatialMLP(

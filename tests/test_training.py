@@ -84,6 +84,14 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_train_config_refuses_non_finite_rate_and_clip(field, value):
+    # A NaN clip_norm would turn clipping off: `norm > nan` is False.
+    with pytest.raises(ValueError, match="finite and positive"):
+        TrainConfig(**{field: value})
+
+
 def test_train_config_dict_round_trip():
     cfg = TrainConfig(batch_size=32, accumulation_steps=2, seed=5)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
@@ -221,21 +229,21 @@ def test_blocked_adam_is_bit_identical_to_whole_array_formula():
     rng = np.random.default_rng(8)
     start = rng.normal(size=(3, size)).astype(np.float32)
     p = parameter(start.copy())
-    small = parameter(np.array([0.25, -0.5]))    # float64: its own scalar dtype
+    small = parameter(np.array([0.25, -0.5]))    # float64, so updated by a call of its own
     named = {"p": p, "small": small}
-    state = AdamState.init(named)
+    states = {n: AdamState.init({n: t}) for n, t in named.items()}
     want = {n: (t.values.copy(), np.zeros_like(t.values), np.zeros_like(t.values))
             for n, t in named.items()}
     for step in range(1, 6):
         grads = {n: (rng.normal(size=t.shape) * 10.0 ** -step).astype(t.dtype)
                  for n, t in named.items()}
-        adam_step(named, grads, state, lr=1e-3)
         for n, t in named.items():
+            adam_step({n: t}, {n: grads[n]}, states[n], lr=1e-3)
             pw, mw, vw = want[n]
             want[n] = _adam_whole_array(pw, grads[n], mw, vw, step, 1e-3)
             assert np.array_equal(t.values, want[n][0]), (n, step)
-            assert np.array_equal(state.m[n], want[n][1]), (n, step)
-            assert np.array_equal(state.v[n], want[n][2]), (n, step)
+            assert np.array_equal(states[n].m[n], want[n][1]), (n, step)
+            assert np.array_equal(states[n].v[n], want[n][2]), (n, step)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -299,6 +307,17 @@ def test_adam_rejects_mixed_dtypes():
     named = {"p": p}
     with pytest.raises(ValueError, match="dtype"):
         adam_step(named, {"p": np.ones(3)}, AdamState.init(named), lr=0.1)
+
+
+def test_adam_refuses_parameters_of_two_dtypes_and_changes_nothing():
+    named = {"a": parameter(np.ones(3, dtype=np.float32)), "b": parameter(np.ones(2))}
+    state = AdamState.init(named)
+    grads = {n: np.full(t.shape, 0.5, dtype=t.dtype) for n, t in named.items()}
+    with pytest.raises(ValueError, match=r"'b' are float64.*one dtype, float32"):
+        adam_step(named, grads, state, lr=0.1)
+    assert state.step == 0
+    for n, t in named.items():
+        assert (t.values == 1.0).all() and not state.m[n].any() and not state.v[n].any(), n
 
 
 def test_refused_adam_step_changes_nothing():
@@ -680,6 +699,15 @@ def test_norm_leaves_every_gradient_byte_identical(monkeypatch):
 # -- train_step ------------------------------------------------------------------------
 
 
+def clipped_adam_ref(named, grads, state, lr, clip_norm):
+    """A clipped step's reference: the global norm of `grads`, then Adam
+    with the clip scale as `grad_scale`, which equals scaling the gradients
+    first (pinned above). Returns the pre-clip norm."""
+    norm = training.global_norm(grads)
+    adam_step(named, grads, state, lr, grad_scale=clip_norm / norm if norm > clip_norm else 1.0)
+    return norm
+
+
 def test_single_micro_batch_is_ordinary_step():
     records = tiny_records(4)
     batch = collate_batch(records)
@@ -698,8 +726,7 @@ def test_single_micro_batch_is_ordinary_step():
     grads = {n: t.grad.copy() for n, t in named_b.items() if t.grad is not None}
     grads.update({n: np.zeros_like(t.values) for n, t in named_b.items()
                   if t.grad is None})
-    clipped, _ = clip_global_norm(grads, cfg.clip_norm)
-    adam_step(named_b, clipped, AdamState.init(named_b), cfg.learning_rate)
+    clipped_adam_ref(named_b, grads, AdamState.init(named_b), cfg.learning_rate, cfg.clip_norm)
     for name, t in model_a.named_parameters().items():
         np.testing.assert_array_equal(t.values, named_b[name].values, err_msg=name)
 
@@ -707,9 +734,9 @@ def test_single_micro_batch_is_ordinary_step():
 @pytest.mark.parametrize("accumulation", [1, 2, 4])
 def test_train_steps_equal_fresh_gradients_clipped_then_adam(accumulation):
     # Reused gradient arrays, and the average and the clip scale applied
-    # inside the Adam pass, give the bits of freshly allocated gradients
-    # averaged, clip_global_norm and a default-scale adam_step, step after
-    # step, for any power-of-two group size.
+    # inside the Adam pass as one grad_scale, give the bits of freshly
+    # allocated gradients averaged in place, then the clipped-step
+    # reference, step after step, for any power-of-two group size.
     records = tiny_records(8, seed=9)
     batches = [collate_batch(records[i:i + 2]) for i in range(0, 8, 2)]
     cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.25, batch_size=2 * accumulation,
@@ -733,8 +760,7 @@ def test_train_steps_equal_fresh_gradients_clipped_then_adam(accumulation):
                  for n, t in ref_named.items()}
         for g in grads.values():
             g *= 1.0 / accumulation
-        _, norm = clip_global_norm(grads, cfg.clip_norm)
-        adam_step(ref_named, grads, ref_state, cfg.learning_rate)
+        norm = clipped_adam_ref(ref_named, grads, ref_state, cfg.learning_rate, cfg.clip_norm)
 
         assert norm > cfg.clip_norm  # clipping is active
         assert metrics.grad_norm == norm and metrics.loss == float(np.mean(losses))
@@ -839,8 +865,8 @@ def test_train_step_averages_the_gradients_in_the_norm_pass(micro, monkeypatch):
 
     for g in grads.values():
         g *= 1.0 / micro
-    _, norm = clip_global_norm(grads, cfg.clip_norm)
-    adam_step(ref_named, grads, AdamState.init(ref_named), cfg.learning_rate)
+    norm = clipped_adam_ref(ref_named, grads, AdamState.init(ref_named), cfg.learning_rate,
+                            cfg.clip_norm)
     tolerance = 0.0 if micro == 2 else 1e-6
     assert math.isclose(metrics.grad_norm, norm, rel_tol=tolerance, abs_tol=0.0)
     for name, t in model.named_parameters().items():
@@ -1182,6 +1208,21 @@ def test_load_checkpoint_rejects_malformed_manifest(tmp_path, edit):
     manifest, payload = _split_gckp(path.read_bytes())
     path.write_bytes(_join_gckp(edit(manifest), payload))
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, 100.5],
+                         ids=["nan", "inf", "-inf", "negative", "above-100"])
+def test_checkpoint_best_metric_must_be_a_finite_percentage(tmp_path, value):
+    # A resumed fit compares dev R@1 against best_metric; a NaN would never be beaten.
+    path = tmp_path / "model.gckp"
+    with pytest.raises(FormatError, match="best_metric"):
+        save_checkpoint(dataclasses.replace(_small_checkpoint(), best_metric=value), path)
+    assert not path.exists()
+    save_checkpoint(_small_checkpoint(), path)
+    manifest, payload = _split_gckp(path.read_bytes())
+    path.write_bytes(_join_gckp(_field("best_metric", value)(manifest), payload))
+    with pytest.raises(FormatError, match="best_metric"):
         load_checkpoint(path)
 
 

@@ -6,11 +6,11 @@ topological order, once: it drops each op node's gradient after use and
 releases the graph when it returns. The op set is what the grounding
 model needs: broadcasting add and multiply, fused linear layers, masked
 softmax, fused multi-head attention, layer norm (with an optional
-residual operand), GELU, dropout, binary cross entropy on logits, gathers
-and reductions.
+residual operand), the fused GELU feed-forward block, dropout, binary
+cross entropy on logits, gathers and reductions.
 The model never calls `matmul`, which takes numpy's broadcast product,
-a 2-d right operand too; it stays as the unfused reference that the
-attention tests compare the fused op against.
+a 2-d right operand too, or `gelu`; they stay as the unfused references
+that the tests compare `attention` and `feed_forward` against.
 
 Non-finite results are an error, never silent: every op validates its
 output and raises :class:`NonFiniteError` on NaN/Inf.
@@ -24,6 +24,7 @@ from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 from scipy.special import erf
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "bce_with_logits",
     "dropout",
     "gelu",
+    "feed_forward",
     "take_rows",
     "backward",
     "topo_order",
@@ -169,13 +171,18 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype), requires_grad=False)
 
 
+def _recording(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over `parents` records a graph node."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _make(out_values: np.ndarray, op: str, parents: tuple[Tensor, ...],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     _check_finite(out_values, op)
     out = Tensor.__new__(Tensor)
     out.values = out_values
     out.grad = out._parked = None
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -251,25 +258,36 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(a.values * b.values, "mul", (a, b), backward_fn)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, exact erf form."""
-    x = a.values
-    # 0.5 * (1 + erf(x / sqrt(2))), through one temporary
-    cdf = np.divide(x, math.sqrt(2.0))
+def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt(2))), computed in `out` (a new array without
+    one) through no other temporary."""
+    cdf = np.divide(x, math.sqrt(2.0), out=out)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    return cdf
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)), through one new array."""
+    d = np.multiply(x, -0.5)
+    d *= x
+    np.exp(d, out=d)
+    d /= math.sqrt(2.0 * math.pi)
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Gaussian error linear unit, exact erf form. The model calls
+    `feed_forward`; this op stays as its unfused reference."""
+    x = a.values
+    cdf = _gelu_cdf(x)
 
     def backward_fn(g):
-        # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)), through one temporary
-        d = np.multiply(x, -0.5)
-        d *= x
-        np.exp(d, out=d)
-        d /= math.sqrt(2.0 * math.pi)
-        d *= x
-        d += cdf
-        d *= g
-        _accumulate(a, d, fresh=True)
+        _accumulate(a, _gelu_grad(x, cdf, g), fresh=True)
 
     return _make(x * cdf, "gelu", (a,), backward_fn)
 
@@ -287,7 +305,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.values.size if axis is None else a.values.shape[axis]
+    if axis is None:
+        count = a.values.size
+    else:
+        axis = normalize_axis_tuple(axis, a.values.ndim)
+        count = math.prod(a.shape[ax] for ax in axis)
 
     def backward_fn(g):
         if axis is not None and not keepdims:
@@ -305,7 +327,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
+    axes = normalize_axis_tuple(tuple(axes), a.values.ndim)
+    if len(axes) != a.values.ndim:
+        raise ShapeError(f"transpose axes {axes} are not a permutation of {a.values.ndim} axes")
     inverse = tuple(np.argsort(axes))
 
     def backward_fn(g):
@@ -342,6 +366,35 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x if x.ndim == 2 else x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
+def _affine(x: np.ndarray, weight: Tensor, bias: Tensor | None) -> np.ndarray:
+    """`x @ weight + bias` as [rows, n], the leading axes of `x` folded
+    into one GEMM and the bias added in place into its output."""
+    values = _rows(x) @ weight.values
+    if bias is not None:
+        in_place = np.result_type(values, bias.values) == values.dtype
+        values = np.add(values, bias.values, out=values if in_place else None)
+    return values
+
+
+def _affine_backward(x: np.ndarray, weight: Tensor, bias: Tensor | None, g: np.ndarray,
+                     input_grad: bool) -> np.ndarray | None:
+    """Accumulate the weight and bias gradients of `x @ weight + bias` from
+    its output gradient `g`; return the input gradient as [rows, k] when
+    `input_grad` asks for it. The bias gradient is reduced over `g`'s own
+    leading axes, as `add` reduces it."""
+    g2 = _rows(g)
+    gx = g2 @ weight.values.T if input_grad else None
+    if weight.requires_grad:
+        x_rows = _rows(x).T
+        if weight.grad is None:
+            np.matmul(x_rows, g2, out=_first_grad(weight))
+        else:
+            weight.grad += x_rows @ g2
+    if bias is not None and bias.requires_grad:
+        _accumulate(bias, _unbroadcast(g, bias.shape))
+    return gx
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """`x @ weight + bias` as one node: [..., k] @ [k, n] -> [..., n].
 
@@ -353,28 +406,71 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear shapes disagree: {x.shape} @ {weight.shape}")
     if bias is not None and bias.shape != weight.shape[1:]:
         raise ShapeError(f"linear bias shape {bias.shape} does not match {weight.shape}")
-    values = _rows(x.values) @ weight.values
-    if x.values.ndim != 2:
-        values = values.reshape(x.shape[:-1] + weight.shape[1:])
-    if bias is not None:
-        in_place = np.result_type(values, bias.values) == values.dtype
-        values = np.add(values, bias.values, out=values if in_place else None)
+    values = _affine(x.values, weight, bias).reshape(x.shape[:-1] + weight.shape[1:])
 
     def backward_fn(g):
-        g2 = _rows(g)
-        if x.requires_grad:
-            _accumulate(x, (g2 @ weight.values.T).reshape(x.shape), fresh=True)
-        if weight.requires_grad:
-            x_rows = _rows(x.values).T
-            if weight.grad is None:
-                np.matmul(x_rows, g2, out=_first_grad(weight))
-            else:
-                weight.grad += x_rows @ g2
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.shape))
+        gx = _affine_backward(x.values, weight, bias, g, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx.reshape(x.shape), fresh=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(values, "linear", parents, backward_fn)
+
+
+# Elements per block of the forward-only GELU in `feed_forward`.
+_GELU_BLOCK = 1 << 16
+
+
+def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
+    """`linear(gelu(linear(x, w_in, b_in)), w_out, b_out)` as one node:
+    [..., d] -> [..., n] through a hidden width f (`w_in` is [d, f]).
+
+    Without a recorded node (no-grad mode, or no input requiring a
+    gradient), GELU runs in place in the first GEMM's output, in blocks of
+    `_GELU_BLOCK` elements through one scratch array, so the call holds one
+    [rows, f] array. A recorded node keeps the first GEMM's output and the
+    GELU cdf, and backward rebuilds the GELU output from them. Both paths
+    run the chain's numpy operations in its order, so values and gradients
+    equal the unfused chain's bit for bit."""
+    if (w_in.values.ndim != 2 or w_out.values.ndim != 2 or x.values.ndim < 1
+            or x.shape[-1] != w_in.shape[0] or b_in.shape != w_in.shape[1:]
+            or w_out.shape[0] != w_in.shape[1] or b_out.shape != w_out.shape[1:]):
+        raise ShapeError(f"feed_forward shapes disagree: {x.shape} through {w_in.shape} + "
+                         f"{b_in.shape}, then {w_out.shape} + {b_out.shape}")
+    parents = (x, w_in, b_in, w_out, b_out)
+    out_shape = x.shape[:-1] + w_out.shape[1:]
+    h = _affine(x.values, w_in, b_in)
+    if not _recording(parents):
+        flat = h.reshape(-1)
+        scratch = np.empty(min(flat.size, _GELU_BLOCK), dtype=h.dtype)
+        for lo in range(0, flat.size, _GELU_BLOCK):
+            block = flat[lo:lo + _GELU_BLOCK]
+            block *= _gelu_cdf(block, out=scratch[:block.size])
+            # A non-finite GEMM output gives a non-finite GELU and a finite
+            # one a finite GELU, so this check stands for both of theirs.
+            _check_finite(block, "feed_forward")
+        return _make(_affine(h, w_out, b_out).reshape(out_shape), "feed_forward", parents,
+                     None)
+    cdf = _gelu_cdf(h)
+    a = h * cdf
+    _check_finite(a, "feed_forward")
+    values = _affine(a, w_out, b_out).reshape(out_shape)
+    del a
+    hidden_grad = x.requires_grad or w_in.requires_grad or b_in.requires_grad
+
+    def backward_fn(g):
+        ga = _affine_backward(h * cdf, w_out, b_out, g, hidden_grad)
+        if ga is None:
+            return
+        # The unfused GELU node would take this gradient in its own dtype.
+        gh = _gelu_grad(h, cdf, ga.astype(h.dtype, copy=False))
+        del ga
+        gx = _affine_backward(x.values, w_in, b_in, gh.reshape(x.shape[:-1] + w_in.shape[1:]),
+                              x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx.reshape(x.shape), fresh=True)
+
+    return _make(values, "feed_forward", parents, backward_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

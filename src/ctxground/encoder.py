@@ -21,7 +21,7 @@ from .autodiff import (
     attention,
     constant,
     dropout,
-    gelu,
+    feed_forward,
     layer_norm,
     linear,
     parameter,
@@ -379,7 +379,7 @@ def _linear(x: Tensor, p: LinearParams) -> Tensor:
 def spatial_embed(nbox, mlp: SpatialMLP) -> Tensor:
     """Embed normalized box descriptors ([..., 5]) into the branch width."""
     x = constant(np.asarray(nbox, dtype=np.float64), dtype=mlp.fc1.weight.dtype)
-    return _linear(gelu(_linear(x, mlp.fc1)), mlp.fc2)
+    return feed_forward(x, mlp.fc1.weight, mlp.fc1.bias, mlp.fc2.weight, mlp.fc2.bias)
 
 
 def embed_tokens(ids, embeddings: TextEmbeddings, rng: Optional[np.random.Generator] = None,
@@ -430,7 +430,8 @@ def encoder_layer(x: Tensor, mask: np.ndarray, cfg: BranchConfig, params: Encode
     attn = dropout(multi_head_self_attention(x, mask, cfg, params.attention),
                    cfg.dropout_p, rng)
     x = layer_norm(attn, params.attention_norm.gain, params.attention_norm.bias, residual=x)
-    ffn = dropout(_linear(gelu(_linear(x, params.ffn_in)), params.ffn_out), cfg.dropout_p, rng)
+    ffn = dropout(feed_forward(x, params.ffn_in.weight, params.ffn_in.bias,
+                               params.ffn_out.weight, params.ffn_out.bias), cfg.dropout_p, rng)
     return layer_norm(ffn, params.ffn_norm.gain, params.ffn_norm.bias, residual=x)
 
 

@@ -19,6 +19,7 @@ from ctxground.autodiff import (
     bce_with_logits,
     constant,
     dropout,
+    feed_forward,
     finite_diff_check,
     gelu,
     layer_norm,
@@ -519,6 +520,177 @@ def test_gelu_in_place_chain_equals_the_plain_formula(dtype):
     assert same_bits(x.grad, g * (cdf + v * pdf))
 
 
+# -- fused feed-forward ----------------------------------------------------------------
+
+
+def _ffn_params(rng, d, f, n, dtype):
+    return [parameter(rng.normal(scale=0.5, size=shape), dtype=dtype)
+            for shape in ((d, f), (f,), (f, n), (n,))]
+
+
+def _ffn_chain(x, w_in, b_in, w_out, b_out):
+    return linear(gelu(linear(x, w_in, b_in)), w_out, b_out)
+
+
+def _ffn_grads(op, x, params, g, passes=1):
+    """Values of `op` and the gradients of its five inputs after `passes`
+    backward passes of the loss sum(op(...) * g)."""
+    for t in (x, *params):
+        t.grad = None
+    for _ in range(passes):
+        out = op(x, *params)
+        backward((out * constant(g)).sum())
+    return out.values, [t.grad.copy() for t in (x, *params)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(7,), (2, 5)])
+def test_feed_forward_equals_the_unfused_chain_bit_for_bit(dtype, lead):
+    rng = np.random.default_rng(40)
+    x = parameter(rng.normal(size=lead + (6,)), dtype=dtype)
+    params = _ffn_params(rng, 6, 24, 5, dtype)
+    g = rng.normal(size=lead + (5,)).astype(dtype)
+    fused, fused_grads = _ffn_grads(feed_forward, x, params, g)
+    chain, chain_grads = _ffn_grads(_ffn_chain, x, params, g)
+    assert same_bits(fused, chain)
+    for a, b in zip(fused_grads, chain_grads):
+        assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("wide", [0, 1, 2, 3, 4])
+def test_feed_forward_promotes_dtypes_as_linear_does(wide):
+    # One float64 input among float32 ones; the unfused chain casts each
+    # node's gradient to that node's dtype, and so must the fused op.
+    rng = np.random.default_rng(49)
+    x = parameter(rng.normal(size=(2, 3, 6)), dtype=np.float64 if wide == 0 else np.float32)
+    params = [parameter(t.values, dtype=np.float64 if i + 1 == wide else np.float32)
+              for i, t in enumerate(_ffn_params(rng, 6, 12, 5, np.float32))]
+    g = rng.normal(size=(2, 3, 5))
+    fused, fused_grads = _ffn_grads(feed_forward, x, params, g)
+    chain, chain_grads = _ffn_grads(_ffn_chain, x, params, g)
+    assert same_bits(fused, chain) and fused.dtype == np.float64
+    for a, b in zip(fused_grads, chain_grads):
+        assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_feed_forward_input_with_a_second_consumer(dtype):
+    # As in an encoder layer: the input also enters the residual layer norm.
+    rng = np.random.default_rng(41)
+    x = parameter(rng.normal(size=(2, 3, 6)), dtype=dtype)
+    params = _ffn_params(rng, 6, 16, 6, dtype)
+    gain, bias = parameter(np.ones(6), dtype=dtype), parameter(np.zeros(6), dtype=dtype)
+
+    def block(op):
+        return lambda x, *p: layer_norm(op(x, *p), gain, bias, residual=x)
+
+    g = rng.normal(size=(2, 3, 6)).astype(dtype)
+    fused, fused_grads = _ffn_grads(block(feed_forward), x, params, g)
+    chain, chain_grads = _ffn_grads(block(_ffn_chain), x, params, g)
+    assert same_bits(fused, chain)
+    for a, b in zip(fused_grads, chain_grads):
+        assert same_bits(a, b)
+
+
+def test_feed_forward_gradients_accumulate_over_two_backward_passes():
+    rng = np.random.default_rng(42)
+    x = parameter(rng.normal(size=(4, 6)), dtype=np.float32)
+    params = _ffn_params(rng, 6, 16, 3, np.float32)
+    g = rng.normal(size=(4, 3)).astype(np.float32)
+    _, once = _ffn_grads(feed_forward, x, params, g)
+    _, fused = _ffn_grads(feed_forward, x, params, g, passes=2)
+    _, chain = _ffn_grads(_ffn_chain, x, params, g, passes=2)
+    for a, b, one in zip(fused, chain, once):
+        assert same_bits(a, b)
+        assert same_bits(a, one + one)
+
+
+def test_feed_forward_gradient_by_finite_differences():
+    rng = np.random.default_rng(43)
+    x = parameter(rng.normal(size=(2, 3, 4)))
+    params = _ffn_params(rng, 4, 8, 3, np.float64)
+    w = rng.normal(size=(2, 3, 3))
+    for t in (x, *params):
+        fdcheck(lambda _: (feed_forward(x, *params) * w).sum(), t)
+
+
+def test_feed_forward_without_a_graph_runs_over_several_blocks_bit_for_bit():
+    # 3 x 7 x 3300 hidden elements: more than one block, the last one partial.
+    rng = np.random.default_rng(44)
+    f = 3300
+    assert 3 * 7 * f > autodiff._GELU_BLOCK and (3 * 7 * f) % autodiff._GELU_BLOCK
+    x = parameter(rng.normal(size=(3, 7, 8)), dtype=np.float32)
+    params = _ffn_params(rng, 8, f, 5, np.float32)
+    recorded = feed_forward(x, *params)
+    with no_grad():
+        fused = feed_forward(x, *params)
+        chain = _ffn_chain(x, *params)
+    frozen = [constant(t.values) for t in (x, *params)]  # no input requires a gradient
+    assert not fused.requires_grad and fused._backward_fn is None
+    assert same_bits(fused.values, chain.values)
+    assert same_bits(feed_forward(*frozen).values, chain.values)
+    assert same_bits(recorded.values, chain.values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("recorded", [True, False])
+def test_feed_forward_raises_on_a_non_finite_input(bad, recorded):
+    rng = np.random.default_rng(45)
+    x = parameter(rng.normal(size=(2, 3, 4)))
+    x.values[1, 2, 0] = bad  # past the constructor's check
+    params = _ffn_params(rng, 4, 8, 3, np.float64)
+    with pytest.raises(NonFiniteError, match="feed_forward"):
+        if recorded:
+            feed_forward(x, *params)
+        else:
+            with no_grad():
+                feed_forward(x, *params)
+
+
+def test_feed_forward_records_one_node_that_keeps_no_gelu_output():
+    rng = np.random.default_rng(46)
+    x = parameter(rng.normal(size=(5, 4)))
+    params = _ffn_params(rng, 4, 8, 3, np.float64)
+    out = feed_forward(x, *params)
+    assert out._parents == (x, *params)
+    held = [c.cell_contents for c in out._backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert sorted(a.shape for a in held) == [(5, 8), (5, 8)]  # the GEMM output and the cdf
+
+
+def test_feed_forward_rejects_mismatched_shapes():
+    rng = np.random.default_rng(47)
+    x = parameter(rng.normal(size=(5, 4)))
+    w_in, b_in, w_out, b_out = _ffn_params(rng, 4, 8, 3, np.float64)
+    for args in ((w_in, b_in, w_out, parameter(np.zeros(4))),
+                 (w_in, parameter(np.zeros(3)), w_out, b_out),
+                 (w_in, b_in, parameter(np.zeros((7, 3))), b_out),
+                 (parameter(np.zeros((5, 8))), b_in, w_out, b_out)):
+        with pytest.raises(ShapeError, match="feed_forward"):
+            feed_forward(x, *args)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_feed_forward_without_a_graph_holds_one_hidden_array(dtype):
+    # The first GEMM's output is the only [rows, f] array: GELU runs in it
+    # through a block-sized scratch, and the second GEMM writes [rows, n].
+    rng = np.random.default_rng(48)
+    rows, f = 256, 2048
+    x = constant(rng.normal(size=(rows, 4)), dtype=dtype)
+    params = [constant(t.values) for t in _ffn_params(rng, 4, f, 4, dtype)]
+    hidden = rows * f * np.dtype(dtype).itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = feed_forward(x, *params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows, 4)
+    assert peak < 2 * hidden
+
+
 def test_elementwise_gradients():
     rng = np.random.default_rng(11)
     x = parameter(rng.normal(size=(2, 3)) + 3.0)
@@ -539,6 +711,40 @@ def test_reshape_transpose_gradients():
     w = np.random.default_rng(15).normal(size=(4, 3, 2))
     fdcheck(lambda t: (t.reshape(2, 12).reshape(2, 3, 4).transpose((2, 1, 0)) * w).sum(), x)
 
+
+
+@pytest.mark.parametrize("axes", [(-1, 0), (1, -2)])
+def test_transpose_negative_axes_on_a_square_input(axes):
+    # argsort of the raw axes once gave the identity as the inverse here.
+    x = parameter(np.random.default_rng(18).normal(size=(3, 3)))
+    w = np.random.default_rng(19).normal(size=(3, 3))
+    assert np.array_equal(x.transpose(axes).values, x.values.T)
+    fdcheck(lambda t: (t.transpose(axes) * w).sum(), x)
+
+
+def test_transpose_negative_axes_on_a_3d_input():
+    x = parameter(np.random.default_rng(20).normal(size=(2, 3, 4)))
+    w = np.random.default_rng(21).normal(size=(4, 2, 3))
+    assert x.transpose((-1, 0, -2)).shape == (4, 2, 3)
+    fdcheck(lambda t: (t.transpose((-1, 0, -2)) * w).sum(), x)
+
+
+@pytest.mark.parametrize("axes", [(0, 0), (0,), (0, 2), (-3, 0), (0, 1, 2)])
+def test_transpose_refuses_axes_that_are_not_a_permutation(axes):
+    with pytest.raises(ValueError):
+        parameter(np.ones((2, 3))).transpose(axes)
+
+
+@pytest.mark.parametrize("axis", [(0, 1), (0, -1), (-1, 1), 1, -3])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_mean_over_axes_is_sum_over_count(axis, keepdims):
+    x = parameter(np.random.default_rng(22).normal(size=(2, 3, 4)))
+    count = math.prod(x.shape[a] for a in np.atleast_1d(axis))
+    np.testing.assert_allclose(x.mean(axis=axis, keepdims=keepdims).values,
+                               x.values.sum(axis=axis, keepdims=keepdims) / count,
+                               rtol=1e-15)
+    w = np.random.default_rng(23).normal(size=x.values.mean(axis=axis, keepdims=keepdims).shape)
+    fdcheck(lambda t: (t.mean(axis=axis, keepdims=keepdims) * w).sum(), x)
 
 def test_take_rows_gather_and_duplicate_accumulation():
     x = parameter(np.arange(12.0).reshape(4, 3))

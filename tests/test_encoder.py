@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxground.autodiff import backward, constant, parameter, topo_order
+from ctxground.autodiff import backward, constant, no_grad, parameter, topo_order
 from ctxground.encoder import (
     BranchConfig,
     BranchInput,
@@ -199,6 +201,15 @@ def test_spatial_embed_zero_weights_returns_bias():
         np.testing.assert_allclose(spatial_embed(np.array(box), mlp).values, bias_value)
 
 
+def test_spatial_embed_records_one_op_node():
+    rng = np.random.default_rng(9)
+    mlp = SpatialMLP(fc1=LinearParams(parameter(rng.normal(size=(5, 8))), parameter(np.zeros(8))),
+                     fc2=LinearParams(parameter(rng.normal(size=(8, 8))), parameter(np.zeros(8))))
+    out = spatial_embed(rng.uniform(size=(2, 3, 5)), mlp)
+    assert out.shape == (2, 3, 8)
+    assert [n for n in topo_order(out) if n._backward_fn is not None] == [out]
+
+
 def test_spatial_embed_distinguishes_boxes_under_random_weights():
     a, b = normalize_boxes(np.array([[[0, 0, 50, 50], [50, 50, 100, 100]]]), [[100, 100]])[0]
     for seed in range(10):
@@ -292,14 +303,36 @@ def test_encoder_layer_zero_weights_is_double_layer_norm():
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
-def test_encoder_layer_records_ten_op_nodes():
-    # q/k/v projections, attention, output projection, residual norm, FFN in,
-    # GELU, FFN out, residual norm; the leaves are the input and the parameters.
+def test_encoder_layer_records_eight_op_nodes():
+    # q/k/v projections, attention, output projection, residual norm, the
+    # feed-forward block, residual norm; the leaves are the input and the
+    # parameters.
     cfg, params = text_setup(d=8, layers=1, heads=2)
     layer = params.layers[0]
     x = parameter(np.random.default_rng(7).normal(size=(2, 4, 8)))
     out = encoder_layer(x, np.ones((2, 4), bool), cfg, layer)
-    assert len(topo_order(out)) - len(named_parameters(layer)) - 1 <= 10
+    assert len(topo_order(out)) - len(named_parameters(layer)) - 1 == 8
+
+
+def test_encoder_layer_without_a_graph_holds_one_ffn_array():
+    # A forward-only layer keeps no second [rows, ffn_dim] array alive: GELU
+    # runs in place in the first FFN GEMM's output.
+    rng = np.random.default_rng(8)
+    cfg = BranchConfig(num_layers=1, num_heads=2, hidden_dim=4, ffn_dim=4096,
+                       dropout_p=0.0, max_positions=64)
+    layer = init_text_branch(cfg, 5, rng, dtype=np.float64, std=0.3).layers[0]
+    x = constant(rng.normal(size=(2, 64, 4)))
+    hidden = 2 * 64 * cfg.ffn_dim * 8
+    with no_grad():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = encoder_layer(x, np.ones((2, 64), bool), cfg, layer)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (2, 64, 4)
+    assert peak < 2 * hidden
 
 
 def test_encoder_layer_gradient_reaches_every_parameter():

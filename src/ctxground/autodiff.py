@@ -1,16 +1,21 @@
 """Minimal deterministic tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays (float32 or float64) and record the operations
-applied to them so that `backward` can replay the graph in reverse
-topological order, once: it drops each op node's gradient after use and
-releases the graph when it returns. The op set is what the grounding
-model needs: broadcasting add and multiply, fused linear layers, masked
-softmax, fused multi-head attention, layer norm (with an optional
-residual operand), the fused GELU feed-forward block, dropout, binary
-cross entropy on logits, gathers and reductions.
-The model never calls `matmul`, which takes numpy's broadcast product,
-a 2-d right operand too, or `gelu`; they stay as the unfused references
-that the tests compare `attention` and `feed_forward` against.
+A tensor is a numpy array (float32 or float64) plus, when it requires a
+gradient, a graph node: the gradient slot and graph edge, which links
+parent nodes and a backward function but not the values. Each backward
+function closes over exactly the arrays it reads: `linear` and
+`feed_forward` their input, reading the weights through their tensors
+(`feed_forward` also its GEMM output and GELU cdf), `mul` its operands,
+`dropout` its bool mask, `layer_norm` the normalized input and inverse
+deviation; `add`, `reshape`, `transpose`, `sum`, `mean` and `take_rows`
+keep no input values. So an output that no backward reads dies when the
+forward drops its tensor. `backward` replays the graph in reverse
+topological order once, dropping each op node's gradient after use, and
+releases the graph when it returns. The ops: broadcasting add and
+multiply, fused linear layers, masked softmax, fused multi-head
+attention, layer norm (with an optional residual operand), the fused
+GELU feed-forward block, dropout, binary cross entropy on logits,
+gathers and reductions.
 
 Non-finite results are an error, never silent: every op validates its
 output and raises :class:`NonFiniteError` on NaN/Inf.
@@ -29,19 +34,18 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor",
+    "Node",
     "ShapeError",
     "NonFiniteError",
     "no_grad",
     "constant",
     "parameter",
-    "matmul",
     "linear",
     "softmax_lastdim",
     "attention",
     "layer_norm",
     "bce_with_logits",
     "dropout",
-    "gelu",
     "feed_forward",
     "take_rows",
     "backward",
@@ -81,19 +85,30 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values in output of {op}")
 
 
-class Tensor:
-    """N-dimensional array with an optional gradient slot.
+class Node:
+    """A gradient slot and graph edge: a leaf's (a parameter's) without
+    parents or backward function, an op's with both. It keeps its tensor's
+    shape, dtype and contiguity for `_first_grad`, never its values."""
 
-    `values` is immutable by convention once the tensor has entered a
-    graph; only leaf parameters are updated in place (by the optimizer,
-    between graphs). A leaf's `grad` accumulates additively across
-    backward calls until cleared; an op node holds a gradient only while
-    `backward` runs. `zero_grads` parks the cleared array on the tensor,
-    and the next backward writes the tensor's first gradient into it.
-    """
-
-    __slots__ = ("values", "requires_grad", "grad", "_parked", "_parents", "_backward_fn",
+    __slots__ = ("grad", "parked", "parents", "backward_fn", "shape", "dtype", "contiguous",
                  "__weakref__")
+
+    def __init__(self, values: np.ndarray, parents: tuple[Node, ...] = (),
+                 backward_fn: Callable[[np.ndarray], None] | None = None):
+        self.grad = self.parked = None
+        self.parents, self.backward_fn, self.shape = parents, backward_fn, values.shape
+        self.dtype, self.contiguous = values.dtype, values.flags.c_contiguous
+
+
+class Tensor:
+    """N-dimensional array with a graph node when it requires a gradient.
+
+    Only leaf parameters' values are updated in place (by the optimizer,
+    between graphs). `grad` reads and writes the node's slot: a leaf's
+    accumulates across backward calls until cleared; an op node holds a
+    gradient only while `backward` runs."""
+
+    __slots__ = ("values", "node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None):
         arr = np.asarray(values, dtype=dtype)
@@ -101,13 +116,22 @@ class Tensor:
             arr = arr.astype(np.float64)
         _check_finite(arr, "tensor")
         self.values: np.ndarray = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parked: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self.node: Node | None = Node(arr) if requires_grad else None
 
     # -- introspection -------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self.node is not None or g is not None:  # a constant's can only be set to None
+            self.node.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,9 +160,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_as_tensor(other, self.dtype), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -173,49 +194,45 @@ def _as_tensor(x, dtype) -> Tensor:
 
 def _recording(parents: tuple[Tensor, ...]) -> bool:
     """Whether an op over `parents` records a graph node."""
-    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.node is not None for p in parents)
 
 
 def _make(out_values: np.ndarray, op: str, parents: tuple[Tensor, ...],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """The op's output; its node, if recorded, links the parents' nodes, not the parents."""
     _check_finite(out_values, op)
     out = Tensor.__new__(Tensor)
     out.values = out_values
-    out.grad = out._parked = None
-    if _recording(parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+    nodes = tuple(p.node for p in parents if p.node is not None) if _grad_enabled.get() else ()
+    out.node = Node(out_values, nodes, backward_fn) if nodes else None
     return out
 
 
-def _first_grad(t: Tensor) -> np.ndarray:
-    """The array for `t`'s first gradient in a backward, set as `t.grad`:
-    the one `zero_grads` parked on `t`, else a new one. Its contents are
-    stale or uninitialised; the caller writes every element."""
-    parked, t._parked = t._parked, None
-    t.grad = np.empty_like(t.values) if parked is None else parked
-    return t.grad
+def _first_grad(node: Node) -> np.ndarray:
+    """The array for `node`'s first gradient in a backward, set as its
+    `grad`: the one `zero_grads` parked on it, else a new one in C order, or
+    in F order (as `np.empty_like` gives for a transposed matrix) for values
+    that were not C-contiguous. The caller writes every element."""
+    parked, node.parked = node.parked, None
+    node.grad = (np.empty(node.shape, node.dtype, order="C" if node.contiguous else "F")
+                 if parked is None else parked)
+    return node.grad
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add `g` into `t.grad`. `fresh` says that nothing else holds `g`'s
-    memory: an op node (never a leaf) then takes `g` itself as its first
-    gradient instead of a copy, when the copy would have `g`'s layout."""
-    if not t.requires_grad:
+def _accumulate(node: Node | None, g: np.ndarray, fresh: bool = False) -> None:
+    """Add `g` into `node.grad`; nothing without a node. `fresh` says that
+    nothing else holds `g`'s memory: an op node (never a leaf) then takes
+    `g` itself as its first gradient when a copy would have `g`'s layout."""
+    if node is None:
         return
-    if t.grad is None:
-        if (fresh and t._backward_fn is not None and g.dtype == t.dtype
-                and g.flags.c_contiguous and t.values.flags.c_contiguous):
-            t.grad = g
+    if node.grad is None:
+        if (fresh and node.backward_fn is not None and g.dtype == node.dtype
+                and g.flags.c_contiguous and node.contiguous):
+            node.grad = g
         else:
-            np.copyto(_first_grad(t), g)
+            np.copyto(_first_grad(node), g)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -236,26 +253,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
+    na, nb = a.node, b.node
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, na.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, nb.shape))
 
     return _make(a.values + b.values, "add", (a, b), backward_fn)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
+    av, bv, na, nb = a.values, b.values, a.node, b.node
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.values, a.shape), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.values, b.shape), fresh=True)
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * bv, na.shape), fresh=True)
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g * av, nb.shape), fresh=True)
 
-    return _make(a.values * b.values, "mul", (a, b), backward_fn)
+    return _make(av * bv, "mul", (a, b), backward_fn)
 
 
 def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -280,26 +299,16 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, exact erf form. The model calls
-    `feed_forward`; this op stays as its unfused reference."""
-    x = a.values
-    cdf = _gelu_cdf(x)
-
-    def backward_fn(g):
-        _accumulate(a, _gelu_grad(x, cdf, g), fresh=True)
-
-    return _make(x * cdf, "gelu", (a,), backward_fn)
-
-
 # -- reductions and shape ops ---------------------------------------------
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    na = a.node
+
     def backward_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(na, np.broadcast_to(g, na.shape))
 
     return _make(a.values.sum(axis=axis, keepdims=keepdims), "sum", (a,), backward_fn)
 
@@ -310,18 +319,21 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axis = normalize_axis_tuple(axis, a.values.ndim)
         count = math.prod(a.shape[ax] for ax in axis)
+    na = a.node
 
     def backward_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g / count, a.shape))
+        _accumulate(na, np.broadcast_to(g / count, na.shape))
 
     return _make(a.values.mean(axis=axis, keepdims=keepdims), "mean", (a,), backward_fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    na = a.node
+
     def backward_fn(g):
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(na, g.reshape(na.shape))
 
     return _make(a.values.reshape(shape), "reshape", (a,), backward_fn)
 
@@ -331,9 +343,10 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     if len(axes) != a.values.ndim:
         raise ShapeError(f"transpose axes {axes} are not a permutation of {a.values.ndim} axes")
     inverse = tuple(np.argsort(axes))
+    na = a.node
 
     def backward_fn(g):
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(na, np.transpose(g, inverse))
 
     return _make(np.transpose(a.values, axes), "transpose", (a,), backward_fn)
 
@@ -347,13 +360,14 @@ def take_rows(a: Tensor, indices) -> Tensor:
         raise IndexError(
             f"take_rows index out of range for axis of size {a.shape[0]}"
         )
+    na = a.node
 
     def backward_fn(g):
-        if not a.requires_grad:
+        if na is None:
             return
-        if a.grad is None:
-            _first_grad(a).fill(0)
-        np.add.at(a.grad, idx, g)
+        if na.grad is None:
+            _first_grad(na).fill(0)
+        np.add.at(na.grad, idx, g)
 
     return _make(a.values[idx], "take_rows", (a,), backward_fn)
 
@@ -376,21 +390,23 @@ def _affine(x: np.ndarray, weight: Tensor, bias: Tensor | None) -> np.ndarray:
     return values
 
 
-def _affine_backward(x: np.ndarray, weight: Tensor, bias: Tensor | None, g: np.ndarray,
+def _affine_backward(x: np.ndarray, weight: Tensor, bias: Node | None, g: np.ndarray,
                      input_grad: bool) -> np.ndarray | None:
     """Accumulate the weight and bias gradients of `x @ weight + bias` from
-    its output gradient `g`; return the input gradient as [rows, k] when
-    `input_grad` asks for it. The bias gradient is reduced over `g`'s own
-    leading axes, as `add` reduces it."""
+    its output gradient `g`, the bias's into its node `bias` (None when it
+    has none); return the input gradient as [rows, k] when `input_grad`
+    asks for it. The bias gradient is reduced over `g`'s own leading axes,
+    as `add` reduces it."""
     g2 = _rows(g)
     gx = g2 @ weight.values.T if input_grad else None
-    if weight.requires_grad:
+    w = weight.node
+    if w is not None:
         x_rows = _rows(x).T
-        if weight.grad is None:
-            np.matmul(x_rows, g2, out=_first_grad(weight))
+        if w.grad is None:
+            np.matmul(x_rows, g2, out=_first_grad(w))
         else:
-            weight.grad += x_rows @ g2
-    if bias is not None and bias.requires_grad:
+            w.grad += x_rows @ g2
+    if bias is not None:
         _accumulate(bias, _unbroadcast(g, bias.shape))
     return gx
 
@@ -407,11 +423,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.shape != weight.shape[1:]:
         raise ShapeError(f"linear bias shape {bias.shape} does not match {weight.shape}")
     values = _affine(x.values, weight, bias).reshape(x.shape[:-1] + weight.shape[1:])
+    xv, nx, nb = x.values, x.node, None if bias is None else bias.node
 
     def backward_fn(g):
-        gx = _affine_backward(x.values, weight, bias, g, x.requires_grad)
+        gx = _affine_backward(xv, weight, nb, g, nx is not None)
         if gx is not None:
-            _accumulate(x, gx.reshape(x.shape), fresh=True)
+            _accumulate(nx, gx.reshape(nx.shape), fresh=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(values, "linear", parents, backward_fn)
@@ -456,44 +473,22 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
     _check_finite(a, "feed_forward")
     values = _affine(a, w_out, b_out).reshape(out_shape)
     del a
-    hidden_grad = x.requires_grad or w_in.requires_grad or b_in.requires_grad
+    xv, nx, nb_in, nb_out = x.values, x.node, b_in.node, b_out.node
+    hidden_shape = x.shape[:-1] + w_in.shape[1:]
+    hidden_grad = _recording((x, w_in, b_in))
 
     def backward_fn(g):
-        ga = _affine_backward(h * cdf, w_out, b_out, g, hidden_grad)
+        ga = _affine_backward(h * cdf, w_out, nb_out, g, hidden_grad)
         if ga is None:
             return
         # The unfused GELU node would take this gradient in its own dtype.
         gh = _gelu_grad(h, cdf, ga.astype(h.dtype, copy=False))
         del ga
-        gx = _affine_backward(x.values, w_in, b_in, gh.reshape(x.shape[:-1] + w_in.shape[1:]),
-                              x.requires_grad)
+        gx = _affine_backward(xv, w_in, nb_in, gh.reshape(hidden_shape), nx is not None)
         if gx is not None:
-            _accumulate(x, gx.reshape(x.shape), fresh=True)
+            _accumulate(nx, gx.reshape(nx.shape), fresh=True)
 
     return _make(values, "feed_forward", parents, backward_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """numpy's broadcast matrix product [..., m, k] @ [..., k, n] -> [..., m, n]."""
-    b = _as_tensor(b, a.dtype)
-    if a.values.ndim < 2 or b.values.ndim < 2:
-        raise ShapeError(
-            f"matmul needs at least 2-d operands, got {a.shape} and {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    try:
-        values = np.matmul(a.values, b.values)
-    except ValueError as exc:
-        raise ShapeError(f"matmul batch shapes not broadcastable: {a.shape} vs {b.shape}") from exc
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, b.values.swapaxes(-1, -2)), a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.matmul(a.values.swapaxes(-1, -2), g), b.shape))
-
-    return _make(values, "matmul", (a, b), backward_fn)
 
 
 def _softmax(z: np.ndarray, mask) -> np.ndarray:
@@ -523,9 +518,10 @@ def softmax_lastdim(a: Tensor, mask=None) -> Tensor:
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
     out_values = _softmax(a.values, mask)
+    na = a.node
 
     def backward_fn(g):
-        _accumulate(a, _softmax_backward(out_values, g), fresh=True)
+        _accumulate(na, _softmax_backward(out_values, g), fresh=True)
 
     return _make(out_values, "softmax_lastdim", (a,), backward_fn)
 
@@ -541,27 +537,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tens
             or d % num_heads:
         raise ShapeError(f"attention shapes disagree: q/k/v {q.shape}/{k.shape}/{v.shape}, "
                          f"key mask {key_mask.shape}, {num_heads} heads")
-    split = (batch, seq, num_heads, d // num_heads)
+    split, shape = (batch, seq, num_heads, d // num_heads), q.shape
 
     def heads(x: np.ndarray) -> np.ndarray:  # [b, s, d] -> [b, h, s, d/h]
         return x.reshape(split).transpose(0, 2, 1, 3)
 
     def merge(x: np.ndarray) -> np.ndarray:  # [b, h, s, d/h] -> [b, s, d]
-        return x.transpose(0, 2, 1, 3).reshape(q.shape)
+        return x.transpose(0, 2, 1, 3).reshape(shape)
 
     qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
+    nq, nk, nv = q.node, k.node, v.node
     scale = np.asarray(1.0 / math.sqrt(split[-1]), dtype=q.dtype)
     p = _softmax(np.matmul(qh, kh.swapaxes(-1, -2)) * scale, key_mask[:, None, None, :])
 
     def backward_fn(g):
         do = np.ascontiguousarray(heads(g))
         dl = _softmax_backward(p, np.matmul(do, vh.swapaxes(-1, -2))) * scale
-        if q.requires_grad:
-            _accumulate(q, merge(np.matmul(dl, kh)), fresh=True)
-        if k.requires_grad:
-            _accumulate(k, merge(np.matmul(qh.swapaxes(-1, -2), dl).swapaxes(-1, -2)), fresh=True)
-        if v.requires_grad:
-            _accumulate(v, merge(np.matmul(p.swapaxes(-1, -2), do)), fresh=True)
+        if nq is not None:
+            _accumulate(nq, merge(np.matmul(dl, kh)), fresh=True)
+        if nk is not None:
+            _accumulate(nk, merge(np.matmul(qh.swapaxes(-1, -2), dl).swapaxes(-1, -2)), fresh=True)
+        if nv is not None:
+            _accumulate(nv, merge(np.matmul(p.swapaxes(-1, -2), do)), fresh=True)
 
     return _make(merge(np.matmul(p, vh)), "attention", (q, k, v), backward_fn)
 
@@ -582,18 +579,20 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
+    na, nr, nbias = a.node, None if residual is None else residual.node, bias.node
 
     def backward_fn(g):
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead))
-        _accumulate(bias, g.sum(axis=lead))
+        _accumulate(gain.node, (g * xhat).sum(axis=lead))
+        _accumulate(nbias, g.sum(axis=lead))
         dxhat = g * gain.values
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
-        if residual is not None:
-            _accumulate(residual, _unbroadcast(dx, residual.shape))
-        _accumulate(a, _unbroadcast(dx, a.shape), fresh=True)
+        if nr is not None:
+            _accumulate(nr, _unbroadcast(dx, nr.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(dx, na.shape), fresh=True)
 
     inputs = (a,) if residual is None else (a, residual)
     return _make(xhat * gain.values + bias.values, "layer_norm", (*inputs, gain, bias),
@@ -612,13 +611,13 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
         raise ShapeError(f"bce_with_logits shapes disagree: {logits.shape} vs {t.shape}")
     if not np.isin(t, (0.0, 1.0)).all():
         raise ValueError("bce_with_logits targets must be 0 or 1")
-    z = logits.values
+    z, nz = logits.values, logits.node
     values = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
     def backward_fn(g):
         sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
                        np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(np.minimum(z, 0.0))))
-        _accumulate(logits, g * (sig - t), fresh=True)
+        _accumulate(nz, g * (sig - t), fresh=True)
 
     return _make(values, "bce_with_logits", (logits,), backward_fn)
 
@@ -636,11 +635,12 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
         return a
     keep = rng.random(a.shape) >= p  # bool; a multiply casts it to the tensor's dtype
     scale = 1.0 / (1.0 - p)
+    na = a.node
 
     def backward_fn(g):
         d = g * keep
         d *= scale
-        _accumulate(a, d, fresh=True)
+        _accumulate(na, d, fresh=True)
 
     out = a.values * keep
     out *= scale
@@ -650,11 +650,12 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 # -- backward pass ---------------------------------------------------------
 
 
-def topo_order(root: Tensor) -> list[Tensor]:
-    """Graph nodes in topological order (parents before children)."""
-    order: list[Tensor] = []
+def topo_order(root: Tensor) -> list[Node]:
+    """The graph nodes behind `root`, in topological order (parents before
+    children); none for a tensor without a node."""
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [] if root.node is None else [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -664,7 +665,7 @@ def topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
@@ -682,34 +683,33 @@ def backward(loss: Tensor) -> None:
 
     Each op node's gradient is dropped once its backward function has
     used it. When the pass ends, every op node lets go of its parents and
-    its backward function, so the activations those held die once the
-    caller drops the output. A later backward through any released node
-    raises ValueError before it writes a gradient."""
+    its backward function, and with it the arrays that function saved.
+    A later backward through any released node raises ValueError before
+    it writes a gradient."""
     if loss.values.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not depend on any tensor requiring gradients")
     order = topo_order(loss)
-    if any(node._backward_fn is _released for node in order):
+    if any(node.backward_fn is _released for node in order):
         raise ValueError("the graph was released by an earlier backward; run the forward again")
     loss.grad = np.ones_like(loss.values)
     for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+        if node.backward_fn is not None and node.grad is not None:
+            node.backward_fn(node.grad)
             node.grad = None
     for node in order:
-        if node._backward_fn is not None:
-            node._parents, node._backward_fn = (), _released
+        if node.backward_fn is not None:
+            node.parents, node.backward_fn = (), _released
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
-    """Clear each tensor's `.grad`. The array stays parked on the tensor and
-    the next backward writes the tensor's first gradient into it, so a
-    caller that keeps a gradient array across this call must copy it."""
+    """Clear each tensor's `.grad`. The array stays parked on the tensor's
+    node and the next backward writes the tensor's first gradient into it,
+    so a caller that keeps a gradient array across this call must copy it."""
     for t in tensors:
         if t.grad is not None:
-            t._parked = t.grad
-            t.grad = None
+            t.node.parked, t.node.grad = t.grad, None
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, backward, zero_grads
+from .autodiff import Node, NonFiniteError, Tensor, backward, zero_grads
 from .data import FormatError, SampleRecord, collate_batch
 from .encoder import unset_params
 from .evaluate import evaluate
@@ -579,10 +579,10 @@ def model_from_checkpoint(ckpt: Checkpoint) -> GroundingModel:
 
 
 def _restore_params(model: GroundingModel, params: dict[str, np.ndarray]) -> None:
-    """Make `params` the model's parameter values. An array of the
-    parameter's dtype that is C-contiguous and writable is adopted as it
-    is; any other is converted with one copy. Names and shapes are
-    checked before any parameter changes."""
+    """Make `params` the model's parameter values, each with a new node and
+    no gradient. An array of the parameter's dtype that is C-contiguous and
+    writable is adopted as it is; any other is converted with one copy.
+    Names and shapes are checked before any parameter changes."""
     named = model.named_parameters()
     if set(named) != set(params):
         missing = set(named) ^ set(params)
@@ -596,8 +596,7 @@ def _restore_params(model: GroundingModel, params: dict[str, np.ndarray]) -> Non
         arr = params[name]
         if not (arr.dtype == tensor.dtype and arr.flags.c_contiguous and arr.flags.writeable):
             arr = np.array(arr, dtype=tensor.dtype, order="C")
-        tensor.values = arr
-        tensor.grad = None
+        tensor.values, tensor.node = arr, Node(arr)
 
 
 # -- the fit loop -----------------------------------------------------------------

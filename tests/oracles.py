@@ -1,12 +1,26 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (scalar loops, no vectorization)
-and imports nothing from the package under test.
+and imports nothing from the package under test, except `matmul` and
+`gelu`: graph ops built from the engine's own primitives, which the
+fused `attention` and `feed_forward` are tested against as unfused
+chains.
 """
 
 import math
 
 import numpy as np
+
+from ctxground.autodiff import (
+    ShapeError,
+    Tensor,
+    _accumulate,
+    _as_tensor,
+    _gelu_cdf,
+    _gelu_grad,
+    _make,
+    _unbroadcast,
+)
 
 
 def softmax_ref(row):
@@ -161,3 +175,42 @@ def attention_ref(x, wq, bq, wk, wv, bv, wo, bo, num_heads):
             for j in range(seq):
                 ctx[i, sl] += weights[j] * vh[j]
     return np.asarray(matmul_ref(ctx.tolist(), wo)) + np.asarray(bo)
+
+
+# -- unfused graph ops ---------------------------------------------------------
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """numpy's broadcast matrix product [..., m, k] @ [..., k, n] -> [..., m, n]."""
+    b = _as_tensor(b, a.dtype)
+    if a.values.ndim < 2 or b.values.ndim < 2:
+        raise ShapeError(
+            f"matmul needs at least 2-d operands, got {a.shape} and {b.shape}"
+        )
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    try:
+        values = np.matmul(a.values, b.values)
+    except ValueError as exc:
+        raise ShapeError(f"matmul batch shapes not broadcastable: {a.shape} vs {b.shape}") from exc
+    av, bv, na, nb = a.values, b.values, a.node, b.node
+
+    def backward_fn(g):
+        if na is not None:
+            _accumulate(na, _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), na.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), nb.shape))
+
+    return _make(values, "matmul", (a, b), backward_fn)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Gaussian error linear unit, exact erf form: the unfused reference of
+    `feed_forward`'s GELU, through the same cdf and gradient chains."""
+    x, na = a.values, a.node
+    cdf = _gelu_cdf(x)
+
+    def backward_fn(g):
+        _accumulate(na, _gelu_grad(x, cdf, g), fresh=True)
+
+    return _make(x * cdf, "gelu", (a,), backward_fn)

@@ -21,10 +21,8 @@ from ctxground.autodiff import (
     dropout,
     feed_forward,
     finite_diff_check,
-    gelu,
     layer_norm,
     linear,
-    matmul,
     no_grad,
     parameter,
     softmax_lastdim,
@@ -33,7 +31,7 @@ from ctxground.autodiff import (
     zero_grads,
 )
 
-from oracles import bce_ref, gelu_ref, layer_norm_ref, matmul_ref, softmax_ref
+from oracles import bce_ref, gelu, gelu_ref, layer_norm_ref, matmul, matmul_ref, softmax_ref
 
 
 def fdcheck(f, x, tol=1e-6, h=1e-5):
@@ -43,6 +41,12 @@ def fdcheck(f, x, tol=1e-6, h=1e-5):
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def saved_arrays(t):
+    """The arrays that the backward function of `t`'s node closes over."""
+    return [c.cell_contents for c in t.node.backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
 
 
 # -- matmul --------------------------------------------------------------------
@@ -479,8 +483,7 @@ def test_dropout_keeps_a_bool_mask_with_the_float_mask_values(dtype):
     x = parameter(rng.normal(size=(5, 7)), dtype=dtype)
     g = rng.normal(size=(5, 7)).astype(dtype)
     out = dropout(x, 0.3, np.random.default_rng(12))
-    held = [c.cell_contents for c in out._backward_fn.__closure__
-            if isinstance(c.cell_contents, np.ndarray)]
+    held = saved_arrays(out)
     assert [a.dtype for a in held] == [np.dtype(bool)]
     keep = (np.random.default_rng(12).random((5, 7)) >= 0.3).astype(dtype)
     scale = 1.0 / (1.0 - 0.3)
@@ -626,7 +629,7 @@ def test_feed_forward_without_a_graph_runs_over_several_blocks_bit_for_bit():
         fused = feed_forward(x, *params)
         chain = _ffn_chain(x, *params)
     frozen = [constant(t.values) for t in (x, *params)]  # no input requires a gradient
-    assert not fused.requires_grad and fused._backward_fn is None
+    assert not fused.requires_grad and fused.node is None
     assert same_bits(fused.values, chain.values)
     assert same_bits(feed_forward(*frozen).values, chain.values)
     assert same_bits(recorded.values, chain.values)
@@ -653,10 +656,12 @@ def test_feed_forward_records_one_node_that_keeps_no_gelu_output():
     x = parameter(rng.normal(size=(5, 4)))
     params = _ffn_params(rng, 4, 8, 3, np.float64)
     out = feed_forward(x, *params)
-    assert out._parents == (x, *params)
-    held = [c.cell_contents for c in out._backward_fn.__closure__
-            if isinstance(c.cell_contents, np.ndarray)]
-    assert sorted(a.shape for a in held) == [(5, 8), (5, 8)]  # the GEMM output and the cdf
+    assert out.node.parents == tuple(t.node for t in (x, *params))
+    held = saved_arrays(out)
+    # The input, the GEMM output and the cdf: no GELU output, and not the
+    # output itself.
+    assert sorted(a.shape for a in held) == [(5, 4), (5, 8), (5, 8)]
+    assert any(a is x.values for a in held)
 
 
 def test_feed_forward_rejects_mismatched_shapes():
@@ -851,25 +856,30 @@ def _linear_gelu_loss(rng):
 def test_backward_keeps_leaf_gradients_and_releases_the_graph():
     w, b, h, loss = _linear_gelu_loss(np.random.default_rng(30))
     nodes = topo_order(loss)
-    ops = [n for n in nodes if n._backward_fn is not None]
+    ops = [n for n in nodes if n.backward_fn is not None]
     assert len(ops) == 4  # linear, gelu, mul, sum
     backward(loss)
     for node in ops:
-        assert node.grad is None and node._parents == ()
-        assert node._backward_fn is autodiff._released
+        assert node.grad is None and node.parents == ()
+        assert node.backward_fn is autodiff._released
     for leaf in (w, b):
-        assert leaf.grad is not None and leaf._backward_fn is None
-    assert topo_order(loss) == [loss]
+        assert leaf.grad is not None and leaf.node.backward_fn is None
+    assert topo_order(loss) == [loss.node]
 
 
 def test_intermediate_tensors_die_when_backward_returns():
     # The caller keeps the loss, as train_step does until its next forward,
     # and drops the layer output; the graph behind the loss is gone.
+    # gelu's node keeps the linear output's array and the cdf, and the
+    # multiply keeps gelu's output array; all of them die with the graph.
     w, b, h, loss = _linear_gelu_loss(np.random.default_rng(31))
-    refs = [weakref.ref(h), weakref.ref(h._parents[0]), weakref.ref(h.values)]
-    del h
+    saved = saved_arrays(h)
+    assert len(saved) == 2
+    refs = [weakref.ref(h), weakref.ref(h.node), weakref.ref(h.node.parents[0]),
+            weakref.ref(h.values), *(weakref.ref(a) for a in saved)]
+    del h, saved
     backward(loss)
-    assert [r() for r in refs] == [None, None, None]
+    assert [r() for r in refs] == [None] * 6
     assert w.grad is not None and loss.grad is None
 
 
@@ -916,6 +926,37 @@ def test_backward_peak_stays_within_the_forward_plus_two_activations(dtype):
     leaf_grads = sum(p.grad.nbytes for p in weights + biases)
     buffer = np.getbufsize() * np.dtype(dtype).itemsize
     assert peak <= retained + leaf_grads + 2 * activation + buffer
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_recorded_forward_keeps_only_the_linear_inputs_and_the_masks(dtype):
+    # Backward reads each linear's input and each dropout's bool mask, and
+    # no output: a linear output dies once dropout has masked it, a
+    # dropout output once the next linear (or the sum) has read it. A graph
+    # whose edges held tensors kept 2 activations per layer, besides the
+    # masks; this one keeps one, the input (allocated before) included.
+    rng = np.random.default_rng(34)
+    rows, width, layers = 4096, 32, 4
+    weights = [parameter(rng.normal(size=(width, width)) / 8, dtype=dtype) for _ in range(layers)]
+    biases = [parameter(np.zeros(width), dtype=dtype) for _ in range(layers)]
+    x = constant(rng.normal(size=(rows, width)), dtype=dtype)
+    activation, mask = x.values.nbytes, rows * width
+    drop_rng = np.random.default_rng(35)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h = x
+        for w, b in zip(weights, biases):
+            h = dropout(linear(h, w, b), 0.1, drop_rng)
+        loss = h.sum()
+        del h
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    kept = (layers - 1) * activation + layers * mask
+    assert kept <= retained < kept + activation // 8  # the rest: nodes and closures
+    backward(loss)
+    assert all(p.grad is not None for p in weights + biases)
 
 
 def test_topo_order_visits_each_node_once():

@@ -1,11 +1,21 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxground.autodiff import backward, constant, no_grad, parameter, topo_order
+from ctxground import encoder
+from ctxground.autodiff import (
+    backward,
+    constant,
+    layer_norm,
+    no_grad,
+    parameter,
+    topo_order,
+    zero_grads,
+)
 from ctxground.encoder import (
     BranchConfig,
     BranchInput,
@@ -207,7 +217,7 @@ def test_spatial_embed_records_one_op_node():
                      fc2=LinearParams(parameter(rng.normal(size=(8, 8))), parameter(np.zeros(8))))
     out = spatial_embed(rng.uniform(size=(2, 3, 5)), mlp)
     assert out.shape == (2, 3, 8)
-    assert [n for n in topo_order(out) if n._backward_fn is not None] == [out]
+    assert [n for n in topo_order(out) if n.backward_fn is not None] == [out.node]
 
 
 def test_spatial_embed_distinguishes_boxes_under_random_weights():
@@ -311,7 +321,52 @@ def test_encoder_layer_records_eight_op_nodes():
     layer = params.layers[0]
     x = parameter(np.random.default_rng(7).normal(size=(2, 4, 8)))
     out = encoder_layer(x, np.ones((2, 4), bool), cfg, layer)
-    assert len(topo_order(out)) - len(named_parameters(layer)) - 1 == 8
+    nodes = topo_order(out)
+    leaves = [n for n in nodes if n.backward_fn is None]
+    assert len(nodes) - len(leaves) == 8
+    assert {id(n) for n in leaves} == {id(t.node) for t in (x, *named_parameters(layer).values())}
+
+
+def test_encoder_layer_drops_the_outputs_no_backward_reads(monkeypatch):
+    # Under recording, dropout keeps only its mask and layer norm its
+    # normalized input, so the attention output projection and the FFN
+    # output (tensor and array) are dead by the time the layer norm after
+    # each runs, before the layer returns. Backward still gives the same
+    # gradients, bit for bit.
+    cfg, params = text_setup(d=8, layers=1, heads=2, dropout=0.2)
+    layer = params.layers[0]
+    x0 = np.random.default_rng(7).normal(size=(2, 4, 8))
+    g = np.random.default_rng(8).normal(size=(2, 4, 8))
+
+    def grads():
+        x = parameter(x0)
+        out = encoder_layer(x, np.ones((2, 4), bool), cfg, layer, np.random.default_rng(9))
+        zero_grads(named_parameters(layer).values())
+        backward((out * constant(g)).sum())
+        return [x.grad.copy()] + [t.grad.copy() for t in named_parameters(layer).values()]
+
+    want = grads()
+    produced, dead_at_norm = [], []
+
+    def watch(op):
+        def watched(*args):
+            out = op(*args)
+            produced.append((weakref.ref(out), weakref.ref(out.values)))
+            return out
+        return watched
+
+    def norm(*args, **kwargs):
+        dead_at_norm.append([ref() is None for ref in produced[-1]])
+        return layer_norm(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "linear", watch(encoder.linear))
+    monkeypatch.setattr(encoder, "feed_forward", watch(encoder.feed_forward))
+    monkeypatch.setattr(encoder, "layer_norm", norm)
+    got = grads()
+    assert len(produced) == 5  # q, k, v and output projections, then the FFN
+    assert dead_at_norm == [[True, True], [True, True]]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_encoder_layer_without_a_graph_holds_one_ffn_array():

@@ -782,22 +782,22 @@ def test_train_steps_reuse_each_parameter_gradient_array(monkeypatch):
     model = tiny_model(seed=4, dropout=0.1)
     named = model.named_parameters()
     seen = []  # per backward: each parameter's gradient array, and the intermediates' first
-    given = []  # per backward: (tensor, array) for each first gradient array handed out
+    given = []  # per backward: (node, array) for each first gradient array handed out
     first_grad = autodiff._first_grad
 
-    def recording_first_grad(t):
-        given.append((t, first_grad(t)))
+    def recording_first_grad(node):
+        given.append((node, first_grad(node)))
         return given[-1][1]
 
     def recording_backward(loss):
-        intermediates = [t for t in autodiff.topo_order(loss)
-                         if all(t is not p for p in named.values())]
-        assert any(t._backward_fn is not None for t in intermediates)
-        assert all(t._parked is None for t in intermediates)
+        intermediates = [node for node in autodiff.topo_order(loss)
+                         if all(node is not p.node for p in named.values())]
+        assert any(node.backward_fn is not None for node in intermediates)
+        assert all(node.parked is None for node in intermediates)
         given.clear()
         backward(loss)
         seen.append(({n: t.grad for n, t in named.items()},
-                     [g for t, g in given if any(t is u for u in intermediates)]))
+                     [g for node, g in given if any(node is u for u in intermediates)]))
 
     monkeypatch.setattr(autodiff, "_first_grad", recording_first_grad)
     monkeypatch.setattr(training, "backward", recording_backward)
@@ -1143,6 +1143,12 @@ def test_model_from_checkpoint_restores_behavior(tmp_path):
     restored = model_from_checkpoint(load_checkpoint(path))
     loss_after, _ = restored.batch_loss(batch)
     assert loss_before.item() == loss_after.item()
+    # Its parameters were built as placeholders; their gradients take the
+    # restored values' shapes and layout.
+    backward(loss_before)
+    backward(loss_after)
+    for name, t in restored.named_parameters().items():
+        assert t.grad.tobytes() == named[name].grad.tobytes(), name
 
 
 def _small_checkpoint() -> Checkpoint:

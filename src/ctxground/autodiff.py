@@ -5,17 +5,19 @@ gradient, a graph node: the gradient slot and graph edge, which links
 parent nodes and a backward function but not the values. Each backward
 function closes over exactly the arrays it reads: `linear` and
 `feed_forward` their input, reading the weights through their tensors
-(`feed_forward` also its GEMM output and GELU cdf), `mul` its operands,
-`dropout` its bool mask, `layer_norm` the normalized input and inverse
-deviation; `add`, `reshape`, `transpose`, `sum`, `mean` and `take_rows`
-keep no input values. So an output that no backward reads dies when the
-forward drops its tensor. `backward` replays the graph in reverse
-topological order once, dropping each op node's gradient after use, and
-releases the graph when it returns. The ops: broadcasting add and
-multiply, fused linear layers, masked softmax, fused multi-head
-attention, layer norm (with an optional residual operand), the fused
-GELU feed-forward block, dropout, binary cross entropy on logits,
-gathers and reductions.
+(`feed_forward` also its GEMM output and GELU cdf), `mul` an operand
+only when the other one needs a gradient, `dropout` its bool mask,
+`layer_norm` the normalized input and inverse deviation; `add`,
+`reshape`, `transpose`, `sum`, `mean` and `take_rows` keep no input
+values. So an output that no backward reads dies when the forward
+drops its tensor. Without a graph, `layer_norm` and `feed_forward` work
+in place and in row blocks, so they hold no full-size temporary.
+`backward` replays the graph in reverse topological order once,
+dropping each op node's gradient after use, and releases the graph when
+it returns. The ops: broadcasting add and multiply, fused linear
+layers, masked softmax, fused multi-head attention, layer norm (with an
+optional residual operand), the fused GELU feed-forward block, dropout,
+binary cross entropy on logits, gathers and reductions.
 
 Non-finite results are an error, never silent: every op validates its
 output and raises :class:`NonFiniteError` on NaN/Inf.
@@ -208,6 +210,14 @@ def _make(out_values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     return out
 
 
+def _unrecorded(values: np.ndarray) -> Tensor:
+    """A tensor without a node around `values`, which the caller has
+    checked: forward-only ops check theirs block by block."""
+    out = Tensor.__new__(Tensor)
+    out.values, out.node = values, None
+    return out
+
+
 def _first_grad(node: Node) -> np.ndarray:
     """The array for `node`'s first gradient in a backward, set as its
     `grad`: the one `zero_grads` parked on it, else a new one in C order, or
@@ -266,7 +276,11 @@ def add(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    av, bv, na, nb = a.values, b.values, a.node, b.node
+    na, nb = a.node, b.node
+    # Each side's gradient reads the other side's values, so an operand
+    # whose partner needs no gradient is not kept.
+    av = a.values if nb is not None else None
+    bv = b.values if na is not None else None
 
     def backward_fn(g):
         if na is not None:
@@ -274,7 +288,7 @@ def mul(a: Tensor, b) -> Tensor:
         if nb is not None:
             _accumulate(nb, _unbroadcast(g * av, nb.shape), fresh=True)
 
-    return _make(av * bv, "mul", (a, b), backward_fn)
+    return _make(a.values * b.values, "mul", (a, b), backward_fn)
 
 
 def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -380,12 +394,14 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x if x.ndim == 2 else x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
-def _affine(x: np.ndarray, weight: Tensor, bias: Tensor | None) -> np.ndarray:
+def _affine(x: np.ndarray, weight: Tensor, bias: Tensor | None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """`x @ weight + bias` as [rows, n], the leading axes of `x` folded
-    into one GEMM and the bias added in place into its output."""
-    values = _rows(x) @ weight.values
+    into one GEMM and the bias added in place into its output: into `out`
+    when given, which must have the dtype of the sum."""
+    values = np.matmul(_rows(x), weight.values, out=out)
     if bias is not None:
-        in_place = np.result_type(values, bias.values) == values.dtype
+        in_place = out is not None or np.result_type(values, bias.values) == values.dtype
         values = np.add(values, bias.values, out=values if in_place else None)
     return values
 
@@ -436,6 +452,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 # Elements per block of the forward-only GELU in `feed_forward`.
 _GELU_BLOCK = 1 << 16
+# Most hidden elements per row block of the forward-only `feed_forward`.
+_FFN_BLOCK = 1 << 22
 
 
 def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
@@ -443,12 +461,20 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
     [..., d] -> [..., n] through a hidden width f (`w_in` is [d, f]).
 
     Without a recorded node (no-grad mode, or no input requiring a
-    gradient), GELU runs in place in the first GEMM's output, in blocks of
-    `_GELU_BLOCK` elements through one scratch array, so the call holds one
-    [rows, f] array. A recorded node keeps the first GEMM's output and the
-    GELU cdf, and backward rebuilds the GELU output from them. Both paths
-    run the chain's numpy operations in its order, so values and gradients
-    equal the unfused chain's bit for bit."""
+    gradient), the rows run in near-equal blocks of at most `_FFN_BLOCK`
+    hidden elements. Each block runs the first GEMM into one hidden array,
+    GELU in place in it (in blocks of `_GELU_BLOCK` elements through one
+    scratch array) and the second GEMM into its rows of the output, so the
+    call holds one hidden row block, not [rows, f]. A recorded node keeps
+    the first GEMM's output and the GELU cdf, and backward rebuilds the
+    GELU output from them. Both paths run the chain's numpy operations in
+    its order, so values and gradients equal the unfused chain's bit for
+    bit. The row blocks also need OpenBLAS to compute each output row the
+    same whatever the row count, which numpy does not promise. Blocks of
+    about half of `_FFN_BLOCK` or more keep every product on its general
+    kernels (OpenBLAS has others for products of at most 100^3
+    multiply-adds, and numpy calls gemv for one row); the tests check the
+    rest on the machine that runs them."""
     if (w_in.values.ndim != 2 or w_out.values.ndim != 2 or x.values.ndim < 1
             or x.shape[-1] != w_in.shape[0] or b_in.shape != w_in.shape[1:]
             or w_out.shape[0] != w_in.shape[1] or b_out.shape != w_out.shape[1:]):
@@ -456,18 +482,10 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
                          f"{b_in.shape}, then {w_out.shape} + {b_out.shape}")
     parents = (x, w_in, b_in, w_out, b_out)
     out_shape = x.shape[:-1] + w_out.shape[1:]
-    h = _affine(x.values, w_in, b_in)
     if not _recording(parents):
-        flat = h.reshape(-1)
-        scratch = np.empty(min(flat.size, _GELU_BLOCK), dtype=h.dtype)
-        for lo in range(0, flat.size, _GELU_BLOCK):
-            block = flat[lo:lo + _GELU_BLOCK]
-            block *= _gelu_cdf(block, out=scratch[:block.size])
-            # A non-finite GEMM output gives a non-finite GELU and a finite
-            # one a finite GELU, so this check stands for both of theirs.
-            _check_finite(block, "feed_forward")
-        return _make(_affine(h, w_out, b_out).reshape(out_shape), "feed_forward", parents,
-                     None)
+        return _unrecorded(_feed_forward_blocks(_rows(x.values), w_in, b_in, w_out, b_out)
+                           .reshape(out_shape))
+    h = _affine(x.values, w_in, b_in)
     cdf = _gelu_cdf(h)
     a = h * cdf
     _check_finite(a, "feed_forward")
@@ -489,6 +507,29 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
             _accumulate(nx, gx.reshape(nx.shape), fresh=True)
 
     return _make(values, "feed_forward", parents, backward_fn)
+
+
+def _feed_forward_blocks(x: np.ndarray, w_in: Tensor, b_in: Tensor, w_out: Tensor,
+                         b_out: Tensor) -> np.ndarray:
+    """The forward-only `feed_forward` of the [rows, d] array `x` as
+    [rows, n], in row blocks, each checked for non-finite values."""
+    rows, f = x.shape[0], w_in.shape[1]
+    blocks = max(1, -(-rows * f // _FFN_BLOCK))
+    bounds = [rows * i // blocks for i in range(blocks + 1)]
+    hidden = np.empty((-(-rows // blocks), f), np.result_type(x, w_in.values, b_in.values))
+    out = np.empty((rows, w_out.shape[1]), np.result_type(hidden, w_out.values, b_out.values))
+    scratch = np.empty(min(hidden.size, _GELU_BLOCK), hidden.dtype)
+    for lo, hi in zip(bounds, bounds[1:]):
+        h = _affine(x[lo:hi], w_in, b_in, out=hidden[:hi - lo])
+        flat = h.reshape(-1)
+        for start in range(0, flat.size, _GELU_BLOCK):
+            block = flat[start:start + _GELU_BLOCK]
+            block *= _gelu_cdf(block, out=scratch[:block.size])
+            # A non-finite GEMM output gives a non-finite GELU and a finite
+            # one a finite GELU, so this check stands for both of theirs.
+            _check_finite(block, "feed_forward")
+        _check_finite(_affine(h, w_out, b_out, out=out[lo:hi]), "feed_forward")
+    return out
 
 
 def _softmax(z: np.ndarray, mask) -> np.ndarray:
@@ -563,16 +604,44 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tens
     return _make(merge(np.matmul(p, vh)), "attention", (q, k, v), backward_fn)
 
 
+# Elements per row block of the forward-only `layer_norm`.
+_NORM_BLOCK = 1 << 16
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None,
                eps: float = 1e-5) -> Tensor:
     """Normalize the last axis of `a` (plus `residual`, broadcast as `add`
-    broadcasts) to zero mean / unit variance, then affine; one node."""
+    broadcasts) to zero mean / unit variance, then affine; one node.
+
+    Without a recorded node (no-grad mode, or no input requiring a
+    gradient) and with an affine in the input's dtype, the chain runs in
+    place in the `a + residual` array (a copy of `a` without a residual),
+    in row blocks of at most `_NORM_BLOCK` elements, each squared for its
+    variance into one block-sized temporary. A recorded node keeps the
+    normalized input and the inverse deviation. Both paths run the same
+    numpy operations on every element in the same order, so their values
+    are equal bit for bit; neither writes an input's values."""
+    inputs = (a,) if residual is None else (a, residual)
+    parents = (*inputs, gain, bias)
     x = a.values if residual is None else a.values + residual.values
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match last dim {d}"
         )
+    if not _recording(parents) and np.result_type(x, gain.values, bias.values) == x.dtype:
+        x = x.copy() if residual is None else x
+        rows = _rows(x)
+        step = max(1, _NORM_BLOCK // max(d, 1))
+        for lo in range(0, rows.shape[0], step):
+            block = rows[lo:lo + step]
+            block -= np.add.reduce(block, axis=-1, keepdims=True) / d
+            var = np.add.reduce(block * block, axis=-1, keepdims=True) / d
+            block *= 1.0 / np.sqrt(var + eps)
+            block *= gain.values
+            block += bias.values
+            _check_finite(block, "layer_norm")
+        return _unrecorded(rows.reshape(x.shape))  # a copy when x was not C-contiguous
     # add.reduce / d equals .mean bit for bit and skips numpy's Python-level _mean.
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mu
@@ -594,9 +663,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
         if na is not None:
             _accumulate(na, _unbroadcast(dx, na.shape), fresh=True)
 
-    inputs = (a,) if residual is None else (a, residual)
-    return _make(xhat * gain.values + bias.values, "layer_norm", (*inputs, gain, bias),
-                 backward_fn)
+    return _make(xhat * gain.values + bias.values, "layer_norm", parents, backward_fn)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:

@@ -290,6 +290,82 @@ def test_layer_norm_means_equal_numpy_mean(dtype, shape):
     assert out.tobytes() == (centered * inv * gain + bias).tobytes()
 
 
+# 2100 rows of 96 run in four row blocks of the forward-only layer norm,
+# the last one partial; 3 x 350 rows in two.
+_NORM_SHAPES = [(2100, 96), (3, 350, 96)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _NORM_SHAPES)
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_forward_only_layer_norm_equals_graph_mode_bit_for_bit(dtype, shape, with_residual):
+    # The 3-d residual is [s, d] against a [b, s, d] input, broadcast as add broadcasts.
+    rng = np.random.default_rng(25)
+    d = shape[-1]
+    assert math.prod(shape[:-1]) > autodiff._NORM_BLOCK // d
+    arrays = [rng.normal(loc=3.0, size=n) for n in (shape, shape[-2:], d, d)]
+    x, r, gain, bias = (parameter(a, dtype=dtype) for a in arrays)
+    residual = r if with_residual else None
+    recorded = layer_norm(x, gain, bias, residual=residual)
+    before = [x.values.copy(), r.values.copy()]
+    with no_grad():
+        fused = layer_norm(x, gain, bias, residual=residual)
+    frozen = [constant(t.values) for t in (x, gain, bias)]  # no input requires a gradient
+    plain = layer_norm(*frozen, residual=constant(r.values) if with_residual else None)
+    assert recorded.node is not None and fused.node is None and plain.node is None
+    assert same_bits(fused.values, recorded.values)
+    assert same_bits(plain.values, recorded.values)
+    assert same_bits(x.values, before[0]) and same_bits(r.values, before[1])
+
+
+@pytest.mark.parametrize("wide", ["gain", "bias"])
+def test_forward_only_layer_norm_with_a_wider_affine_promotes_as_graph_mode_bit_for_bit(wide):
+    # A float64 gain or bias over a float32 input cannot run in the input's
+    # array; the output is float64, as in graph mode.
+    rng = np.random.default_rng(28)
+    x = parameter(rng.normal(size=(3, 350, 96)), dtype=np.float32)
+    gain, bias = (parameter(rng.normal(size=96), dtype=np.float64 if wide == name
+                            else np.float32) for name in ("gain", "bias"))
+    recorded = layer_norm(x, gain, bias)
+    with no_grad():
+        fused = layer_norm(x, gain, bias)
+    assert fused.dtype == np.float64 and same_bits(fused.values, recorded.values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_only_layer_norm_raises_on_a_non_finite_row_in_a_later_block(bad):
+    rng = np.random.default_rng(26)
+    x = constant(rng.normal(size=(2100, 96)))
+    x.values[-1, 5] = bad  # past the constructor's check; in the last row block
+    with pytest.raises(NonFiniteError, match="layer_norm"):
+        layer_norm(x, constant(np.ones(96)), constant(np.zeros(96)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_forward_only_layer_norm_holds_one_output_and_one_row_block(dtype, with_residual):
+    # The output is the x + residual array (a copy of x without a residual),
+    # normalized in place; each row block's squares are the only other
+    # array of its size, and each dies before the next is made. The rest
+    # is a few kB: the block's row statistics and array headers.
+    rng = np.random.default_rng(27)
+    rows, d = 1024, 512
+    x, r = (constant(rng.normal(size=(rows, d)), dtype=dtype) for _ in range(2))
+    gain, bias = constant(np.ones(d), dtype=dtype), constant(np.zeros(d), dtype=dtype)
+    scratch = (autodiff._NORM_BLOCK // d) * d * np.dtype(dtype).itemsize
+    assert scratch * 8 <= x.values.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = layer_norm(x, gain, bias, residual=r if with_residual else None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows, d)
+    assert peak < out.values.nbytes + scratch + 4096
+
+
 # -- fused attention and residual layer norm -------------------------------------------------
 
 
@@ -696,6 +772,84 @@ def test_feed_forward_without_a_graph_holds_one_hidden_array(dtype):
     assert peak < 2 * hidden
 
 
+def _ffn_row_blocks(monkeypatch, rows, f, count):
+    """Shrink the forward-only row blocks so that `rows` rows of hidden
+    width `f` run in `count` blocks of unequal size; return their sizes."""
+    monkeypatch.setattr(autodiff, "_FFN_BLOCK", -(-rows * f // count))
+    assert -(-rows * f // autodiff._FFN_BLOCK) == count and rows % count
+    return [rows * (i + 1) // count - rows * i // count for i in range(count)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_only_feed_forward_row_blocks_equal_the_graph_node_bit_for_bit(
+        monkeypatch, dtype):
+    # 3 x 151 rows in 4 blocks of 113 or 114 rows; each block's GEMMs stay
+    # large enough for OpenBLAS's general kernels, as the model's do.
+    rng = np.random.default_rng(50)
+    sizes = _ffn_row_blocks(monkeypatch, 3 * 151, 512, 4)
+    assert len(set(sizes)) == 2
+    x = parameter(rng.normal(size=(3, 151, 48)), dtype=dtype)
+    params = _ffn_params(rng, 48, 512, 40, dtype)
+    recorded = feed_forward(x, *params)
+    with no_grad():
+        fused = feed_forward(x, *params)
+    plain = feed_forward(*(constant(t.values) for t in (x, *params)))
+    assert fused.node is None and plain.node is None
+    assert same_bits(fused.values, recorded.values)
+    assert same_bits(plain.values, recorded.values)
+
+
+@pytest.mark.parametrize("wide", [0, 1, 2, 3, 4])
+def test_forward_only_feed_forward_promotes_dtypes_as_the_graph_node_bit_for_bit(
+        monkeypatch, wide):
+    # One float64 input among float32 ones, over three row blocks.
+    rng = np.random.default_rng(51)
+    _ffn_row_blocks(monkeypatch, 400, 384, 3)
+    x = parameter(rng.normal(size=(400, 48)), dtype=np.float64 if wide == 0 else np.float32)
+    params = [parameter(t.values, dtype=np.float64 if i + 1 == wide else np.float32)
+              for i, t in enumerate(_ffn_params(rng, 48, 384, 40, np.float32))]
+    recorded = feed_forward(x, *params)
+    with no_grad():
+        fused = feed_forward(x, *params)
+    assert fused.dtype == np.float64
+    assert same_bits(fused.values, recorded.values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_only_feed_forward_raises_on_a_non_finite_row_in_a_later_block(
+        monkeypatch, bad):
+    rng = np.random.default_rng(52)
+    _ffn_row_blocks(monkeypatch, 400, 384, 3)
+    x = constant(rng.normal(size=(400, 48)))
+    x.values[-1, 7] = bad  # past the constructor's check; in the last row block
+    params = [constant(t.values) for t in _ffn_params(rng, 48, 384, 40, np.float64)]
+    with pytest.raises(NonFiniteError, match="feed_forward"):
+        feed_forward(x, *params)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_only_feed_forward_holds_one_hidden_row_block(monkeypatch, dtype):
+    # Across 8 row blocks the call holds the output, one [block rows, f]
+    # hidden array, GELU's block-sized scratch and the blocks' finiteness
+    # masks: less than the output, the input and one hidden row block.
+    rng = np.random.default_rng(53)
+    rows, f = 2048, 1024
+    sizes = _ffn_row_blocks(monkeypatch, rows + 3, f, 8)
+    x = constant(rng.normal(size=(rows + 3, 64)), dtype=dtype)
+    params = [constant(t.values) for t in _ffn_params(rng, 64, f, 64, dtype)]
+    hidden_block = max(sizes) * f * np.dtype(dtype).itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = feed_forward(x, *params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows + 3, 64)
+    assert peak < out.values.nbytes + x.values.nbytes + hidden_block
+
+
 def test_elementwise_gradients():
     rng = np.random.default_rng(11)
     x = parameter(rng.normal(size=(2, 3)) + 3.0)
@@ -870,8 +1024,8 @@ def test_backward_keeps_leaf_gradients_and_releases_the_graph():
 def test_intermediate_tensors_die_when_backward_returns():
     # The caller keeps the loss, as train_step does until its next forward,
     # and drops the layer output; the graph behind the loss is gone.
-    # gelu's node keeps the linear output's array and the cdf, and the
-    # multiply keeps gelu's output array; all of them die with the graph.
+    # gelu's node keeps the linear output's array and the cdf (the multiply
+    # by a constant keeps no array); all of them die with the graph.
     w, b, h, loss = _linear_gelu_loss(np.random.default_rng(31))
     saved = saved_arrays(h)
     assert len(saved) == 2
@@ -881,6 +1035,32 @@ def test_intermediate_tensors_die_when_backward_returns():
     backward(loss)
     assert [r() for r in refs] == [None] * 6
     assert w.grad is not None and loss.grad is None
+
+
+@pytest.mark.parametrize("linear_first", [True, False])
+def test_a_multiply_by_a_constant_keeps_no_array_of_the_other_operand(linear_first):
+    # Each side's gradient reads only the other side's values: in
+    # linear(...) * const the linear output's array dies with its tensor,
+    # and the weight gradient equals the one of a graph that kept it.
+    rng = np.random.default_rng(36)
+    x, w0, c = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+
+    def run(other):
+        w = parameter(w0)
+        h = linear(constant(x), w)
+        out = h * other if linear_first else other * h
+        held = weakref.ref(h.values)
+        del h
+        return w, out, held
+
+    w, out, held = run(constant(c))
+    assert held() is None
+    assert [a.shape for a in saved_arrays(out)] == [(5, 3)]
+    backward(out.sum())
+    w_kept, out_kept, held_kept = run(parameter(c))  # both sides need gradients
+    assert held_kept() is not None
+    backward(out_kept.sum())
+    assert same_bits(w.grad, w_kept.grad)
 
 
 def test_a_second_backward_on_a_released_graph_raises_before_writing():

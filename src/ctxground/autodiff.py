@@ -10,8 +10,8 @@ only when the other one needs a gradient, `dropout` its bool mask,
 `layer_norm` the normalized input and inverse deviation; `add`,
 `reshape`, `transpose`, `sum`, `mean` and `take_rows` keep no input
 values. So an output that no backward reads dies when the forward
-drops its tensor. Without a graph, `layer_norm` and `feed_forward` work
-in place and in row blocks, so they hold no full-size temporary.
+drops its tensor. `layer_norm` and `feed_forward` run one row-blocked
+chain; a graph only keeps what their backward reads at full size.
 `backward` replays the graph in reverse topological order once,
 dropping each op node's gradient after use, and releases the graph when
 it returns. The ops: broadcasting add and multiply, fused linear
@@ -201,20 +201,19 @@ def _recording(parents: tuple[Tensor, ...]) -> bool:
 
 def _make(out_values: np.ndarray, op: str, parents: tuple[Tensor, ...],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """The op's output; its node, if recorded, links the parents' nodes, not the parents."""
+    """The op's output, checked for non-finite values, with its node if recorded."""
     _check_finite(out_values, op)
+    return _attach(out_values, parents, backward_fn)
+
+
+def _attach(values: np.ndarray, parents: tuple[Tensor, ...],
+            backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """A tensor around `values`, which the caller has checked; its node,
+    if recorded, links the parents' nodes, not the parents."""
     out = Tensor.__new__(Tensor)
-    out.values = out_values
+    out.values = values
     nodes = tuple(p.node for p in parents if p.node is not None) if _grad_enabled.get() else ()
-    out.node = Node(out_values, nodes, backward_fn) if nodes else None
-    return out
-
-
-def _unrecorded(values: np.ndarray) -> Tensor:
-    """A tensor without a node around `values`, which the caller has
-    checked: forward-only ops check theirs block by block."""
-    out = Tensor.__new__(Tensor)
-    out.values, out.node = values, None
+    out.node = Node(values, nodes, backward_fn) if nodes else None
     return out
 
 
@@ -366,8 +365,12 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather slices along axis 0; backward scatter-adds into the source."""
-    idx = np.asarray(indices, dtype=np.intp)
+    """Gather slices along axis 0; backward scatter-adds into the source.
+    The indices must be integers; an empty list gathers nothing."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise IndexError(f"take_rows indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.ndim != 1:
         raise ShapeError(f"take_rows expects a 1-d index array, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
@@ -450,9 +453,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(values, "linear", parents, backward_fn)
 
 
-# Elements per block of the forward-only GELU in `feed_forward`.
+# Elements per GELU block of `feed_forward`.
 _GELU_BLOCK = 1 << 16
-# Most hidden elements per row block of the forward-only `feed_forward`.
+# Most hidden elements per row block of `feed_forward`.
 _FFN_BLOCK = 1 << 22
 
 
@@ -460,20 +463,18 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
     """`linear(gelu(linear(x, w_in, b_in)), w_out, b_out)` as one node:
     [..., d] -> [..., n] through a hidden width f (`w_in` is [d, f]).
 
-    Without a recorded node (no-grad mode, or no input requiring a
-    gradient), the rows run in near-equal blocks of at most `_FFN_BLOCK`
-    hidden elements. Each block runs the first GEMM into one hidden array,
-    GELU in place in it (in blocks of `_GELU_BLOCK` elements through one
-    scratch array) and the second GEMM into its rows of the output, so the
-    call holds one hidden row block, not [rows, f]. A recorded node keeps
-    the first GEMM's output and the GELU cdf, and backward rebuilds the
-    GELU output from them. Both paths run the chain's numpy operations in
-    its order, so values and gradients equal the unfused chain's bit for
-    bit. The row blocks also need OpenBLAS to compute each output row the
-    same whatever the row count, which numpy does not promise. Blocks of
-    about half of `_FFN_BLOCK` or more keep every product on its general
-    kernels (OpenBLAS has others for products of at most 100^3
-    multiply-adds, and numpy calls gemv for one row); the tests check the
+    One chain runs in both modes, in near-equal row blocks of at most
+    `_FFN_BLOCK` hidden elements: the first GEMM, GELU in blocks of
+    `_GELU_BLOCK` elements, the second GEMM into the block's output rows,
+    each output checked as it is made. A recorded node keeps the first
+    GEMM's output and the GELU cdf at full size (backward rebuilds GELU's
+    output from them) and GELU writes into one reused row block; without
+    one, GELU runs in place in one reused row block, its cdf in a
+    `_GELU_BLOCK` scratch. Values and gradients equal the unfused chain's
+    bit for bit if OpenBLAS computes each output row the same whatever
+    the row count, which numpy does not promise: blocks of half of
+    `_FFN_BLOCK` or more stay off its kernels for products of at most
+    100^3 multiply-adds and numpy's one-row gemv, and the tests check the
     rest on the machine that runs them."""
     if (w_in.values.ndim != 2 or w_out.values.ndim != 2 or x.values.ndim < 1
             or x.shape[-1] != w_in.shape[0] or b_in.shape != w_in.shape[1:]
@@ -481,18 +482,34 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
         raise ShapeError(f"feed_forward shapes disagree: {x.shape} through {w_in.shape} + "
                          f"{b_in.shape}, then {w_out.shape} + {b_out.shape}")
     parents = (x, w_in, b_in, w_out, b_out)
-    out_shape = x.shape[:-1] + w_out.shape[1:]
-    if not _recording(parents):
-        return _unrecorded(_feed_forward_blocks(_rows(x.values), w_in, b_in, w_out, b_out)
-                           .reshape(out_shape))
-    h = _affine(x.values, w_in, b_in)
-    cdf = _gelu_cdf(h)
-    a = h * cdf
-    _check_finite(a, "feed_forward")
-    values = _affine(a, w_out, b_out).reshape(out_shape)
-    del a
-    xv, nx, nb_in, nb_out = x.values, x.node, b_in.node, b_out.node
-    hidden_shape = x.shape[:-1] + w_in.shape[1:]
+    record = _recording(parents)
+
+    def kept(flat, lo, hi):  # elements lo:hi when recorded, else a reused block's first hi - lo
+        return flat[lo:hi] if record else flat[:hi - lo]
+
+    xv, xr = x.values, _rows(x.values)
+    rows, f = xr.shape[0], w_in.shape[1]
+    blocks = max(1, -(-rows * f // _FFN_BLOCK))
+    bounds = [rows * i // blocks for i in range(blocks + 1)]
+    step = -(-rows // blocks)  # rows of the longest block
+    dtype = np.result_type(xr, w_in.values, b_in.values)
+    h = np.empty((rows if record else step, f), dtype)
+    cdf = np.empty(h.shape if record else min(step * f, _GELU_BLOCK), dtype)
+    act = np.empty(step * f, dtype) if record else h.reshape(-1)
+    out = np.empty((rows, w_out.shape[1]), np.result_type(dtype, w_out.values, b_out.values))
+    for lo, hi in zip(bounds, bounds[1:]):
+        hb = kept(h.reshape(-1), lo * f, hi * f)
+        _affine(xr[lo:hi], w_in, b_in, out=hb.reshape(hi - lo, f))
+        ab = act[:hb.size]
+        for s in range(0, hb.size, _GELU_BLOCK):
+            e = min(s + _GELU_BLOCK, hb.size)
+            cb = _gelu_cdf(hb[s:e], out=kept(cdf.reshape(-1), lo * f + s, lo * f + e))
+            # A non-finite GEMM output gives a non-finite GELU and a finite
+            # one a finite GELU, so this check stands for both of theirs.
+            _check_finite(np.multiply(hb[s:e], cb, out=ab[s:e]), "feed_forward")
+        _check_finite(_affine(ab.reshape(hi - lo, f), w_out, b_out, out=out[lo:hi]),
+                      "feed_forward")
+    nx, nb_in, nb_out = x.node, b_in.node, b_out.node
     hidden_grad = _recording((x, w_in, b_in))
 
     def backward_fn(g):
@@ -502,34 +519,11 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
         # The unfused GELU node would take this gradient in its own dtype.
         gh = _gelu_grad(h, cdf, ga.astype(h.dtype, copy=False))
         del ga
-        gx = _affine_backward(xv, w_in, nb_in, gh.reshape(hidden_shape), nx is not None)
+        gx = _affine_backward(xv, w_in, nb_in, gh.reshape(xv.shape[:-1] + (f,)), nx is not None)
         if gx is not None:
             _accumulate(nx, gx.reshape(nx.shape), fresh=True)
 
-    return _make(values, "feed_forward", parents, backward_fn)
-
-
-def _feed_forward_blocks(x: np.ndarray, w_in: Tensor, b_in: Tensor, w_out: Tensor,
-                         b_out: Tensor) -> np.ndarray:
-    """The forward-only `feed_forward` of the [rows, d] array `x` as
-    [rows, n], in row blocks, each checked for non-finite values."""
-    rows, f = x.shape[0], w_in.shape[1]
-    blocks = max(1, -(-rows * f // _FFN_BLOCK))
-    bounds = [rows * i // blocks for i in range(blocks + 1)]
-    hidden = np.empty((-(-rows // blocks), f), np.result_type(x, w_in.values, b_in.values))
-    out = np.empty((rows, w_out.shape[1]), np.result_type(hidden, w_out.values, b_out.values))
-    scratch = np.empty(min(hidden.size, _GELU_BLOCK), hidden.dtype)
-    for lo, hi in zip(bounds, bounds[1:]):
-        h = _affine(x[lo:hi], w_in, b_in, out=hidden[:hi - lo])
-        flat = h.reshape(-1)
-        for start in range(0, flat.size, _GELU_BLOCK):
-            block = flat[start:start + _GELU_BLOCK]
-            block *= _gelu_cdf(block, out=scratch[:block.size])
-            # A non-finite GEMM output gives a non-finite GELU and a finite
-            # one a finite GELU, so this check stands for both of theirs.
-            _check_finite(block, "feed_forward")
-        _check_finite(_affine(h, w_out, b_out, out=out[lo:hi]), "feed_forward")
-    return out
+    return _attach(out.reshape(x.shape[:-1] + w_out.shape[1:]), parents, backward_fn)
 
 
 def _softmax(z: np.ndarray, mask) -> np.ndarray:
@@ -604,7 +598,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tens
     return _make(merge(np.matmul(p, vh)), "attention", (q, k, v), backward_fn)
 
 
-# Elements per row block of the forward-only `layer_norm`.
+# Elements per row block of `layer_norm`.
 _NORM_BLOCK = 1 << 16
 
 
@@ -613,41 +607,36 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
     """Normalize the last axis of `a` (plus `residual`, broadcast as `add`
     broadcasts) to zero mean / unit variance, then affine; one node.
 
-    Without a recorded node (no-grad mode, or no input requiring a
-    gradient) and with an affine in the input's dtype, the chain runs in
-    place in the `a + residual` array (a copy of `a` without a residual),
-    in row blocks of at most `_NORM_BLOCK` elements, each squared for its
-    variance into one block-sized temporary. A recorded node keeps the
-    normalized input and the inverse deviation. Both paths run the same
-    numpy operations on every element in the same order, so their values
-    are equal bit for bit; neither writes an input's values."""
-    inputs = (a,) if residual is None else (a, residual)
-    parents = (*inputs, gain, bias)
-    x = a.values if residual is None else a.values + residual.values
+    One chain runs in both modes, in place in the `a + residual` array (a
+    copy of `a` without a residual) and in row blocks of at most
+    `_NORM_BLOCK` elements, each squared into one block-sized temporary
+    and checked. A recorded node keeps that array (the normalized input)
+    and every row's inverse deviation, and the affine goes into a new
+    output; without one, the affine runs in place too unless a wider gain
+    or bias widens the output. No input's values are written."""
+    parents = (a, gain, bias) if residual is None else (a, residual, gain, bias)
+    x = a.values.copy() if residual is None else a.values + residual.values
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match last dim {d}"
-        )
-    if not _recording(parents) and np.result_type(x, gain.values, bias.values) == x.dtype:
-        x = x.copy() if residual is None else x
-        rows = _rows(x)
-        step = max(1, _NORM_BLOCK // max(d, 1))
-        for lo in range(0, rows.shape[0], step):
-            block = rows[lo:lo + step]
-            block -= np.add.reduce(block, axis=-1, keepdims=True) / d
-            var = np.add.reduce(block * block, axis=-1, keepdims=True) / d
-            block *= 1.0 / np.sqrt(var + eps)
-            block *= gain.values
-            block += bias.values
-            _check_finite(block, "layer_norm")
-        return _unrecorded(rows.reshape(x.shape))  # a copy when x was not C-contiguous
-    # add.reduce / d equals .mean bit for bit and skips numpy's Python-level _mean.
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
-    centered = x - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+        raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
+                         f"do not match last dim {d}")
+    record = _recording(parents)
+    rows = _rows(x)  # normalized in place, block by block
+    dtype = np.result_type(x, gain.values, bias.values)
+    out = np.empty(rows.shape, dtype) if record or dtype != x.dtype else rows
+    inv = np.empty((rows.shape[0], 1), x.dtype) if record else None
+    step = max(1, _NORM_BLOCK // max(d, 1))
+    for lo in range(0, rows.shape[0], step):
+        block = rows[lo:lo + step]
+        # add.reduce / d equals .mean bit for bit and skips numpy's Python-level _mean.
+        block -= np.add.reduce(block, axis=-1, keepdims=True) / d
+        var = np.add.reduce(block * block, axis=-1, keepdims=True) / d
+        block *= np.divide(1.0, np.sqrt(var + eps),
+                           out=None if inv is None else inv[lo:lo + step])
+        affine = np.multiply(block, gain.values, out=out[lo:lo + step])
+        affine += bias.values
+        _check_finite(affine, "layer_norm")
+    xhat = rows.reshape(x.shape)
     na, nr, nbias = a.node, None if residual is None else residual.node, bias.node
 
     def backward_fn(g):
@@ -657,13 +646,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
         dxhat = g * gain.values
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
-        dx = inv * (dxhat - m1 - xhat * m2)
+        dx = inv.reshape(m1.shape) * (dxhat - m1 - xhat * m2)
         if nr is not None:
             _accumulate(nr, _unbroadcast(dx, nr.shape))
         if na is not None:
             _accumulate(na, _unbroadcast(dx, na.shape), fresh=True)
 
-    return _make(xhat * gain.values + bias.values, "layer_norm", parents, backward_fn)
+    return _attach(out.reshape(x.shape), parents, backward_fn)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
@@ -797,17 +786,16 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
     x.grad = None
 
     numeric = np.zeros_like(x.values)
-    flat = x.values.reshape(-1)
-    numeric_flat = numeric.reshape(-1)
+    values = x.values  # perturbed in place, whatever its memory layout
     with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        for i in np.ndindex(values.shape):
+            orig = values[i]
+            values[i] = orig + h
             f_plus = float(f(x).values)
-            flat[i] = orig - h
+            values[i] = orig - h
             f_minus = float(f(x).values)
-            flat[i] = orig
-            numeric_flat[i] = (f_plus - f_minus) / (2.0 * h)
+            values[i] = orig
+            numeric[i] = (f_plus - f_minus) / (2.0 * h)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float((np.abs(analytic - numeric) / denom).max())

@@ -212,17 +212,26 @@ def _typed(obj: dict, key: str, kind: type):
     return obj[key]
 
 
+def _coordinates(obj: dict, key: str) -> list:
+    """`obj[key]`, a list of boxes, if every coordinate is a JSON number: no `true`, no string."""
+    if not set(map(type, [v for box in obj[key] for v in box])) <= {int, float}:
+        raise TypeError(f"field {key!r} is not a list of boxes of JSON numbers")
+    return obj[key]
+
+
 def _record_from_json(obj: dict, base_dir: Path) -> SampleRecord:
     features = obj["features"]
     if isinstance(features, str):
         features = load_feature_file(base_dir / features)
+    elif np.asarray(features).dtype.kind not in "iuf":  # a string, null or bool among them
+        raise TypeError("field 'features' is not a matrix of JSON numbers")
     tokens = obj["tokens"]
     if type(tokens) is not list or any(type(t) is not int for t in tokens):
         raise TypeError(f"field 'tokens' is not a list of integers: {tokens!r}")
     phrases = [
         PhraseSpan(first_token=_typed(p, "first", int), last_token=_typed(p, "last", int),
                    entity_type=_typed(p, "type", str),
-                   gt_boxes=np.asarray(p["gt_boxes"], dtype=np.float64))
+                   gt_boxes=_coordinates(p, "gt_boxes"))
         for p in obj["phrases"]
     ]
     return SampleRecord(
@@ -231,7 +240,7 @@ def _record_from_json(obj: dict, base_dir: Path) -> SampleRecord:
         height=_typed(obj, "height", int),
         token_ids=np.asarray(tokens, dtype=np.int64),
         phrases=phrases,
-        proposals=np.asarray(obj["boxes"], dtype=np.float64),
+        proposals=_coordinates(obj, "boxes"),
         features=np.asarray(features, dtype=np.float32),
     )
 

@@ -1,10 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (scalar loops, no vectorization)
-and imports nothing from the package under test, except `matmul` and
-`gelu`: graph ops built from the engine's own primitives, which the
-fused `attention` and `feed_forward` are tested against as unfused
-chains.
+and imports nothing from the package under test, except `matmul`,
+`gelu` and `layer_norm_chain`: graph ops built from the engine's own
+primitives, which the fused `attention`, `feed_forward` and the
+row-blocked `layer_norm` are tested against as whole-array chains.
 """
 
 import math
@@ -214,3 +214,34 @@ def gelu(a: Tensor) -> Tensor:
         _accumulate(na, _gelu_grad(x, cdf, g), fresh=True)
 
     return _make(x * cdf, "gelu", (a,), backward_fn)
+
+
+def layer_norm_chain(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None,
+                     eps: float = 1e-5) -> Tensor:
+    """Layer norm of `a` (plus `residual`) over whole arrays, through `mu`,
+    `centered`, `var`, `inv` and `xhat * gain + bias`, as one graph op:
+    the reference of the row-blocked `layer_norm`."""
+    x = a.values if residual is None else a.values + residual.values
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    na, nr = a.node, None if residual is None else residual.node
+
+    def backward_fn(g):
+        lead = tuple(range(g.ndim - 1))
+        _accumulate(gain.node, (g * xhat).sum(axis=lead))
+        _accumulate(bias.node, g.sum(axis=lead))
+        dxhat = g * gain.values
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+        dx = inv * (dxhat - m1 - xhat * m2)
+        if nr is not None:
+            _accumulate(nr, _unbroadcast(dx, nr.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(dx, na.shape), fresh=True)
+
+    parents = (a, gain, bias) if residual is None else (a, residual, gain, bias)
+    return _make(xhat * gain.values + bias.values, "layer_norm", parents, backward_fn)

@@ -31,7 +31,8 @@ from ctxground.autodiff import (
     zero_grads,
 )
 
-from oracles import bce_ref, gelu, gelu_ref, layer_norm_ref, matmul, matmul_ref, softmax_ref
+from oracles import (bce_ref, gelu, gelu_ref, layer_norm_chain, layer_norm_ref, matmul, matmul_ref,
+                     softmax_ref)
 
 
 def fdcheck(f, x, tol=1e-6, h=1e-5):
@@ -316,6 +317,52 @@ def test_forward_only_layer_norm_equals_graph_mode_bit_for_bit(dtype, shape, wit
     assert same_bits(fused.values, recorded.values)
     assert same_bits(plain.values, recorded.values)
     assert same_bits(x.values, before[0]) and same_bits(r.values, before[1])
+
+
+def _layer_norm_run(op, arrays, dtypes, with_residual, record):
+    """Values of `op` over `arrays` (input, residual, gain, bias) in
+    `dtypes`, and when `record`, the gradients of sum(out * g) for a fixed g."""
+    x, r, gain, bias = (parameter(a, dtype=t) for a, t in zip(arrays, dtypes))
+    residual = r if with_residual else None
+    if not record:
+        with no_grad():
+            return [op(x, gain, bias, residual=residual).values]
+    out = op(x, gain, bias, residual=residual)
+    g = np.random.default_rng(30).normal(size=out.shape).astype(out.dtype)
+    backward((out * constant(g)).sum())
+    return [out.values, x.grad, gain.grad, bias.grad] + ([r.grad] if with_residual else [])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _NORM_SHAPES)
+@pytest.mark.parametrize("with_residual", [False, True])
+@pytest.mark.parametrize("record", [True, False])
+def test_layer_norm_row_blocks_equal_the_whole_array_chain_bit_for_bit(
+        dtype, shape, with_residual, record):
+    # Recorded (values and the four gradients) and forward-only (values).
+    rng = np.random.default_rng(29)
+    d = shape[-1]
+    assert math.prod(shape[:-1]) > autodiff._NORM_BLOCK // d
+    arrays = [rng.normal(loc=3.0, size=n) for n in (shape, shape[-2:], d, d)]
+    fused = _layer_norm_run(layer_norm, arrays, [dtype] * 4, with_residual, record)
+    chain = _layer_norm_run(layer_norm_chain, arrays, [dtype] * 4, with_residual, record)
+    for a, b in zip(fused, chain, strict=True):
+        assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("wide", ["gain", "bias"])
+@pytest.mark.parametrize("record", [True, False])
+def test_layer_norm_with_a_wider_affine_equals_the_whole_array_chain_bit_for_bit(wide, record):
+    # A float64 gain or bias over a float32 input and residual widens the output.
+    rng = np.random.default_rng(31)
+    arrays = [rng.normal(size=n) for n in ((3, 350, 96), (350, 96), 96, 96)]
+    dtypes = [np.float32, np.float32] + [np.float64 if wide == name else np.float32
+                                         for name in ("gain", "bias")]
+    fused = _layer_norm_run(layer_norm, arrays, dtypes, True, record)
+    chain = _layer_norm_run(layer_norm_chain, arrays, dtypes, True, record)
+    assert fused[0].dtype == np.float64
+    for a, b in zip(fused, chain, strict=True):
+        assert same_bits(a, b)
 
 
 @pytest.mark.parametrize("wide", ["gain", "bias"])
@@ -623,12 +670,21 @@ def _ffn_grads(op, x, params, g, passes=1):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lead", [(7,), (2, 5)])
-def test_feed_forward_equals_the_unfused_chain_bit_for_bit(dtype, lead):
+@pytest.mark.parametrize("lead, widths, blocks", [
+    pytest.param((7,), (6, 24, 5), 1, id="lead0"),
+    pytest.param((2, 5), (6, 24, 5), 1, id="lead1"),
+    # 3 x 151 rows in 4 row blocks of 113 or 114 rows, against whole-array GEMMs.
+    pytest.param((3, 151), (48, 512, 40), 4, id="lead2-4-row-blocks"),
+])
+def test_feed_forward_equals_the_unfused_chain_bit_for_bit(monkeypatch, dtype, lead, widths,
+                                                           blocks):
     rng = np.random.default_rng(40)
-    x = parameter(rng.normal(size=lead + (6,)), dtype=dtype)
-    params = _ffn_params(rng, 6, 24, 5, dtype)
-    g = rng.normal(size=lead + (5,)).astype(dtype)
+    d, f, n = widths
+    if blocks > 1:
+        _ffn_row_blocks(monkeypatch, math.prod(lead), f, blocks)
+    x = parameter(rng.normal(size=lead + (d,)), dtype=dtype)
+    params = _ffn_params(rng, d, f, n, dtype)
+    g = rng.normal(size=lead + (n,)).astype(dtype)
     fused, fused_grads = _ffn_grads(feed_forward, x, params, g)
     chain, chain_grads = _ffn_grads(_ffn_chain, x, params, g)
     assert same_bits(fused, chain)
@@ -773,7 +829,7 @@ def test_feed_forward_without_a_graph_holds_one_hidden_array(dtype):
 
 
 def _ffn_row_blocks(monkeypatch, rows, f, count):
-    """Shrink the forward-only row blocks so that `rows` rows of hidden
+    """Shrink the row blocks of `feed_forward` so that `rows` rows of hidden
     width `f` run in `count` blocks of unequal size; return their sizes."""
     monkeypatch.setattr(autodiff, "_FFN_BLOCK", -(-rows * f // count))
     assert -(-rows * f // autodiff._FFN_BLOCK) == count and rows % count
@@ -916,6 +972,14 @@ def test_take_rows_gather_and_duplicate_accumulation():
 def test_take_rows_out_of_range():
     with pytest.raises(IndexError):
         take_rows(constant(np.ones((2, 2))), np.array([2]))
+
+
+@pytest.mark.parametrize("indices", [[0.9, 1.7], np.array([0.0, 1.0]), np.array([True, False])])
+def test_take_rows_refuses_indices_that_are_not_integers(indices):
+    x = constant(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(IndexError, match="integers"):
+        take_rows(x, indices)
+    assert take_rows(x, []).shape == (0, 2)
 
 
 def test_take_rows_gradient():
@@ -1213,6 +1277,15 @@ def test_finite_diff_quadratic_is_nearly_exact():
     x = parameter(np.linspace(-2, 2, 7))
     err = finite_diff_check(lambda t: (t * t).sum(), x, h=1e-5)
     assert err < 1e-7
+
+
+def test_finite_diff_perturbs_a_non_contiguous_tensor_in_place():
+    # An F-ordered matrix: perturbing a reshape(-1) copy would leave f unchanged.
+    x = parameter(np.asfortranarray(np.linspace(-2, 2, 6).reshape(3, 2)))
+    assert not x.values.flags.c_contiguous
+    before = x.values.copy()
+    assert finite_diff_check(lambda t: (t * t).sum(), x, h=1e-5) < 1e-6
+    assert same_bits(x.values, before)
 
 
 def test_finite_diff_constant_function_is_zero():

@@ -326,6 +326,15 @@ def _set_token(value):
     return lambda obj: obj["tokens"].__setitem__(0, value)
 
 
+def _set_coordinate(value, gt=False):
+    return lambda obj: (obj["phrases"][0]["gt_boxes"] if gt else obj["boxes"])[0].__setitem__(
+        2, value)
+
+
+def _set_feature(value):
+    return lambda obj: obj["features"][1].__setitem__(0, value)
+
+
 @pytest.mark.parametrize("edit, field", [
     pytest.param(_set_token(1.7), "tokens", id="token-1.7"),
     pytest.param(_set_token(True), "tokens", id="token-true"),
@@ -335,6 +344,13 @@ def _set_token(value):
     pytest.param(_set("width", True), "width", id="width-true"),
     pytest.param(_set("height", True), "height", id="height-true"),
     pytest.param(_set("image_id", 7), "image_id", id="image-id-7"),
+    pytest.param(_set_coordinate("5"), "boxes", id="box-string"),
+    pytest.param(_set_coordinate(True), "boxes", id="box-true"),
+    pytest.param(_set_coordinate(None), "boxes", id="box-null"),
+    pytest.param(_set_coordinate("5", gt=True), "gt_boxes", id="gt-box-string"),
+    pytest.param(_set_coordinate(True, gt=True), "gt_boxes", id="gt-box-true"),
+    pytest.param(_set_feature("0.5"), "features", id="feature-string"),
+    pytest.param(_set_feature(None), "features", id="feature-null"),
 ])
 def test_jsonl_numbers_and_strings_are_not_coerced(tmp_path, edit, field):
     path = tmp_path / "bad.jsonl"

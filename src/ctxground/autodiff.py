@@ -20,7 +20,8 @@ optional residual operand), the fused GELU feed-forward block, dropout,
 binary cross entropy on logits, gathers and reductions.
 
 Non-finite results are an error, never silent: every op validates its
-output and raises :class:`NonFiniteError` on NaN/Inf.
+output and raises :class:`NonFiniteError` on NaN/Inf. Every tensor
+operand of an op has the output's dtype; a mix raises TypeError.
 """
 
 from __future__ import annotations
@@ -90,16 +91,15 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Node:
     """A gradient slot and graph edge: a leaf's (a parameter's) without
     parents or backward function, an op's with both. It keeps its tensor's
-    shape, dtype and contiguity for `_first_grad`, never its values."""
+    shape and dtype for `_first_grad`, never its values."""
 
-    __slots__ = ("grad", "parked", "parents", "backward_fn", "shape", "dtype", "contiguous",
-                 "__weakref__")
+    __slots__ = ("grad", "parked", "parents", "backward_fn", "shape", "dtype", "__weakref__")
 
     def __init__(self, values: np.ndarray, parents: tuple[Node, ...] = (),
                  backward_fn: Callable[[np.ndarray], None] | None = None):
         self.grad = self.parked = None
-        self.parents, self.backward_fn, self.shape = parents, backward_fn, values.shape
-        self.dtype, self.contiguous = values.dtype, values.flags.c_contiguous
+        self.parents, self.backward_fn = parents, backward_fn
+        self.shape, self.dtype = values.shape, values.dtype
 
 
 class Tensor:
@@ -203,13 +203,18 @@ def _make(out_values: np.ndarray, op: str, parents: tuple[Tensor, ...],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """The op's output, checked for non-finite values, with its node if recorded."""
     _check_finite(out_values, op)
-    return _attach(out_values, parents, backward_fn)
+    return _attach(out_values, op, parents, backward_fn)
 
 
-def _attach(values: np.ndarray, parents: tuple[Tensor, ...],
+def _attach(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """A tensor around `values`, which the caller has checked; its node,
-    if recorded, links the parents' nodes, not the parents."""
+    if recorded, links the parents' nodes, not the parents. Every parent
+    must have the output's dtype: an op never mixes float32 and float64."""
+    for p in parents:
+        if p.values.dtype != values.dtype:
+            raise TypeError(f"{op} mixes dtypes: a {p.values.dtype} operand "
+                            f"for a {values.dtype} output")
     out = Tensor.__new__(Tensor)
     out.values = values
     nodes = tuple(p.node for p in parents if p.node is not None) if _grad_enabled.get() else ()
@@ -219,24 +224,21 @@ def _attach(values: np.ndarray, parents: tuple[Tensor, ...],
 
 def _first_grad(node: Node) -> np.ndarray:
     """The array for `node`'s first gradient in a backward, set as its
-    `grad`: the one `zero_grads` parked on it, else a new one in C order, or
-    in F order (as `np.empty_like` gives for a transposed matrix) for values
-    that were not C-contiguous. The caller writes every element."""
+    `grad`: the one `zero_grads` parked on it, else a new one in C order.
+    The caller writes every element."""
     parked, node.parked = node.parked, None
-    node.grad = (np.empty(node.shape, node.dtype, order="C" if node.contiguous else "F")
-                 if parked is None else parked)
+    node.grad = np.empty(node.shape, node.dtype) if parked is None else parked
     return node.grad
 
 
 def _accumulate(node: Node | None, g: np.ndarray, fresh: bool = False) -> None:
     """Add `g` into `node.grad`; nothing without a node. `fresh` says that
     nothing else holds `g`'s memory: an op node (never a leaf) then takes
-    `g` itself as its first gradient when a copy would have `g`'s layout."""
+    `g` itself as its first gradient."""
     if node is None:
         return
     if node.grad is None:
-        if (fresh and node.backward_fn is not None and g.dtype == node.dtype
-                and g.flags.c_contiguous and node.contiguous):
+        if fresh and node.backward_fn is not None:
             node.grad = g
         else:
             np.copyto(_first_grad(node), g)
@@ -380,8 +382,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
     na = a.node
 
     def backward_fn(g):
-        if na is None:
-            return
         if na.grad is None:
             _first_grad(na).fill(0)
         np.add.at(na.grad, idx, g)
@@ -400,12 +400,10 @@ def _rows(x: np.ndarray) -> np.ndarray:
 def _affine(x: np.ndarray, weight: Tensor, bias: Tensor | None,
             out: np.ndarray | None = None) -> np.ndarray:
     """`x @ weight + bias` as [rows, n], the leading axes of `x` folded
-    into one GEMM and the bias added in place into its output: into `out`
-    when given, which must have the dtype of the sum."""
+    into one GEMM (into `out` when given) and the bias added in place."""
     values = np.matmul(_rows(x), weight.values, out=out)
     if bias is not None:
-        in_place = out is not None or np.result_type(values, bias.values) == values.dtype
-        values = np.add(values, bias.values, out=values if in_place else None)
+        values += bias.values
     return values
 
 
@@ -492,11 +490,10 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
     blocks = max(1, -(-rows * f // _FFN_BLOCK))
     bounds = [rows * i // blocks for i in range(blocks + 1)]
     step = -(-rows // blocks)  # rows of the longest block
-    dtype = np.result_type(xr, w_in.values, b_in.values)
-    h = np.empty((rows if record else step, f), dtype)
-    cdf = np.empty(h.shape if record else min(step * f, _GELU_BLOCK), dtype)
-    act = np.empty(step * f, dtype) if record else h.reshape(-1)
-    out = np.empty((rows, w_out.shape[1]), np.result_type(dtype, w_out.values, b_out.values))
+    h = np.empty((rows if record else step, f), xr.dtype)
+    cdf = np.empty(h.shape if record else min(step * f, _GELU_BLOCK), xr.dtype)
+    act = np.empty(step * f, xr.dtype) if record else h.reshape(-1)
+    out = np.empty((rows, w_out.shape[1]), xr.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
         hb = kept(h.reshape(-1), lo * f, hi * f)
         _affine(xr[lo:hi], w_in, b_in, out=hb.reshape(hi - lo, f))
@@ -516,14 +513,14 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
         ga = _affine_backward(h * cdf, w_out, nb_out, g, hidden_grad)
         if ga is None:
             return
-        # The unfused GELU node would take this gradient in its own dtype.
-        gh = _gelu_grad(h, cdf, ga.astype(h.dtype, copy=False))
+        gh = _gelu_grad(h, cdf, ga)
         del ga
         gx = _affine_backward(xv, w_in, nb_in, gh.reshape(xv.shape[:-1] + (f,)), nx is not None)
         if gx is not None:
             _accumulate(nx, gx.reshape(nx.shape), fresh=True)
 
-    return _attach(out.reshape(x.shape[:-1] + w_out.shape[1:]), parents, backward_fn)
+    return _attach(out.reshape(x.shape[:-1] + w_out.shape[1:]), "feed_forward", parents,
+                   backward_fn)
 
 
 def _softmax(z: np.ndarray, mask) -> np.ndarray:
@@ -612,8 +609,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
     `_NORM_BLOCK` elements, each squared into one block-sized temporary
     and checked. A recorded node keeps that array (the normalized input)
     and every row's inverse deviation, and the affine goes into a new
-    output; without one, the affine runs in place too unless a wider gain
-    or bias widens the output. No input's values are written."""
+    output; without one, the affine runs in place too. No input's values
+    are written."""
     parents = (a, gain, bias) if residual is None else (a, residual, gain, bias)
     x = a.values.copy() if residual is None else a.values + residual.values
     d = x.shape[-1]
@@ -622,8 +619,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
                          f"do not match last dim {d}")
     record = _recording(parents)
     rows = _rows(x)  # normalized in place, block by block
-    dtype = np.result_type(x, gain.values, bias.values)
-    out = np.empty(rows.shape, dtype) if record or dtype != x.dtype else rows
+    out = np.empty(rows.shape, rows.dtype) if record else rows
     inv = np.empty((rows.shape[0], 1), x.dtype) if record else None
     step = max(1, _NORM_BLOCK // max(d, 1))
     for lo in range(0, rows.shape[0], step):
@@ -652,7 +648,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
         if na is not None:
             _accumulate(na, _unbroadcast(dx, na.shape), fresh=True)
 
-    return _attach(out.reshape(x.shape), parents, backward_fn)
+    return _attach(out.reshape(x.shape), "layer_norm", parents, backward_fn)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:

@@ -99,8 +99,12 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        d.pop("micro_batch_size", None)  # derived field
-        return cls(**d)
+        micro = d.pop("micro_batch_size", None)  # derived: checked, not stored
+        cfg = cls(**d)
+        if micro is not None and micro != cfg.micro_batch_size:
+            raise ValueError(f"micro_batch_size {micro} disagrees with batch_size // "
+                             f"accumulation_steps = {cfg.micro_batch_size}")
+        return cfg
 
 
 @dataclass
@@ -406,7 +410,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     manifest["tensors"] = directory
     payload = json.dumps(manifest).encode("utf-8")
     # Written beside the target and swapped in whole: a crash mid-write
-    # leaves the previous checkpoint at `path` intact.
+    # leaves the previous checkpoint at `path` intact. The file's bytes
+    # reach the disk before the rename, and the rename before the return.
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -415,10 +420,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(payload)
             for _, arr in tensors:
                 fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory_fd)
+    finally:
+        os.close(directory_fd)
 
 
 def _is_int(x) -> bool:

@@ -350,35 +350,6 @@ def test_layer_norm_row_blocks_equal_the_whole_array_chain_bit_for_bit(
         assert same_bits(a, b)
 
 
-@pytest.mark.parametrize("wide", ["gain", "bias"])
-@pytest.mark.parametrize("record", [True, False])
-def test_layer_norm_with_a_wider_affine_equals_the_whole_array_chain_bit_for_bit(wide, record):
-    # A float64 gain or bias over a float32 input and residual widens the output.
-    rng = np.random.default_rng(31)
-    arrays = [rng.normal(size=n) for n in ((3, 350, 96), (350, 96), 96, 96)]
-    dtypes = [np.float32, np.float32] + [np.float64 if wide == name else np.float32
-                                         for name in ("gain", "bias")]
-    fused = _layer_norm_run(layer_norm, arrays, dtypes, True, record)
-    chain = _layer_norm_run(layer_norm_chain, arrays, dtypes, True, record)
-    assert fused[0].dtype == np.float64
-    for a, b in zip(fused, chain, strict=True):
-        assert same_bits(a, b)
-
-
-@pytest.mark.parametrize("wide", ["gain", "bias"])
-def test_forward_only_layer_norm_with_a_wider_affine_promotes_as_graph_mode_bit_for_bit(wide):
-    # A float64 gain or bias over a float32 input cannot run in the input's
-    # array; the output is float64, as in graph mode.
-    rng = np.random.default_rng(28)
-    x = parameter(rng.normal(size=(3, 350, 96)), dtype=np.float32)
-    gain, bias = (parameter(rng.normal(size=96), dtype=np.float64 if wide == name
-                            else np.float32) for name in ("gain", "bias"))
-    recorded = layer_norm(x, gain, bias)
-    with no_grad():
-        fused = layer_norm(x, gain, bias)
-    assert fused.dtype == np.float64 and same_bits(fused.values, recorded.values)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_forward_only_layer_norm_raises_on_a_non_finite_row_in_a_later_block(bad):
@@ -692,22 +663,6 @@ def test_feed_forward_equals_the_unfused_chain_bit_for_bit(monkeypatch, dtype, l
         assert same_bits(a, b)
 
 
-@pytest.mark.parametrize("wide", [0, 1, 2, 3, 4])
-def test_feed_forward_promotes_dtypes_as_linear_does(wide):
-    # One float64 input among float32 ones; the unfused chain casts each
-    # node's gradient to that node's dtype, and so must the fused op.
-    rng = np.random.default_rng(49)
-    x = parameter(rng.normal(size=(2, 3, 6)), dtype=np.float64 if wide == 0 else np.float32)
-    params = [parameter(t.values, dtype=np.float64 if i + 1 == wide else np.float32)
-              for i, t in enumerate(_ffn_params(rng, 6, 12, 5, np.float32))]
-    g = rng.normal(size=(2, 3, 5))
-    fused, fused_grads = _ffn_grads(feed_forward, x, params, g)
-    chain, chain_grads = _ffn_grads(_ffn_chain, x, params, g)
-    assert same_bits(fused, chain) and fused.dtype == np.float64
-    for a, b in zip(fused_grads, chain_grads):
-        assert same_bits(a, b)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_feed_forward_input_with_a_second_consumer(dtype):
     # As in an encoder layer: the input also enters the residual layer norm.
@@ -855,22 +810,6 @@ def test_forward_only_feed_forward_row_blocks_equal_the_graph_node_bit_for_bit(
     assert same_bits(plain.values, recorded.values)
 
 
-@pytest.mark.parametrize("wide", [0, 1, 2, 3, 4])
-def test_forward_only_feed_forward_promotes_dtypes_as_the_graph_node_bit_for_bit(
-        monkeypatch, wide):
-    # One float64 input among float32 ones, over three row blocks.
-    rng = np.random.default_rng(51)
-    _ffn_row_blocks(monkeypatch, 400, 384, 3)
-    x = parameter(rng.normal(size=(400, 48)), dtype=np.float64 if wide == 0 else np.float32)
-    params = [parameter(t.values, dtype=np.float64 if i + 1 == wide else np.float32)
-              for i, t in enumerate(_ffn_params(rng, 48, 384, 40, np.float32))]
-    recorded = feed_forward(x, *params)
-    with no_grad():
-        fused = feed_forward(x, *params)
-    assert fused.dtype == np.float64
-    assert same_bits(fused.values, recorded.values)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_forward_only_feed_forward_raises_on_a_non_finite_row_in_a_later_block(
@@ -948,6 +887,72 @@ def test_transpose_negative_axes_on_a_3d_input():
 def test_transpose_refuses_axes_that_are_not_a_permutation(axes):
     with pytest.raises(ValueError):
         parameter(np.ones((2, 3))).transpose(axes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_transposed_keys_get_c_ordered_gradients_equal_to_the_matmul_chain_bit_for_bit(
+        monkeypatch, dtype):
+    # The head's score product: queries times the keys' transpose, whose
+    # values are an F-ordered view.
+    rng = np.random.default_rng(61)
+    q_values, k_values = rng.normal(size=(5, 8)), rng.normal(size=(7, 8))
+    g = rng.normal(size=(5, 7)).astype(dtype)
+    given = []  # (node, array) for each first gradient array handed out
+    first_grad = autodiff._first_grad
+
+    def recording_first_grad(node):
+        given.append((node, first_grad(node)))
+        return given[-1][1]
+
+    monkeypatch.setattr(autodiff, "_first_grad", recording_first_grad)
+    runs = []
+    for product in (linear, matmul):
+        given.clear()
+        q, k = parameter(q_values, dtype=dtype), parameter(k_values, dtype=dtype)
+        keys = k.transpose((1, 0))
+        assert not keys.values.flags.c_contiguous
+        out = product(q, keys)
+        backward((out * constant(g)).sum())
+        (keys_grad,) = [a for node, a in given if node is keys.node]
+        assert keys_grad.flags.c_contiguous
+        runs.append([out.values, keys_grad, q.grad, k.grad])
+    for a, b in zip(*runs, strict=True):
+        assert same_bits(a, b)
+
+
+# Each op that takes several tensors, with its operands' shapes.
+_MULTI_OPERAND_OPS = {
+    "add": ([(3, 4), (4,)], lambda a, b: a + b),
+    "mul": ([(3, 4), (3, 4)], lambda a, b: a * b),
+    "linear": ([(2, 3, 4), (4, 5), (5,)], linear),
+    "feed_forward": ([(2, 3, 4), (4, 8), (8,), (8, 5), (5,)], feed_forward),
+    "attention": ([(2, 3, 4)] * 3,
+                  lambda q, k, v: attention(q, k, v, np.ones((2, 3), bool), num_heads=2)),
+    "layer_norm": ([(2, 3, 4), (4,), (4,), (3, 4)], layer_norm),  # a, gain, bias, residual
+}
+
+
+@pytest.mark.parametrize("op,operand", [(op, i) for op, (shapes, _) in _MULTI_OPERAND_OPS.items()
+                                        for i in range(len(shapes))])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("record", [True, False])
+def test_an_op_refuses_operands_of_two_dtypes_and_writes_no_input(op, operand, dtype, record):
+    shapes, call = _MULTI_OPERAND_OPS[op]
+    other = np.float64 if dtype == np.float32 else np.float32
+    rng = np.random.default_rng(62)
+    inputs = [parameter(rng.normal(size=shape), dtype=other if i == operand else dtype)
+              for i, shape in enumerate(shapes)]
+    before = [t.values.copy() for t in inputs]
+    with pytest.raises(TypeError) as err:
+        if record:
+            call(*inputs)
+        else:
+            with no_grad():
+                call(*inputs)
+    message = str(err.value)
+    assert op in message and "float32" in message and "float64" in message
+    for t, values in zip(inputs, before, strict=True):
+        assert same_bits(t.values, values)
 
 
 @pytest.mark.parametrize("axis", [(0, 1), (0, -1), (-1, 1), 1, -3])

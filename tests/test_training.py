@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -96,12 +97,17 @@ def test_train_config_dict_round_trip():
     cfg = TrainConfig(batch_size=32, accumulation_steps=2, seed=5)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.to_dict()["micro_batch_size"] == 16
-    # the derived micro_batch_size in a stored dict is dropped, not checked
+    # the derived micro_batch_size in a stored dict is checked, not stored
     stored = {"learning_rate": 5e-05, "clip_norm": 0.25, "batch_size": 32,
               "micro_batch_size": 16, "accumulation_steps": 2, "max_epochs": 10,
               "patience": 3, "seed": 5, "dropout_p": 0.4}
     assert cfg.to_dict() == stored
     assert TrainConfig.from_dict(stored) == cfg
+
+
+def test_train_config_refuses_a_micro_batch_size_that_disagrees():
+    with pytest.raises(ValueError, match=r"micro_batch_size 64 .* = 128"):
+        TrainConfig.from_dict({"batch_size": 256, "micro_batch_size": 64})
 
 
 # -- gradient clipping --------------------------------------------------------------
@@ -1100,6 +1106,32 @@ def test_checkpoint_file_bytes_are_pinned(tmp_path):
     save_checkpoint(ckpt, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "b034e15bd631ff9489f84fcb301b4c50374a66a11f38680fb7580855fcebe282")
+
+
+def test_save_checkpoint_syncs_the_file_before_the_rename_and_the_directory_after(
+        tmp_path, monkeypatch):
+    # The order of the calls; the durability itself would need an OS crash.
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", Path(src).name, Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    ckpt = Checkpoint(params={n: t.values for n, t in tiny_model().named_parameters().items()},
+                      config={}, epoch=0, best_metric=0.0, best_epoch=0)
+    path = tmp_path / "model.gckp"
+    save_checkpoint(ckpt, path)
+    assert calls == [("fsync", False, path.stat().st_ino),
+                     ("replace", "model.gckp.tmp", "model.gckp"),
+                     ("fsync", True, tmp_path.stat().st_ino)]
 
 
 def test_checkpoint_rejects_non_float32(tmp_path):

@@ -1,5 +1,8 @@
-"""Dataset ingestion, supervision targets, batching, and the synthetic
-desk-scale generator.
+"""Sample records and their rules (phrase spans, box checks, the padding
+box, IoU), dataset ingestion, supervision targets, batching, and the
+synthetic desk-scale generator. This is the package's leaf module: it
+imports no other ctxground module, and the config type checks live here
+because every config module imports it.
 
 Annotation files are JSONL, one sample per line; RoI feature matrices
 travel either inline or in sidecar GRND binary files. Supervision marks
@@ -12,23 +15,23 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .encoder import PAD_BOX, check_boxes
-from .head import PhraseSpan
-
 __all__ = [
     "ENTITY_TYPES",
     "IOU_THRESHOLD",
+    "PAD_BOX",
     "DatasetError",
     "FormatError",
+    "PhraseSpan",
     "SampleRecord",
     "Batch",
     "SyntheticSpec",
+    "check_boxes",
     "iou",
     "iou_matrix",
     "label_positives",
@@ -46,6 +49,10 @@ ENTITY_TYPES = ("people", "clothing", "bodyparts", "animals",
 
 IOU_THRESHOLD = 0.5
 
+# Padded object slots still flow through the embedding stage, so they
+# carry a harmless unit box instead of a degenerate one.
+PAD_BOX = (0.0, 0.0, 1.0, 1.0)
+
 GRND_MAGIC = b"GRND"
 GRND_VERSION = 1
 _GRND_HEADER = struct.Struct("<4sBII")
@@ -60,6 +67,36 @@ class FormatError(ValueError):
 
 
 # -- geometry ------------------------------------------------------------------
+
+
+def check_boxes(boxes, name: str = "box", sizes=None, valid=None) -> np.ndarray:
+    """Validate corner-form rectangles [..., 4]; returns them as float64.
+
+    A box passes when its coordinates are finite, x2 > x1 and y2 > y1,
+    and, given `sizes` ((width, height), broadcastable to the boxes'
+    leading axes), when x1, y1 >= 0, x2 <= width and y2 <= height. The
+    tests are written in positive form, so a NaN coordinate fails them.
+    Only the boxes marked in `valid` are checked; the first failing box
+    raises ValueError.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64)
+    lo, hi = boxes[..., :2], boxes[..., 2:]
+    ok = (hi > lo) & np.isfinite(boxes).all(axis=-1, keepdims=True)
+    if sizes is not None:
+        ok &= (lo >= 0) & (hi <= np.asarray(sizes, dtype=np.float64))
+    ok = ok.all(axis=-1)
+    if valid is not None:
+        ok |= ~np.asarray(valid, dtype=bool)
+    if ok.all():
+        return boxes
+    i = np.unravel_index(np.argmin(ok), ok.shape)
+    box = tuple(float(v) for v in boxes[i])
+    if not np.isfinite(box).all():
+        raise ValueError(f"non-finite {name} {box}")
+    if not (hi[i] > lo[i]).all():
+        raise ValueError(f"degenerate {name} {box}")
+    size = tuple(float(v) for v in np.broadcast_to(sizes, hi.shape)[i])
+    raise ValueError(f"{name} {box} outside image bounds {size}")
 
 
 def iou(a, b) -> float:
@@ -94,6 +131,34 @@ def label_positives(proposals: np.ndarray, gt_boxes: np.ndarray,
 
 
 # -- records -------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class PhraseSpan:
+    """One annotated phrase: a token span, an entity type tag, and the
+    ground-truth boxes it refers to (possibly several). Frozen, like `SampleRecord`."""
+
+    first_token: int
+    last_token: int
+    entity_type: str
+    gt_boxes: np.ndarray  # [num_boxes, 4] pixel rectangles
+
+    def __post_init__(self):
+        if not 0 <= self.first_token <= self.last_token:
+            raise ValueError(
+                f"invalid span ({self.first_token}, {self.last_token})"
+            )
+        object.__setattr__(self, "gt_boxes", np.asarray(self.gt_boxes, np.float64).reshape(-1, 4))
+        if self.gt_boxes.shape[0] == 0:
+            raise ValueError("phrase needs at least one ground-truth box")
+
+    def __eq__(self, other):
+        if not isinstance(other, PhraseSpan):
+            return NotImplemented
+        return (self.first_token == other.first_token
+                and self.last_token == other.last_token
+                and self.entity_type == other.entity_type
+                and np.array_equal(self.gt_boxes, other.gt_boxes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +275,28 @@ def _typed(obj: dict, key: str, kind: type):
     if type(obj[key]) is not kind:
         raise TypeError(f"field {key!r} is not a JSON {kind.__name__}: {obj[key]!r}")
     return obj[key]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_count(x) -> bool:
+    return _is_int(x) and x >= 0
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_fields(config, check, what: str, names) -> None:
+    """Raise ValueError naming the first of `config`'s fields `names`
+    whose value fails `check`. None passes where it is the default."""
+    defaults = {f.name: f.default for f in fields(config)}
+    for name in names:
+        value = getattr(config, name)
+        if not (check(value) or (value is None and defaults[name] is None)):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _coordinates(obj: dict, key: str) -> list:
@@ -427,6 +514,11 @@ class SyntheticSpec:
     image_size: int = 128
 
     def __post_init__(self):
+        _check_fields(self, _is_int, "an integer",
+                      ("seed", "num_samples", "vocab_size", "tokens_per_sample",
+                       "objects_per_sample", "entities_per_sample", "d_feat",
+                       "entity_vocab_size", "image_size"))
+        _check_fields(self, _is_number, "a number", ("noise_scale",))
         if min(self.num_samples, self.vocab_size, self.tokens_per_sample,
                self.objects_per_sample, self.entities_per_sample, self.d_feat) < 1:
             raise ValueError("all synthetic sizes must be positive")

@@ -27,6 +27,7 @@ from .autodiff import (
     parameter,
     take_rows,
 )
+from .data import _check_fields, _is_int, _is_number, check_boxes
 
 __all__ = [
     "BranchConfig",
@@ -42,7 +43,6 @@ __all__ = [
     "TextBranchParams",
     "ImageBranchParams",
     "BranchInput",
-    "check_boxes",
     "ParamMaker",
     "random_params",
     "unset_params",
@@ -60,10 +60,6 @@ __all__ = [
 
 INIT_STD = 0.02
 
-# Padded object slots still flow through the embedding stage, so they
-# carry a harmless unit box instead of a degenerate one.
-PAD_BOX = (0.0, 0.0, 1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class BranchConfig:
@@ -71,7 +67,8 @@ class BranchConfig:
 
     `max_positions` applies to the text branch only; `use_spatial`
     (whether the absolute spatial embedding is added) to the image
-    branch only. `ffn_dim` defaults to 4x the hidden size.
+    branch only, and `ModelConfig` refuses either one set on the other
+    branch. `ffn_dim` defaults to 4x the hidden size.
     """
 
     num_layers: int
@@ -83,6 +80,10 @@ class BranchConfig:
     use_spatial: Optional[bool] = None
 
     def __post_init__(self):
+        _check_fields(self, _is_int, "an integer",
+                      ("num_layers", "num_heads", "hidden_dim", "ffn_dim", "max_positions"))
+        _check_fields(self, _is_number, "a number", ("dropout_p",))
+        _check_fields(self, lambda x: isinstance(x, bool), "true or false", ("use_spatial",))
         if self.num_layers < 1 or self.num_heads < 1 or self.hidden_dim < 1:
             raise ValueError("layers, heads and hidden_dim must be positive")
         if self.hidden_dim % self.num_heads != 0:
@@ -328,41 +329,11 @@ class BranchInput:
         return self.token_ids is not None
 
 
-def check_boxes(boxes, name: str = "box", sizes=None, valid=None) -> np.ndarray:
-    """Validate corner-form rectangles [..., 4]; returns them as float64.
-
-    A box passes when its coordinates are finite, x2 > x1 and y2 > y1,
-    and, given `sizes` ((width, height), broadcastable to the boxes'
-    leading axes), when x1, y1 >= 0, x2 <= width and y2 <= height. The
-    tests are written in positive form, so a NaN coordinate fails them.
-    Only the boxes marked in `valid` are checked; the first failing box
-    raises ValueError.
-    """
-    boxes = np.asarray(boxes, dtype=np.float64)
-    lo, hi = boxes[..., :2], boxes[..., 2:]
-    ok = (hi > lo) & np.isfinite(boxes).all(axis=-1, keepdims=True)
-    if sizes is not None:
-        ok &= (lo >= 0) & (hi <= np.asarray(sizes, dtype=np.float64))
-    ok = ok.all(axis=-1)
-    if valid is not None:
-        ok |= ~np.asarray(valid, dtype=bool)
-    if ok.all():
-        return boxes
-    i = np.unravel_index(np.argmin(ok), ok.shape)
-    box = tuple(float(v) for v in boxes[i])
-    if not np.isfinite(box).all():
-        raise ValueError(f"non-finite {name} {box}")
-    if not (hi[i] > lo[i]).all():
-        raise ValueError(f"degenerate {name} {box}")
-    size = tuple(float(v) for v in np.broadcast_to(sizes, hi.shape)[i])
-    raise ValueError(f"{name} {box} outside image bounds {size}")
-
-
 def normalize_boxes(boxes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Scale-free 5-d descriptors of [batch, objects, 4] boxes in images of
     [batch, 2] sizes: corners over image size plus relative area. Nothing
     is validated here: a `BranchInput` has checked its boxes, and padded
-    slots carry :data:`PAD_BOX`."""
+    slots carry :data:`data.PAD_BOX`."""
     boxes = np.asarray(boxes, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)[:, None, :]
     w, h = sizes[..., 0], sizes[..., 1]

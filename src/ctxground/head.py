@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, bce_with_logits, linear, take_rows
+from .data import PhraseSpan
 from .encoder import LinearParams, ParamMaker, _init_linear
 
 __all__ = [
-    "PhraseSpan",
     "GroundingLogits",
     "HeadParams",
     "build_head",
@@ -30,34 +30,6 @@ __all__ = [
     "grounding_loss",
     "rank_objects",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class PhraseSpan:
-    """One annotated phrase: a token span, an entity type tag, and the
-    ground-truth boxes it refers to (possibly several). Frozen, like `SampleRecord`."""
-
-    first_token: int
-    last_token: int
-    entity_type: str
-    gt_boxes: np.ndarray  # [num_boxes, 4] pixel rectangles
-
-    def __post_init__(self):
-        if not 0 <= self.first_token <= self.last_token:
-            raise ValueError(
-                f"invalid span ({self.first_token}, {self.last_token})"
-            )
-        object.__setattr__(self, "gt_boxes", np.asarray(self.gt_boxes, np.float64).reshape(-1, 4))
-        if self.gt_boxes.shape[0] == 0:
-            raise ValueError("phrase needs at least one ground-truth box")
-
-    def __eq__(self, other):
-        if not isinstance(other, PhraseSpan):
-            return NotImplemented
-        return (self.first_token == other.first_token
-                and self.last_token == other.last_token
-                and self.entity_type == other.entity_type
-                and np.array_equal(self.gt_boxes, other.gt_boxes))
 
 
 @dataclass

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor
-from .data import Batch
+from .data import Batch, _check_fields, _is_int
 from .encoder import (
     INIT_STD,
     BranchConfig,
@@ -50,10 +50,16 @@ class ModelConfig:
     d_joint: int = 768
 
     def __post_init__(self):
+        _check_fields(self, _is_int, "an integer", ("vocab_size", "feature_dim", "d_joint"))
         if self.vocab_size < 1 or self.feature_dim < 1 or self.d_joint < 1:
             raise ValueError("vocab_size, feature_dim and d_joint must be positive")
         if self.text.max_positions is None:
             raise ValueError("text branch needs max_positions")
+        if self.text.use_spatial is not None:
+            raise ValueError(f"the text branch reads no use_spatial, got {self.text.use_spatial!r}")
+        if self.image.max_positions is not None:
+            raise ValueError(
+                f"the image branch reads no max_positions, got {self.image.max_positions!r}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "text": self.text.to_dict(), "image": self.image.to_dict()}

@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Node, NonFiniteError, Tensor, backward, zero_grads
-from .data import FormatError, SampleRecord, collate_batch
+from .data import (FormatError, SampleRecord, _check_fields, _is_count, _is_int, _is_number,
+                   collate_batch)
 from .encoder import unset_params
 from .evaluate import evaluate
 from .model import GroundingModel, ModelConfig
@@ -74,6 +75,9 @@ class TrainConfig:
     dropout_p: float = 0.4
 
     def __post_init__(self):
+        _check_fields(self, _is_number, "a number", ("learning_rate", "clip_norm", "dropout_p"))
+        _check_fields(self, _is_int, "an integer",
+                      ("batch_size", "accumulation_steps", "max_epochs", "patience", "seed"))
         # Positive form, so a NaN fails: JSON configs may hold NaN and Infinity.
         if not (0 < self.learning_rate < math.inf and 0 < self.clip_norm < math.inf):
             raise ValueError("learning_rate and clip_norm must be finite and positive")
@@ -431,18 +435,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         os.fsync(directory_fd)
     finally:
         os.close(directory_fd)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_count(x) -> bool:
-    return _is_int(x) and x >= 0
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_pcg64_state(state: dict) -> bool:

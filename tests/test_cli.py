@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctxground.cli import RunConfig, cli_main
@@ -199,3 +200,66 @@ def test_readme_example_configs_parse():
     cfg = RunConfig.from_dict(json.loads(files["run.json"]))
     assert spec.vocab_size == cfg.model.vocab_size
     assert spec.d_feat == cfg.model.feature_dim
+
+
+# One wrong JSON type per config field: a bool, float or string where an
+# integer goes, a bool or string where a number goes, and anything but
+# true, false or null for `use_spatial`. (section, field, value); section
+# None is the run config's top level.
+WRONG_TYPES = [
+    ("train", "learning_rate", True), ("train", "clip_norm", "0.25"),
+    ("train", "dropout_p", False), ("train", "batch_size", 12.0),
+    ("train", "accumulation_steps", True), ("train", "max_epochs", "2"),
+    ("train", "patience", 1.5), ("train", "seed", False),
+    ("text", "num_layers", True), ("text", "num_heads", 2.0), ("text", "hidden_dim", "8"),
+    ("text", "ffn_dim", 32.0), ("text", "max_positions", True), ("text", "dropout_p", "0.1"),
+    ("image", "use_spatial", "yes"), ("image", "use_spatial", "no"), ("image", "use_spatial", 1),
+    (None, "vocab_size", 20.0), (None, "feature_dim", True), (None, "d_joint", "8"),
+]
+
+
+@pytest.mark.parametrize("section,field,value", WRONG_TYPES)
+def test_run_config_refuses_wrong_json_type_naming_field(section, field, value):
+    config = {**RUN_CONFIG, "train_data": "a", "dev_data": "b", "out_dir": "c"}
+    if section is None:
+        config[field] = value
+    else:
+        config[section] = {**config[section], field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
+        RunConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", True), ("num_samples", 2.5), ("vocab_size", "20"), ("tokens_per_sample", 6.0),
+    ("objects_per_sample", False), ("entities_per_sample", 2.0), ("d_feat", "16"),
+    ("entity_vocab_size", 3.0), ("image_size", True), ("noise_scale", "0.05"),
+])
+def test_synthetic_spec_refuses_wrong_json_type_naming_field(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
+        SyntheticSpec.from_dict({**SYNTH_SPEC, field: value})
+
+
+def test_numpy_integer_is_no_config_integer():
+    # A config must reach a checkpoint's JSON manifest, which holds no numpy scalar.
+    with pytest.raises(ValueError, match="^num_samples must be an integer"):
+        SyntheticSpec.from_dict({**SYNTH_SPEC, "num_samples": np.int64(12)})
+
+
+def test_train_with_boolean_learning_rate_exits_1_naming_it(pipeline_dir, capsys):
+    config = json.loads((pipeline_dir / "run.json").read_text())
+    config["train"]["learning_rate"] = True
+    (pipeline_dir / "run.json").write_text(json.dumps(config))
+    assert cli_main(["train", "--config", str(pipeline_dir / "run.json")]) == 1
+    assert "learning_rate must be a number, got True" in capsys.readouterr().err
+    assert not (pipeline_dir / "run").exists()
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("text", "use_spatial", True), ("text", "use_spatial", False),
+    ("image", "max_positions", 3),
+])
+def test_run_config_refuses_a_field_only_the_other_branch_reads(section, field, value):
+    config = {**RUN_CONFIG, "train_data": "a", "dev_data": "b", "out_dir": "c"}
+    config[section] = {**config[section], field: value}
+    with pytest.raises(ValueError, match=f"the {section} branch reads no {field}"):
+        RunConfig.from_dict(config)

@@ -13,6 +13,7 @@ from ctxground.data import (
     ENTITY_TYPES,
     DatasetError,
     FormatError,
+    PhraseSpan,
     SampleRecord,
     SyntheticSpec,
     collate_batch,
@@ -25,7 +26,6 @@ from ctxground.data import (
     write_dataset,
     write_feature_file,
 )
-from ctxground.head import PhraseSpan
 
 from fuzzing import mutate
 from oracles import iou_cell_count, iou_ref, positives_ref, prototype_table

@@ -16,10 +16,10 @@ from ctxground.autodiff import (
     topo_order,
     zero_grads,
 )
+from ctxground.data import check_boxes
 from ctxground.encoder import (
     BranchConfig,
     BranchInput,
-    check_boxes,
     LinearParams,
     SpatialMLP,
     default_image_config,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ctxground.data import ENTITY_TYPES, SampleRecord, SyntheticSpec, generate_synthetic
+from ctxground.data import ENTITY_TYPES, PhraseSpan, SampleRecord, SyntheticSpec, generate_synthetic
 from ctxground.encoder import BranchConfig
 from ctxground.evaluate import (
     CSV_SUMMARY_HEADER,
@@ -21,7 +21,6 @@ from ctxground.evaluate import (
     recall_at_k,
     upper_bound,
 )
-from ctxground.head import PhraseSpan
 from ctxground.model import GroundingModel, ModelConfig
 
 from oracles import recall_ref, upper_bound_ref

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxground.autodiff import constant, finite_diff_check, parameter
+from ctxground.data import PhraseSpan
 from ctxground.encoder import LinearParams, random_params
 from ctxground.head import (
     GroundingLogits,
     HeadParams,
-    PhraseSpan,
     build_head,
     cross_modal_logits,
     extract_entity_states,

@@ -163,15 +163,13 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other, self.dtype), self)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self):
+        return tmean(self)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape: tuple[int, ...]):
         return reshape(self, shape)
 
     def transpose(self, axes: Sequence[int]):
@@ -317,31 +315,26 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
 # -- reductions and shape ops ---------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis=None) -> Tensor:
     na = a.node
 
     def backward_fn(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(na, np.broadcast_to(g, na.shape))
 
-    return _make(a.values.sum(axis=axis, keepdims=keepdims), "sum", (a,), backward_fn)
+    return _make(a.values.sum(axis=axis), "sum", (a,), backward_fn)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.values.size
-    else:
-        axis = normalize_axis_tuple(axis, a.values.ndim)
-        count = math.prod(a.shape[ax] for ax in axis)
+def tmean(a: Tensor) -> Tensor:
+    """Mean over every element."""
+    count = a.values.size
     na = a.node
 
     def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(na, np.broadcast_to(g / count, na.shape))
 
-    return _make(a.values.mean(axis=axis, keepdims=keepdims), "mean", (a,), backward_fn)
+    return _make(a.values.mean(), "mean", (a,), backward_fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -116,18 +116,15 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def label_positives(proposals: np.ndarray, gt_boxes: np.ndarray,
-                    threshold: float = IOU_THRESHOLD) -> np.ndarray:
+def label_positives(proposals: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     """Binary vector marking proposals whose best IoU against any
-    ground-truth box reaches the threshold."""
+    ground-truth box reaches :data:`IOU_THRESHOLD`."""
     proposals = np.reshape(proposals, (-1, 4))
     if proposals.shape[0] == 0:
         raise ValueError("no proposals to label")
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     best = iou_matrix(check_boxes(proposals, "proposal"),
                       check_boxes(np.reshape(gt_boxes, (-1, 4)), "gt box")).max(axis=1)
-    return (best >= threshold).astype(np.float64)
+    return (best >= IOU_THRESHOLD).astype(np.float64)
 
 
 # -- records -------------------------------------------------------------------
@@ -514,8 +511,9 @@ class SyntheticSpec:
     image_size: int = 128
 
     def __post_init__(self):
+        _check_fields(self, _is_count, "a non-negative integer", ("seed",))
         _check_fields(self, _is_int, "an integer",
-                      ("seed", "num_samples", "vocab_size", "tokens_per_sample",
+                      ("num_samples", "vocab_size", "tokens_per_sample",
                        "objects_per_sample", "entities_per_sample", "d_feat",
                        "entity_vocab_size", "image_size"))
         _check_fields(self, _is_number, "a number", ("noise_scale",))
@@ -551,18 +549,9 @@ def _grid_boxes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     overlap each other (upper bound is decided purely by the planting)."""
     grid = math.ceil(math.sqrt(spec.objects_per_sample))
     cell = spec.image_size / grid
-    boxes = np.empty((spec.objects_per_sample, 4), dtype=np.float64)
-    for o in range(spec.objects_per_sample):
-        r, c = divmod(o, grid)
-        jx, jy = rng.random(2) * 0.2
-        kx, ky = rng.random(2) * 0.2
-        boxes[o] = (
-            (c + 0.05 + jx) * cell,
-            (r + 0.05 + jy) * cell,
-            (c + 0.95 - kx) * cell,
-            (r + 0.95 - ky) * cell,
-        )
-    return boxes
+    r, c = np.divmod(np.arange(spec.objects_per_sample), grid)
+    jx, jy, kx, ky = (rng.random((spec.objects_per_sample, 4)) * 0.2).T
+    return np.stack([c + 0.05 + jx, r + 0.05 + jy, c + 0.95 - kx, r + 0.95 - ky], axis=1) * cell
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[SampleRecord]:

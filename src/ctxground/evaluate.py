@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 REPORT_SPLITS = ("dev", "test", "synthetic")
+EVAL_BATCH = 32  # samples per scoring pass: one collated batch
 
 # Published full-scale Flickr30K Entities accuracy for the default
 # L1-H2-abs configuration on Bottom-Up detector features. Desk-scale
@@ -79,19 +80,18 @@ class EntityResult:
     gt_boxes: np.ndarray      # [boxes, 4]
     entity_type: str
     ious: Optional[np.ndarray] = field(default=None, repr=False)  # [objects]
-    _hit: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _hit: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ious is None:
             self.ious = iou_matrix(self.proposals, self.gt_boxes).max(axis=1)
+        ranked = self.ious[np.asarray(self.ranking, dtype=np.intp)]
+        hits = np.flatnonzero(ranked >= IOU_THRESHOLD)
+        self._hit = int(hits[0]) if hits.size else math.inf
 
     def first_hit(self) -> float:
         """0-based rank of the first ranked proposal with IoU >= 0.5
-        (:data:`IOU_THRESHOLD`), or inf when none qualifies; computed once."""
-        if self._hit is None:
-            ranked = self.ious[np.asarray(self.ranking, dtype=np.intp)]
-            hits = np.flatnonzero(ranked >= IOU_THRESHOLD)
-            self._hit = int(hits[0]) if hits.size else math.inf
+        (:data:`IOU_THRESHOLD`), or inf when none qualifies; computed at construction."""
         return self._hit
 
 
@@ -175,15 +175,14 @@ def per_type_breakdown(results) -> dict[str, TypeRecall]:
 # -- model evaluation ------------------------------------------------------------
 
 
-def collect_entity_results(model: GroundingModel, records: list[SampleRecord],
-                           batch_size: int = 32) -> list[EntityResult]:
-    """Run inference (dropout off, no graph) and rank every phrase's proposals."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+def collect_entity_results(model: GroundingModel,
+                           records: list[SampleRecord]) -> list[EntityResult]:
+    """Run inference (dropout off, no graph) in chunks of :data:`EVAL_BATCH`
+    samples and rank every phrase's proposals."""
     results: list[EntityResult] = []
     with no_grad():
-        for lo in range(0, len(records), batch_size):
-            chunk = records[lo:lo + batch_size]
+        for lo in range(0, len(records), EVAL_BATCH):
+            chunk = records[lo:lo + EVAL_BATCH]
             logits = model.batch_scores(collate_batch(chunk))
             entity = itertools.count()
             for record in chunk:
@@ -198,14 +197,14 @@ def collect_entity_results(model: GroundingModel, records: list[SampleRecord],
     return results
 
 
-def evaluate(model: GroundingModel, records: list[SampleRecord], split: str = "test",
-             batch_size: int = 32) -> EvalReport:
+def evaluate(model: GroundingModel, records: list[SampleRecord],
+             split: str = "test") -> EvalReport:
     """Deterministic full evaluation of a split."""
     if split not in REPORT_SPLITS:
         raise ValueError(f"split must be one of {REPORT_SPLITS}, got {split!r}")
     if not records:
         raise ValueError("cannot evaluate an empty split")
-    results = collect_entity_results(model, records, batch_size)
+    results = collect_entity_results(model, records)
     return EvalReport(
         split=split,
         recall_at_1=round(recall_at_k(results, 1), 2),

@@ -77,7 +77,8 @@ class TrainConfig:
     def __post_init__(self):
         _check_fields(self, _is_number, "a number", ("learning_rate", "clip_norm", "dropout_p"))
         _check_fields(self, _is_int, "an integer",
-                      ("batch_size", "accumulation_steps", "max_epochs", "patience", "seed"))
+                      ("batch_size", "accumulation_steps", "max_epochs", "patience"))
+        _check_fields(self, _is_count, "a non-negative integer", ("seed",))
         # Positive form, so a NaN fails: JSON configs may hold NaN and Infinity.
         if not (0 < self.learning_rate < math.inf and 0 < self.clip_norm < math.inf):
             raise ValueError("learning_rate and clip_norm must be finite and positive")
@@ -642,8 +643,8 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
         checkpoint_dir=None, resume: bool = False,
         log=None) -> FitResult:
     """Train with seeded shuffling and per-epoch dev evaluation; keep the
-    checkpoint with the best dev recall@1 and stop after `patience`
-    epochs without improvement.
+    checkpoint with the best dev recall@1 and stop after `patience + 1`
+    consecutive epochs without improvement.
 
     With `checkpoint_dir`, an epoch that improves dev recall@1 writes
     `best.gckp` (its parameters, with the history up to that epoch), and

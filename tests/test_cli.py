@@ -183,8 +183,10 @@ def _without(key):
     (["train", "--config"], _without("vocab_size"), "vocab_size"),
     (["train", "--config"], "[1, 2]", "JSON object"),
     (["synth", "--out", "never-written", "--spec"], "[1]", "JSON object"),
+    (["synth", "--out", "never-written", "--spec"], json.dumps({**SYNTH_SPEC, "seed": -1}),
+     "seed must be a non-negative integer, got -1"),
 ], ids=["config-malformed", "spec-malformed", "train-null", "text-null", "no-train-data",
-        "no-text", "no-vocab-size", "config-list", "spec-list"])
+        "no-text", "no-vocab-size", "config-list", "spec-list", "spec-negative-seed"])
 def test_bad_json_input_exits_1_naming_file_or_key(tmp_path, capsys, argv, text, named):
     path = tmp_path / "in.json"
     path.write_text(text)
@@ -210,7 +212,7 @@ WRONG_TYPES = [
     ("train", "learning_rate", True), ("train", "clip_norm", "0.25"),
     ("train", "dropout_p", False), ("train", "batch_size", 12.0),
     ("train", "accumulation_steps", True), ("train", "max_epochs", "2"),
-    ("train", "patience", 1.5), ("train", "seed", False),
+    ("train", "patience", 1.5), ("train", "seed", False), ("train", "seed", -1),
     ("text", "num_layers", True), ("text", "num_heads", 2.0), ("text", "hidden_dim", "8"),
     ("text", "ffn_dim", 32.0), ("text", "max_positions", True), ("text", "dropout_p", "0.1"),
     ("image", "use_spatial", "yes"), ("image", "use_spatial", "no"), ("image", "use_spatial", 1),
@@ -230,9 +232,9 @@ def test_run_config_refuses_wrong_json_type_naming_field(section, field, value):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("seed", True), ("num_samples", 2.5), ("vocab_size", "20"), ("tokens_per_sample", 6.0),
-    ("objects_per_sample", False), ("entities_per_sample", 2.0), ("d_feat", "16"),
-    ("entity_vocab_size", 3.0), ("image_size", True), ("noise_scale", "0.05"),
+    ("seed", True), ("seed", -1), ("num_samples", 2.5), ("vocab_size", "20"),
+    ("tokens_per_sample", 6.0), ("objects_per_sample", False), ("entities_per_sample", 2.0),
+    ("d_feat", "16"), ("entity_vocab_size", 3.0), ("image_size", True), ("noise_scale", "0.05"),
 ])
 def test_synthetic_spec_refuses_wrong_json_type_naming_field(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):

@@ -120,27 +120,16 @@ def test_label_positives_multiple_gt_boxes():
     np.testing.assert_array_equal(label_positives(proposals, gt), [1.0, 1.0, 0.0])
 
 
-def test_label_positives_monotone_in_threshold():
-    rng = np.random.default_rng(2)
-    proposals = np.zeros((6, 4))
-    proposals[:, :2] = rng.uniform(0, 20, (6, 2))
-    proposals[:, 2:] = proposals[:, :2] + rng.uniform(1, 20, (6, 2))
-    gt = proposals[:2] + rng.uniform(0, 3, (2, 4)) * [1, 1, 1, 1]
-    gt[:, 2:] = np.maximum(gt[:, 2:], gt[:, :2] + 1)
-    previous = None
-    for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
-        current = label_positives(proposals, gt, threshold)
-        if previous is not None:
-            assert (current <= previous).all()
-        previous = current
+def test_label_positives_counts_an_iou_of_exactly_one_half():
+    gt = np.array([[0, 0, 10, 10]])
+    proposals = np.array([[0, 0, 10, 5], [0, 0, 10, 4.9]])  # IoU 0.5 and 0.49
+    np.testing.assert_array_equal(label_positives(proposals, gt), [1.0, 0.0])
 
 
-def test_label_positives_requires_proposals_and_valid_threshold():
+def test_label_positives_requires_proposals():
     gt = np.array([[0, 0, 5, 5]])
     with pytest.raises(ValueError, match="proposals"):
         label_positives(np.zeros((0, 4)), gt)
-    with pytest.raises(ValueError, match="threshold"):
-        label_positives(np.array([[0, 0, 5, 5]]), gt, threshold=0.0)
 
 
 # -- GRND container -------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ctxground.evaluate as evaluate_module
 from ctxground.data import ENTITY_TYPES, PhraseSpan, SampleRecord, SyntheticSpec, generate_synthetic
 from ctxground.encoder import BranchConfig
 from ctxground.evaluate import (
@@ -295,19 +296,23 @@ def test_evaluate_rejects_empty_and_unknown_split():
         evaluate(model, records, split="training")
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_evaluate_and_collect_refuse_a_batch_size_below_one(batch_size):
-    model, records = tiny_model_and_records()
-    for run in (evaluate, collect_entity_results):
-        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
-            run(model, records, batch_size=batch_size)
-
-
-def test_evaluate_batch_size_does_not_change_results():
+def test_evaluate_chunking_does_not_change_results(monkeypatch):
     model, records = tiny_model_and_records(num_samples=7)
-    a = evaluate(model, records, split="synthetic", batch_size=2)
-    b = evaluate(model, records, split="synthetic", batch_size=32)
-    assert a == b
+    whole = evaluate(model, records, split="synthetic")
+    monkeypatch.setattr(evaluate_module, "EVAL_BATCH", 2)  # 4 chunks, the last partial
+    assert evaluate(model, records, split="synthetic") == whole
+
+
+def test_collect_entity_results_chunking_does_not_change_rankings(monkeypatch):
+    model, records = tiny_model_and_records(num_samples=7)
+    whole = collect_entity_results(model, records)
+    monkeypatch.setattr(evaluate_module, "EVAL_BATCH", 3)  # 3 chunks, the last partial
+    chunked = collect_entity_results(model, records)
+    assert len(chunked) == len(whole)
+    for a, b in zip(whole, chunked, strict=True):
+        assert list(a.ranking) == list(b.ranking)
+        assert np.array_equal(a.ious, b.ious)
+        assert a.first_hit() == b.first_hit()
 
 
 def test_proposal_permutation_leaves_metrics_identical():

@@ -5,7 +5,7 @@ gradient, a graph node: the gradient slot and graph edge, which links
 parent nodes and a backward function but not the values. Each backward
 function closes over exactly the arrays it reads: `linear` and
 `feed_forward` their input, reading the weights through their tensors
-(`feed_forward` also its GEMM output and GELU cdf), `mul` an operand
+(`feed_forward` also its first GEMM's output), `mul` an operand
 only when the other one needs a gradient, `dropout` its bool mask,
 `layer_norm` the normalized input and inverse deviation; `add`,
 `reshape`, `transpose`, `sum`, `mean` and `take_rows` keep no input
@@ -290,25 +290,58 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(a.values * b.values, "mul", (a, b), backward_fn)
 
 
-def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5 * (1 + erf(x / sqrt(2))), computed in `out` (a new array without
-    one) through no other temporary."""
-    cdf = np.divide(x, math.sqrt(2.0), out=out)
-    erf(cdf, out=cdf)
+# Eigen's `generic_fast_erf_float`: erf(z) = z * P(z^2) / Q(z^2) for z
+# clamped to [-4, 4], beyond which float32 erf is +-1. Coefficients from
+# the highest degree down: P has degree 6 in z^2, Q degree 4. float32
+# scalars, which a ufunc takes with less work than Python floats.
+_ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                   -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                   -1.60960333262415e-02], np.float32)
+_ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                   -7.37332916720468e-03, -1.42647390514189e-02], np.float32)
+
+
+def _horner(z2: np.ndarray, coefs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The polynomial with `coefs` (highest degree first) at `z2`, in `out`."""
+    np.multiply(z2, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        out += c
+        out *= z2
+    out += coefs[-1]
+    return out
+
+
+def _gelu_cdf(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt(2))) of the flat array `x`, in `work[0]`.
+
+    `work` is [3, >= x.size] of `x`'s dtype. float64 takes scipy's erf.
+    float32 takes Eigen's clamped rational erf through the other two rows,
+    its result clamped to [-1, 1] so that the cdf stays in [0, 1]; its
+    cdf is within 3e-7 of the exact one."""
+    cdf, z2, p = work[:, :x.size]
+    np.divide(x, math.sqrt(2.0), out=cdf)
+    if cdf.dtype == np.float64:
+        erf(cdf, out=cdf)
+    else:
+        np.clip(cdf, -4.0, 4.0, out=cdf)
+        np.multiply(cdf, cdf, out=z2)
+        _horner(z2, _ERF_P, p)
+        p *= cdf
+        np.divide(p, _horner(z2, _ERF_Q, cdf), out=cdf)
+        np.clip(cdf, -1.0, 1.0, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf
 
 
-def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)), through one new array."""
-    d = np.multiply(x, -0.5)
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GELU's derivative cdf + x * exp(-0.5 * x * x) / sqrt(2 pi), in `out`."""
+    d = np.multiply(x, -0.5, out=out)
     d *= x
     np.exp(d, out=d)
     d /= math.sqrt(2.0 * math.pi)
     d *= x
     d += cdf
-    d *= g
     return d
 
 
@@ -444,8 +477,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(values, "linear", parents, backward_fn)
 
 
-# Elements per GELU block of `feed_forward`.
-_GELU_BLOCK = 1 << 16
+# Elements per GELU block of `feed_forward`, forward and backward.
+_GELU_BLOCK = 1 << 15
 # Most hidden elements per row block of `feed_forward`.
 _FFN_BLOCK = 1 << 22
 
@@ -457,16 +490,17 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
     One chain runs in both modes, in near-equal row blocks of at most
     `_FFN_BLOCK` hidden elements: the first GEMM, GELU in blocks of
     `_GELU_BLOCK` elements, the second GEMM into the block's output rows,
-    each output checked as it is made. A recorded node keeps the first
-    GEMM's output and the GELU cdf at full size (backward rebuilds GELU's
-    output from them) and GELU writes into one reused row block; without
-    one, GELU runs in place in one reused row block, its cdf in a
-    `_GELU_BLOCK` scratch. Values and gradients equal the unfused chain's
-    bit for bit if OpenBLAS computes each output row the same whatever
-    the row count, which numpy does not promise: blocks of half of
-    `_FFN_BLOCK` or more stay off its kernels for products of at most
-    100^3 multiply-adds and numpy's one-row gemv, and the tests check the
-    rest on the machine that runs them."""
+    each output checked as it is made. GELU's cdf and erf temporaries live
+    in one `_GELU_BLOCK` scratch. A recorded node keeps the input and the
+    first GEMM's output `h` at full size, and GELU writes into one reused
+    row block; its backward rebuilds the cdf from `h` block by block with
+    the same chain. Without a node, GELU runs in place in one reused row
+    block. Values and gradients equal the unfused chain's bit for bit if
+    OpenBLAS computes each output row the same whatever the row count,
+    which numpy does not promise: blocks of half of `_FFN_BLOCK` or more
+    stay off its kernels for products of at most 100^3 multiply-adds and
+    numpy's one-row gemv, and the tests check the rest on the machine
+    that runs them."""
     if (w_in.values.ndim != 2 or w_out.values.ndim != 2 or x.values.ndim < 1
             or x.shape[-1] != w_in.shape[0] or b_in.shape != w_in.shape[1:]
             or w_out.shape[0] != w_in.shape[1] or b_out.shape != w_out.shape[1:]):
@@ -474,41 +508,52 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Te
                          f"{b_in.shape}, then {w_out.shape} + {b_out.shape}")
     parents = (x, w_in, b_in, w_out, b_out)
     record = _recording(parents)
-
-    def kept(flat, lo, hi):  # elements lo:hi when recorded, else a reused block's first hi - lo
-        return flat[lo:hi] if record else flat[:hi - lo]
-
     xv, xr = x.values, _rows(x.values)
     rows, f = xr.shape[0], w_in.shape[1]
     blocks = max(1, -(-rows * f // _FFN_BLOCK))
     bounds = [rows * i // blocks for i in range(blocks + 1)]
     step = -(-rows // blocks)  # rows of the longest block
     h = np.empty((rows if record else step, f), xr.dtype)
-    cdf = np.empty(h.shape if record else min(step * f, _GELU_BLOCK), xr.dtype)
     act = np.empty(step * f, xr.dtype) if record else h.reshape(-1)
+    work = np.empty((3, min(step * f, _GELU_BLOCK)), xr.dtype)
     out = np.empty((rows, w_out.shape[1]), xr.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
-        hb = kept(h.reshape(-1), lo * f, hi * f)
-        _affine(xr[lo:hi], w_in, b_in, out=hb.reshape(hi - lo, f))
-        ab = act[:hb.size]
+        hb = h[lo:hi] if record else h[:hi - lo]
+        _affine(xr[lo:hi], w_in, b_in, out=hb)
+        hb, ab = hb.reshape(-1), act[:hb.size]
         for s in range(0, hb.size, _GELU_BLOCK):
             e = min(s + _GELU_BLOCK, hb.size)
-            cb = _gelu_cdf(hb[s:e], out=kept(cdf.reshape(-1), lo * f + s, lo * f + e))
             # A non-finite GEMM output gives a non-finite GELU and a finite
             # one a finite GELU, so this check stands for both of theirs.
-            _check_finite(np.multiply(hb[s:e], cb, out=ab[s:e]), "feed_forward")
+            _check_finite(np.multiply(hb[s:e], _gelu_cdf(hb[s:e], work), out=ab[s:e]),
+                          "feed_forward")
         _check_finite(_affine(ab.reshape(hi - lo, f), w_out, b_out, out=out[lo:hi]),
                       "feed_forward")
     nx, nb_in, nb_out = x.node, b_in.node, b_out.node
     hidden_grad = _recording((x, w_in, b_in))
 
     def backward_fn(g):
-        ga = _affine_backward(h * cdf, w_out, nb_out, g, hidden_grad)
+        # The node's one backward takes `h` and turns it into GELU's output
+        # in place once each block's cdf and slope are made, so a second
+        # call must not find it.
+        nonlocal h
+        if h is None:
+            raise ValueError("feed_forward: backward already ran through this node")
+        hidden, h = h, None
+        ga = _rows(g) @ w_out.values.T if hidden_grad else None
+        flat = hidden.reshape(-1)
+        work = np.empty((3, min(flat.size, _GELU_BLOCK)), hidden.dtype)
+        for s in range(0, flat.size, _GELU_BLOCK):
+            hb = flat[s:s + _GELU_BLOCK]
+            cb = _gelu_cdf(hb, work)
+            if ga is not None:
+                ga.reshape(-1)[s:s + hb.size] *= _gelu_slope(hb, cb, work[1, :hb.size])
+            hb *= cb
+        _affine_backward(hidden, w_out, nb_out, g, False)
+        del hidden
         if ga is None:
             return
-        gh = _gelu_grad(h, cdf, ga)
-        del ga
-        gx = _affine_backward(xv, w_in, nb_in, gh.reshape(xv.shape[:-1] + (f,)), nx is not None)
+        gx = _affine_backward(xv, w_in, nb_in, ga.reshape(xv.shape[:-1] + (f,)), nx is not None)
         if gx is not None:
             _accumulate(nx, gx.reshape(nx.shape), fresh=True)
 
@@ -667,18 +712,27 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     return _make(values, "bce_with_logits", (logits,), backward_fn)
 
 
+# Uniform draws per block of `dropout`'s mask.
+_DRAW_BLOCK = 1 << 16
+
+
 def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """Zero elements with probability `p` and rescale survivors by 1/(1-p).
 
     Identity, drawing nothing, when `rng` is None or `p` is 0. The mask
     is drawn from `rng`, so callers control reproducibility by seeding
-    and by call order.
+    and by call order. It is drawn in blocks of `_DRAW_BLOCK` elements of
+    one stream, which give the bits of a single draw of the whole shape.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return a
-    keep = rng.random(a.shape) >= p  # bool; a multiply casts it to the tensor's dtype
+    keep = np.empty(a.shape, bool)  # a multiply casts it to the tensor's dtype
+    flat, draw = keep.reshape(-1), np.empty(min(keep.size, _DRAW_BLOCK))
+    for s in range(0, flat.size, _DRAW_BLOCK):
+        u = rng.random(out=draw[:flat.size - s])
+        np.greater_equal(u, p, out=flat[s:s + u.size])
     scale = 1.0 / (1.0 - p)
     na = a.node
 

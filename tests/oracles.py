@@ -17,7 +17,7 @@ from ctxground.autodiff import (
     _accumulate,
     _as_tensor,
     _gelu_cdf,
-    _gelu_grad,
+    _gelu_slope,
     _make,
     _unbroadcast,
 )
@@ -208,10 +208,10 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form: the unfused reference of
     `feed_forward`'s GELU, through the same cdf and gradient chains."""
     x, na = a.values, a.node
-    cdf = _gelu_cdf(x)
+    cdf = _gelu_cdf(x.reshape(-1), np.empty((3, x.size), x.dtype)).reshape(x.shape)
 
     def backward_fn(g):
-        _accumulate(na, _gelu_grad(x, cdf, g), fresh=True)
+        _accumulate(na, g * _gelu_slope(x, cdf, np.empty_like(x)), fresh=True)
 
     return _make(x * cdf, "gelu", (a,), backward_fn)
 

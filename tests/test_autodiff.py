@@ -573,20 +573,43 @@ def test_dropout_gradient_with_fixed_mask():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_dropout_keeps_a_bool_mask_with_the_float_mask_values(dtype):
+# (3, 70, 1000) is three whole blocks of draws and a partial one.
+@pytest.mark.parametrize("shape", [(5, 7), (3, 70, 1000)])
+def test_dropout_keeps_a_bool_mask_with_the_float_mask_values(dtype, shape):
     # A multiply casts the bool mask to the tensor's dtype, so values and
-    # gradients are those of the mask in that dtype, bit for bit.
+    # gradients are those of the mask in that dtype, bit for bit. The mask
+    # is drawn in blocks, with the bits of one draw of the whole shape,
+    # and leaves the generator where that draw leaves it.
     rng = np.random.default_rng(8)
-    x = parameter(rng.normal(size=(5, 7)), dtype=dtype)
-    g = rng.normal(size=(5, 7)).astype(dtype)
-    out = dropout(x, 0.3, np.random.default_rng(12))
+    x = parameter(rng.normal(size=shape), dtype=dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    draws = np.random.default_rng(12)
+    out = dropout(x, 0.3, draws)
     held = saved_arrays(out)
     assert [a.dtype for a in held] == [np.dtype(bool)]
-    keep = (np.random.default_rng(12).random((5, 7)) >= 0.3).astype(dtype)
+    whole = np.random.default_rng(12)
+    keep = (whole.random(shape) >= 0.3).astype(dtype)
+    assert draws.random() == whole.random()
     scale = 1.0 / (1.0 - 0.3)
     assert same_bits(out.values, x.values * keep * scale)
     backward((out * constant(g)).sum())
     assert same_bits(x.grad, g * keep * scale)
+
+
+def test_dropout_holds_no_float64_draw_of_the_whole_shape():
+    # A float32 input, as in the model: the output and the bool mask take
+    # 5 bytes per element and one block of draws 512 KiB, where a whole
+    # draw alone would take 8 bytes per element.
+    x = constant(np.ones((600, 1000)), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = dropout(x, 0.4, np.random.default_rng(10))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (600, 1000)
+    assert peak < 600 * 1000 * np.dtype(np.float64).itemsize
 
 
 # -- gelu and misc ops -------------------------------------------------------------
@@ -603,21 +626,59 @@ def test_gelu_gradient():
     fdcheck(lambda t: gelu(t).sum(), x)
 
 
+def rational_erf(z):
+    """Eigen's `generic_fast_erf_float` as plain float32 expressions: an odd
+    degree-13 over an even degree-8 polynomial of z clamped to [-4, 4],
+    the quotient clamped to [-1, 1]."""
+    z = np.clip(z, -4.0, 4.0)
+    z2 = z * z
+    p = ((((((-2.72614225801306e-10 * z2 + 2.77068142495902e-08) * z2 - 2.10102402082508e-06)
+             * z2 - 5.69250639462346e-05) * z2 - 7.34990630326855e-04) * z2
+          - 2.95459980854025e-03) * z2 - 1.60960333262415e-02)
+    q = ((((-1.45660718464996e-05 * z2 - 2.13374055278905e-04) * z2 - 1.68282697438203e-03)
+          * z2 - 7.37332916720468e-03) * z2 - 1.42647390514189e-02)
+    return np.clip(z * p / q, -1.0, 1.0)
+
+
+def float32_cdf(xs):
+    x = np.asarray(xs, dtype=np.float32).reshape(-1)
+    return x, autodiff._gelu_cdf(x, np.empty((3, x.size), np.float32))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_in_place_chain_equals_the_plain_formula(dtype):
-    # The forward and backward chains run through one temporary each; they
-    # give the values of the expressions below bit for bit, in the tails too.
+    # The forward and backward chains run through scratch rows and one
+    # temporary; they give the values of the expressions below bit for bit,
+    # in the tails too. float32 takes the rational erf, float64 scipy's.
     rng = np.random.default_rng(13)
     xs = np.concatenate([np.linspace(-12, 12, 241), rng.normal(scale=4.0, size=300)])
     x = parameter(xs, dtype=dtype)
     g = rng.normal(size=xs.shape).astype(dtype)
     v = x.values
-    cdf = 0.5 * (1.0 + erf(v / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + (rational_erf if dtype == np.float32 else erf)(v / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
     out = gelu(x)
     assert same_bits(out.values, v * cdf)
     backward((out * constant(g)).sum())
     assert same_bits(x.grad, g * (cdf + v * pdf))
+
+
+def test_float32_gelu_cdf_is_within_3e_7_of_the_exact_cdf():
+    # scipy's float32 erf gives 5.9e-8 here; the rational erf about 2.1e-7.
+    rng = np.random.default_rng(14)
+    x, cdf = float32_cdf(np.concatenate([np.linspace(-8, 8, 40001),
+                                         rng.normal(scale=2.0, size=20000)]))
+    exact = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.tolist()])
+    assert np.abs(cdf - exact).max() <= 3e-7
+
+
+def test_float32_gelu_cdf_stays_in_the_unit_interval():
+    # Without the clamp of the quotient the cdf is -1.19e-7 for x in
+    # [-5.66, -5.14], at 63 of these points, which makes GELU positive there.
+    rng = np.random.default_rng(15)
+    _, cdf = float32_cdf(np.concatenate([np.linspace(-12, 12, 24001),
+                                         rng.normal(scale=4.0, size=20000), [-1e4, 1e4]]))
+    assert cdf.min() == 0.0 and cdf.max() == 1.0
 
 
 # -- fused feed-forward ----------------------------------------------------------------
@@ -645,18 +706,25 @@ def _ffn_grads(op, x, params, g, passes=1):
 
 @pytest.mark.row_blocks
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lead, widths, blocks", [
-    pytest.param((7,), (6, 24, 5), 1, id="lead0"),
-    pytest.param((2, 5), (6, 24, 5), 1, id="lead1"),
+@pytest.mark.parametrize("lead, widths, blocks, gelu_block", [
+    pytest.param((7,), (6, 24, 5), 1, None, id="lead0"),
+    pytest.param((2, 5), (6, 24, 5), 1, None, id="lead1"),
     # 3 x 151 rows in 4 row blocks of 113 or 114 rows, against whole-array GEMMs.
-    pytest.param((3, 151), (48, 512, 40), 4, id="lead2-4-row-blocks"),
+    pytest.param((3, 151), (48, 512, 40), 4, None, id="lead2-4-row-blocks"),
+    # 4 x 100 rows in 3 row blocks, and GELU blocks of 1000 elements that end
+    # in a partial one: backward rebuilds the cdf block by block, the chain
+    # made it once over the whole array.
+    pytest.param((4, 100), (24, 96, 16), 3, 1000, id="lead2-3-row-blocks-gelu-blocks"),
 ])
 def test_feed_forward_equals_the_unfused_chain_bit_for_bit(monkeypatch, dtype, lead, widths,
-                                                           blocks):
+                                                           blocks, gelu_block):
     rng = np.random.default_rng(40)
     d, f, n = widths
     if blocks > 1:
         _ffn_row_blocks(monkeypatch, math.prod(lead), f, blocks)
+    if gelu_block:
+        monkeypatch.setattr(autodiff, "_GELU_BLOCK", gelu_block)
+        assert (math.prod(lead) * f) % gelu_block
     x = parameter(rng.normal(size=lead + (d,)), dtype=dtype)
     params = _ffn_params(rng, d, f, n, dtype)
     g = rng.normal(size=lead + (n,)).astype(dtype)
@@ -750,10 +818,23 @@ def test_feed_forward_records_one_node_that_keeps_no_gelu_output():
     out = feed_forward(x, *params)
     assert out.node.parents == tuple(t.node for t in (x, *params))
     held = saved_arrays(out)
-    # The input, the GEMM output and the cdf: no GELU output, and not the
+    # The input and the GEMM output: no cdf, no GELU output, and not the
     # output itself.
-    assert sorted(a.shape for a in held) == [(5, 4), (5, 8), (5, 8)]
+    assert sorted(a.shape for a in held) == [(5, 4), (5, 8)]
     assert any(a is x.values for a in held)
+
+
+def test_feed_forward_backward_takes_its_gemm_output_once():
+    # Backward turns the kept GEMM output into GELU's output in place and
+    # lets go of it, so a second call of the node's backward is refused.
+    rng = np.random.default_rng(49)
+    x = parameter(rng.normal(size=(5, 4)), dtype=np.float32)
+    out = feed_forward(x, *_ffn_params(rng, 4, 8, 3, np.float32))
+    backward_fn, g = out.node.backward_fn, np.ones(out.shape, np.float32)
+    backward_fn(g)
+    assert [a.shape for a in saved_arrays(out)] == [(5, 4)]
+    with pytest.raises(ValueError, match="already ran"):
+        backward_fn(g)
 
 
 def test_feed_forward_rejects_mismatched_shapes():

@@ -12,9 +12,9 @@ only when the other one needs a gradient, `dropout` its bool mask,
 values. So an output that no backward reads dies when the forward
 drops its tensor. `layer_norm` and `feed_forward` run one row-blocked
 chain; a graph only keeps what their backward reads at full size.
-`backward` replays the graph in reverse topological order once,
-dropping each op node's gradient after use, and releases the graph when
-it returns. The ops: broadcasting add and multiply, fused linear
+`backward` replays the graph in reverse topological order once and
+releases each op node, with its gradient and saved arrays, right after
+its turn. The ops: broadcasting add and multiply, fused linear
 layers, masked softmax, fused multi-head attention, layer norm (with an
 optional residual operand), the fused GELU feed-forward block, dropout,
 binary cross entropy on logits, gathers and reductions.
@@ -778,13 +778,11 @@ def _released(g: np.ndarray) -> None:
 
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss, accumulating into the leaves'
-    `.grad` slots, and release the graph.
-
-    Each op node's gradient is dropped once its backward function has
-    used it. When the pass ends, every op node lets go of its parents and
-    its backward function, and with it the arrays that function saved.
-    A later backward through any released node raises ValueError before
-    it writes a gradient."""
+    `.grad` slots. Right after its turn in the reverse topological order,
+    each op node drops its gradient and lets go of its parents and its
+    backward function, and with it the arrays that function saved. A
+    later backward through a released node raises ValueError before it
+    writes a gradient."""
     if loss.values.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -794,12 +792,10 @@ def backward(loss: Tensor) -> None:
         raise ValueError("the graph was released by an earlier backward; run the forward again")
     loss.grad = np.ones_like(loss.values)
     for node in reversed(order):
-        if node.backward_fn is not None and node.grad is not None:
-            node.backward_fn(node.grad)
-            node.grad = None
-    for node in order:
         if node.backward_fn is not None:
-            node.parents, node.backward_fn = (), _released
+            if node.grad is not None:
+                node.backward_fn(node.grad)
+            node.grad, node.parents, node.backward_fn = None, (), _released
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

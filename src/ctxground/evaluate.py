@@ -150,7 +150,7 @@ def upper_bound(results) -> float:
     results = list(results)
     if not results:
         raise ValueError("cannot compute the upper bound on an empty split")
-    hits = sum(bool(r.ious.size) and r.ious.max() >= IOU_THRESHOLD for r in results)
+    hits = sum(bool(r.ious.size) and bool(r.ious.max() >= IOU_THRESHOLD) for r in results)
     return 100.0 * hits / len(results)
 
 

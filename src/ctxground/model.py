@@ -162,7 +162,5 @@ class GroundingModel:
     def batch_loss(self, batch: Batch, rng: Optional[np.random.Generator] = None
                    ) -> tuple[Tensor, GroundingLogits]:
         """Mean per-entity BCE over every entity in the batch."""
-        if batch.num_entities == 0:
-            raise ValueError("batch contains no entities")
         logits = self.batch_scores(batch, rng)
         return grounding_loss(logits, batch.targets), logits

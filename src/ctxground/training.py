@@ -652,8 +652,13 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     atomically; `resume=True` picks up from those files and reproduces
     the uninterrupted run exactly.
     """
-    if not train_records or not dev_records:
-        raise ValueError("train and dev sets must be non-empty")
+    if not train_records:
+        raise ValueError("the training set is empty")
+    if not any(r.phrases for r in dev_records):
+        raise ValueError("the dev set is empty or has no phrase")
+    for r in train_records:  # before any step: a micro-batch of them would have no loss
+        if not r.phrases:
+            raise ValueError(f"training record {r.image_id!r} has no phrase")
     named = model.named_parameters()
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.init(named)

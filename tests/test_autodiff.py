@@ -1206,6 +1206,28 @@ def test_intermediate_tensors_die_when_backward_returns():
     assert w.grad is not None and loss.grad is None
 
 
+def test_saved_arrays_die_before_an_upstream_backward_runs():
+    # The multiply by a parameter keeps the probe's output to form w's
+    # gradient, and nothing else holds it. The probe's backward runs after
+    # the multiply's, and by then the multiply's node has been released.
+    x, w = parameter(np.arange(6.0).reshape(2, 3)), parameter(np.full(3, 2.0))
+    seen = []
+
+    def probe_backward(g):
+        seen.append(kept() is None)
+        autodiff._accumulate(x.node, g)
+
+    y = autodiff._make(x.values * 1.0, "probe", (x,), probe_backward)
+    z = y * w
+    kept = weakref.ref(y.values)
+    assert any(a is y.values for a in saved_arrays(z))
+    del y
+    backward(z.sum())
+    assert seen == [True]
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+    assert np.array_equal(w.grad, np.arange(6.0).reshape(2, 3).sum(axis=0))
+
+
 @pytest.mark.parametrize("linear_first", [True, False])
 def test_a_multiply_by_a_constant_keeps_no_array_of_the_other_operand(linear_first):
     # Each side's gradient reads only the other side's values: in

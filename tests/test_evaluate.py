@@ -288,6 +288,15 @@ def test_evaluate_metric_ordering_and_upper_bound():
     assert report.model_label == "L1-H2-abs"
 
 
+def test_evaluate_reports_every_metric_as_a_python_float():
+    # As load_report gives them back: a numpy scalar would repr differently.
+    model, records = tiny_model_and_records()
+    report = evaluate(model, records, split="synthetic")
+    metrics = [report.recall_at_1, report.recall_at_5, report.recall_at_10,
+               report.upper_bound, *(t.recall_at_1 for t in report.per_type.values())]
+    assert [type(m) for m in metrics] == [float] * len(metrics)
+
+
 def test_evaluate_rejects_empty_and_unknown_split():
     model, records = tiny_model_and_records()
     with pytest.raises(ValueError, match="empty"):

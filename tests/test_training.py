@@ -1049,6 +1049,30 @@ def test_fit_rejects_empty_sets():
         fit(model, [], tiny_records(), fit_cfg())
 
 
+@pytest.mark.parametrize("bad_split", ["train", "dev"])
+def test_fit_refuses_records_without_phrases_before_any_step(bad_split, monkeypatch):
+    # Every other training record has no phrase, or no dev record has one:
+    # with batch 2 a shuffled micro-batch can draw only phrase-less records,
+    # and a dev set without phrases has no recall to compute. Both are
+    # refused before the first step, naming the phrase-less training record.
+    records = tiny_records(16, seed=5)
+    stripped = [dataclasses.replace(r, phrases=()) for r in records]
+    if bad_split == "train":
+        train = [s if i % 2 else r for i, (r, s) in enumerate(zip(records, stripped))]
+        dev, match = records, re.escape(f"training record {records[1].image_id!r} has no phrase")
+    else:
+        train, dev, match = records, stripped, "dev set is empty or has no phrase"
+    steps = []
+    monkeypatch.setattr(training, "train_step", lambda *args: steps.append(1))
+    model = tiny_model()
+    before = {n: t.values.copy() for n, t in model.named_parameters().items()}
+    with pytest.raises(ValueError, match=match):
+        fit(model, train, dev, fit_cfg(batch_size=2, accumulation_steps=1))
+    assert steps == []
+    for name, t in model.named_parameters().items():
+        assert np.array_equal(t.values, before[name]), name
+
+
 # -- checkpoints --------------------------------------------------------------------------
 
 

@@ -633,14 +633,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tens
     return _make(merge(np.matmul(p, vh)), "attention", (q, k, v), backward_fn)
 
 
-# Elements per row block of `layer_norm`.
+# Elements per row block of `layer_norm`, and the eps added to its variance.
 _NORM_BLOCK = 1 << 16
+_NORM_EPS = 1e-5
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
     """Normalize the last axis of `a` (plus `residual`, broadcast as `add`
-    broadcasts) to zero mean / unit variance, then affine; one node.
+    broadcasts) to zero mean / unit variance, with eps `_NORM_EPS`, then affine; one node.
 
     One chain runs in both modes, in place in the `a + residual` array (a
     copy of `a` without a residual) and in row blocks of at most
@@ -665,7 +665,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
         # add.reduce / d equals .mean bit for bit and skips numpy's Python-level _mean.
         block -= np.add.reduce(block, axis=-1, keepdims=True) / d
         var = np.add.reduce(block * block, axis=-1, keepdims=True) / d
-        block *= np.divide(1.0, np.sqrt(var + eps),
+        block *= np.divide(1.0, np.sqrt(var + _NORM_EPS),
                            out=None if inv is None else inv[lo:lo + step])
         affine = np.multiply(block, gain.values, out=out[lo:lo + step])
         affine += bias.values

@@ -210,12 +210,12 @@ def random_params(rng: np.random.Generator, dtype=np.float32,
     return make
 
 
-def unset_params(dtype=np.float32) -> ParamMaker:
+def unset_params() -> ParamMaker:
     """Placeholders for a model whose values are assigned right after it
-    is built: each tensor is a read-only view of one zero, so building
-    draws nothing and allocates nothing the size of the model."""
+    is built: each tensor is a read-only view of one float32 zero, so
+    building draws nothing and allocates nothing the size of the model."""
     def make(shape, fill):
-        tensor = parameter(np.zeros((), dtype=dtype))
+        tensor = parameter(np.zeros((), dtype=np.float32))
         tensor.values = np.broadcast_to(tensor.values, shape)
         return tensor
     return make

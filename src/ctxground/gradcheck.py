@@ -15,7 +15,9 @@ from .data import Batch, SyntheticSpec, collate_batch, generate_synthetic
 from .encoder import BranchConfig
 from .model import GroundingModel, ModelConfig
 
-__all__ = ["toy_config", "toy_setup", "run_gradcheck"]
+__all__ = ["TOLERANCE", "toy_config", "toy_setup", "run_gradcheck"]
+
+TOLERANCE = 1e-4  # the max relative error below which `ctxground gradcheck` passes
 
 
 def toy_config(preset: str = "full") -> tuple[ModelConfig, SyntheticSpec]:

@@ -32,6 +32,7 @@ from .model import GroundingModel, ModelConfig
 
 __all__ = [
     "TrainConfig",
+    "ADAM_CONSTANTS",
     "AdamState",
     "StepMetrics",
     "Checkpoint",
@@ -112,6 +113,10 @@ class TrainConfig:
         return cfg
 
 
+# Adam's betas and eps (Kingma & Ba) for every run; a checkpoint must hold these.
+ADAM_CONSTANTS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
 @dataclass
 class AdamState:
     """First/second-moment accumulators mirroring the parameter map."""
@@ -119,13 +124,10 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, named_params: dict[str, Tensor]) -> "AdamState":
-        """Zero moments at step 0 with the default betas and eps."""
+        """Zero moments at step 0."""
         return cls(
             m={n: np.zeros_like(t.values) for n, t in named_params.items()},
             v={n: np.zeros_like(t.values) for n, t in named_params.items()},
@@ -275,9 +277,9 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     update is checked for NaN/Inf before it is applied; when both halves
     hit one, the error of the earlier parameter is raised."""
     step = state.step + 1
-    beta1, beta2 = float(state.beta1), float(state.beta2)
+    beta1, beta2 = ADAM_CONSTANTS["beta1"], ADAM_CONSTANTS["beta2"]
     scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** step,
-               float(lr), 1.0 - beta2 ** step, float(state.eps), float(grad_scale))
+               float(lr), 1.0 - beta2 ** step, ADAM_CONSTANTS["eps"], float(grad_scale))
     # The scalars as 0-d arrays of the first parameter's dtype: the values the
     # ufuncs would round Python floats to, at less dispatch cost per call.
     dtype = next((p.values.dtype for p in named_params.values()), None)
@@ -384,7 +386,6 @@ class Checkpoint:
 
 # GCKP manifest keys, in field order; the array fields go to the payload.
 _CHECKPOINT_KEYS = [f.name for f in fields(Checkpoint) if f.name != "params"]
-_ADAM_KEYS = [f.name for f in fields(AdamState) if f.name not in ("m", "v")]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -410,7 +411,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         offset += arr.nbytes
     manifest = {k: getattr(ckpt, k) for k in _CHECKPOINT_KEYS}
     if opt is not None:
-        manifest["optimizer"] = {k: getattr(opt, k) for k in _ADAM_KEYS}
+        manifest["optimizer"] = {"step": opt.step, **ADAM_CONSTANTS}
     _check_manifest(manifest, [(name, arr.shape) for name, arr in tensors], path)
     manifest["tensors"] = directory
     payload = json.dumps(manifest).encode("utf-8")
@@ -481,17 +482,11 @@ def _check_manifest(manifest: dict, shapes: list[tuple[str, tuple]], where) -> N
         return
     if not isinstance(opt, dict):
         raise bad("manifest 'optimizer' is not an object")
-    # beta = 1 would zero Adam's bias correction 1 - beta**step.
-    def is_beta(x):
-        return _is_number(x) and 0 <= x < 1
-
-    for key, check, what in (("step", _is_count, "a non-negative integer"),
-                             ("beta1", is_beta, "a number in [0, 1)"),
-                             ("beta2", is_beta, "a number in [0, 1)"),
-                             ("eps", lambda x: _is_number(x) and 0 < x < math.inf,
-                              "a finite positive number")):
-        if not check(opt.get(key)):
-            raise bad(f"optimizer {key!r} is missing or not {what}")
+    if not _is_count(opt.get("step")):
+        raise bad("optimizer 'step' is missing or not a non-negative integer")
+    constants = {k: opt.get(k) for k in ADAM_CONSTANTS}
+    if constants != ADAM_CONSTANTS:
+        raise bad(f"optimizer constants {constants} are not Adam's {ADAM_CONSTANTS}")
     # With unique names, three per parameter, the moments are exactly
     # adam.m.<param> and adam.v.<param> when every parameter has both.
     if len(by_name) != 3 * len(params):
@@ -561,8 +556,7 @@ def load_checkpoint(path) -> Checkpoint:
     if opt is not None:
         moments = {k: {n[len(f"adam.{k}."):]: a for n, a in arrays.items()
                        if n.startswith(f"adam.{k}.")} for k in "mv"}
-        found["optimizer"] = AdamState(
-            **moments, **{k: opt[k] for k in _ADAM_KEYS if k in opt})
+        found["optimizer"] = AdamState(**moments, step=opt["step"])
     params = {n: a for n, a in arrays.items() if not n.startswith("adam.")}
     return Checkpoint(params=params, **found)
 
@@ -578,7 +572,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> GroundingModel:
         config = ModelConfig.from_dict(ckpt.config["model"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint config does not describe a model: {exc!r}") from exc
-    model = GroundingModel.build(config, unset_params(np.float32))
+    model = GroundingModel.build(config, unset_params())
     _restore_params(model, ckpt.params)
     return model
 
@@ -724,11 +718,12 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
     for epoch in range(start_epoch, cfg.max_epochs):
         order = rng.permutation(len(train_records))
         steps = []
-        # A step collates only its own micro-batches: one step's padded copy at a time.
+        # A step collates only its own micro-batches, freed when it returns.
         for lo in range(0, len(order), cfg.batch_size):
-            group = [collate_batch([train_records[i] for i in order[j:j + micro]])
-                     for j in range(lo, min(lo + cfg.batch_size, len(order)), micro)]
-            steps.append(train_step(group, model, state, cfg, rng))
+            steps.append(train_step(
+                [collate_batch([train_records[i] for i in order[j:j + micro]])
+                 for j in range(lo, min(lo + cfg.batch_size, len(order)), micro)],
+                model, state, cfg, rng))
         train_loss = float(np.mean([s.loss for s in steps]))
 
         dev_r1 = evaluate(model, dev_records, split="dev").recall_at_1

@@ -232,20 +232,21 @@ def test_softmax_gradient():
 def test_layer_norm_constant_vector_collapses_to_bias():
     gain = constant(np.ones(4))
     bias = constant(np.full(4, 0.25))
-    out = layer_norm(constant(np.full(4, 7.0)), gain, bias, eps=1e-5)
+    out = layer_norm(constant(np.full(4, 7.0)), gain, bias)
     np.testing.assert_allclose(out.values, 0.25)
 
 
 def test_layer_norm_two_point_example():
-    out = layer_norm(constant([1.0, 3.0]), constant(np.ones(2)), constant(np.zeros(2)),
-                     eps=1e-12)
-    np.testing.assert_allclose(out.values, [-1.0, 1.0], atol=1e-6)
+    # Variance 1, so each point is +-1 / sqrt(1 + eps) with layer norm's eps 1e-5.
+    out = layer_norm(constant([1.0, 3.0]), constant(np.ones(2)), constant(np.zeros(2)))
+    np.testing.assert_allclose(out.values, np.array([-1.0, 1.0]) / math.sqrt(1 + 1e-5),
+                               atol=1e-6)
 
 
 def test_layer_norm_zero_gain_broadcasts_bias():
     rng = np.random.default_rng(6)
     x = constant(rng.normal(size=(3, 4)))
-    out = layer_norm(x, constant(np.zeros(4)), constant(np.arange(4.0)), eps=1e-5)
+    out = layer_norm(x, constant(np.zeros(4)), constant(np.arange(4.0)))
     np.testing.assert_allclose(out.values, np.tile(np.arange(4.0), (3, 1)))
 
 
@@ -254,7 +255,7 @@ def test_layer_norm_against_scalar_reference():
     vec = rng.normal(size=6)
     gain = rng.normal(size=6)
     bias = rng.normal(size=6)
-    out = layer_norm(constant(vec), constant(gain), constant(bias), eps=1e-5).values
+    out = layer_norm(constant(vec), constant(gain), constant(bias)).values
     np.testing.assert_allclose(out, layer_norm_ref(vec, gain, bias, 1e-5), atol=1e-12)
 
 
@@ -271,7 +272,7 @@ def test_layer_norm_gradients():
     w = rng.normal(size=(2, 5))
 
     def f(_):
-        return (layer_norm(x, gain, bias, eps=1e-5) * w).sum()
+        return (layer_norm(x, gain, bias) * w).sum()
 
     fdcheck(f, x)
     fdcheck(f, gain)

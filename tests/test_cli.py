@@ -143,7 +143,14 @@ def test_gradcheck_quick_passes(capsys):
     assert cli_main(["gradcheck", "--preset", "quick"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+    assert "(tolerance 1.0e-04)" in out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("option", ["--step", "--tolerance"])
+def test_gradcheck_takes_no_step_or_tolerance(capsys, option):
+    assert cli_main(["gradcheck", "--preset", "quick", option, "1e-3"]) == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_run_config_dropout_fans_out_to_branches():

@@ -49,12 +49,12 @@ def main(argv=None) -> None:
     print(f"{a.accum} x {a.micro} x 100, dropout {net.config.text.dropout_p}", flush=True)
     for step in range(STEPS):
         t0 = time.perf_counter()
-        # As `fit` does: a step collates only its own micro-batches.
-        group = [data.collate_batch(records[lo:lo + a.micro])
-                 for lo in range(0, len(records), a.micro)]
-        metrics = training.train_step(group, net, state, cfg, rng)
+        # As `fit` does: a step collates only its own micro-batches, which
+        # die when it returns, before the next step's are collated.
+        metrics = training.train_step([data.collate_batch(records[lo:lo + a.micro])
+                                       for lo in range(0, len(records), a.micro)],
+                                      net, state, cfg, rng)
         seconds = time.perf_counter() - t0
-        del group  # the next step's batches are not collated beside these
         max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"step {step}: loss {metrics.loss:.6f}  {seconds:.2f} s  "
               f"max RSS {max_rss_mb:.0f} MB", flush=True)

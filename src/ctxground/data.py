@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -245,23 +246,27 @@ def write_feature_file(path, matrix: np.ndarray) -> None:
 
 
 def load_feature_file(path) -> np.ndarray:
-    """Read a GRND container back into an [objects, dim] float32 matrix."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _GRND_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, rows, dim = _GRND_HEADER.unpack_from(blob)
-    if magic != GRND_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != GRND_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = _GRND_HEADER.size + rows * dim * 4
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload size {len(blob) - _GRND_HEADER.size} does not match "
-            f"{rows}x{dim} float32 matrix"
-        )
-    flat = np.frombuffer(blob, dtype="<f4", offset=_GRND_HEADER.size)
-    return flat.reshape(rows, dim).copy()
+    """Read a GRND container back into an [objects, dim] float32 matrix.
+    The header is checked against the file's size before anything is
+    allocated; the payload is then read once, straight into the matrix."""
+    with open(path, "rb") as fh:
+        header = fh.read(_GRND_HEADER.size)
+        if len(header) < _GRND_HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, rows, dim = _GRND_HEADER.unpack(header)
+        if magic != GRND_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != GRND_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        size = os.fstat(fh.fileno()).st_size - _GRND_HEADER.size
+        if size != rows * dim * 4:
+            raise FormatError(
+                f"{path}: payload size {size} does not match {rows}x{dim} float32 matrix"
+            )
+        matrix = np.empty((rows, dim), dtype="<f4")
+        if fh.readinto(matrix) != matrix.nbytes:  # the file shrank since fstat
+            raise FormatError(f"{path}: truncated payload")
+    return matrix
 
 
 # -- JSONL annotations -------------------------------------------------------------

@@ -14,6 +14,7 @@ import contextvars
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 import threading
@@ -391,7 +392,9 @@ _CHECKPOINT_KEYS = [f.name for f in fields(Checkpoint) if f.name != "params"]
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary container: magic, version, length-prefixed JSON manifest
     (config, progress, rng state, tensor directory), then the float32
-    payloads back to back. Offsets are bytes from the payload start.
+    payloads back to back. Offsets are bytes from the payload start. The
+    manifest is padded with trailing spaces so that the payload starts at
+    a multiple of 64 bytes, and every tensor loads as an aligned view.
     Each array is written straight from its own memory (a C-contiguous
     little-endian array without a copy), so a save holds no second copy
     of the model. A checkpoint that `load_checkpoint` would refuse raises
@@ -414,7 +417,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         manifest["optimizer"] = {"step": opt.step, **ADAM_CONSTANTS}
     _check_manifest(manifest, [(name, arr.shape) for name, arr in tensors], path)
     manifest["tensors"] = directory
-    payload = json.dumps(manifest).encode("utf-8")
+    text = json.dumps(manifest).encode("utf-8")
+    text += b" " * (-(_GCKP_HEADER.size + len(text)) % 64)
     # Written beside the target and swapped in whole: a crash mid-write
     # leaves the previous checkpoint at `path` intact. The file's bytes
     # reach the disk before the rename, and the rename before the return.
@@ -422,8 +426,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_GCKP_HEADER.pack(GCKP_MAGIC, GCKP_VERSION, len(payload)))
-            fh.write(payload)
+            fh.write(_GCKP_HEADER.pack(GCKP_MAGIC, GCKP_VERSION, len(text)))
+            fh.write(text)
             for _, arr in tensors:
                 fh.write(np.ascontiguousarray(arr, dtype="<f4"))
             fh.flush()
@@ -500,10 +504,17 @@ def _check_manifest(manifest: dict, shapes: list[tuple[str, tuple]], where) -> N
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a GCKP file. The manifest is validated first; then each
-    tensor is read once, straight from its offset into the fresh
-    float32 array that the returned checkpoint holds. A malformed or
-    truncated file raises FormatError."""
+    """Read a GCKP file. The manifest is validated first; then the file
+    is mapped copy-on-write and each tensor is a writable float32 view of
+    the mapping, so nothing is read until it is touched, and a write to
+    an array makes a private page and never reaches the file. A tensor
+    that is not 4-byte aligned (a file saved before the payload was
+    padded to 64 bytes) is copied into its own array. A malformed or
+    truncated file raises FormatError.
+
+    Replace a checkpoint by rename, as `save_checkpoint` does; rewriting
+    one in place while a process holds arrays loaded from it is
+    undefined, and truncating it ends that process with SIGBUS."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_GCKP_HEADER.size)
@@ -539,16 +550,19 @@ def load_checkpoint(path) -> Checkpoint:
             entries.append((name, tuple(shape), offset))
         _check_manifest(manifest, [(name, shape) for name, shape, _ in entries], path)
 
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape, offset in entries:
-            try:
-                arr = np.empty(shape, dtype="<f4")
-            except ValueError as exc:  # a zero-size shape beyond numpy's limits
-                raise FormatError(f"{path}: tensor {name!r}: {exc}") from exc
-            fh.seek(start + offset)
-            if fh.readinto(arr) != arr.nbytes:
-                raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-            arrays[name] = arr
+        try:  # the size validated above: a file that shrank since is refused here
+            mapping = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY)
+        except ValueError as exc:
+            raise FormatError(f"{path}: truncated since it was opened: {exc}") from exc
+    if hasattr(mmap, "MADV_WILLNEED"):
+        mapping.madvise(mmap.MADV_WILLNEED)
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape, offset in entries:
+        try:
+            arr = np.frombuffer(mapping, "<f4", math.prod(shape), start + offset).reshape(shape)
+        except ValueError as exc:  # a zero-size shape beyond numpy's limits
+            raise FormatError(f"{path}: tensor {name!r}: {exc}") from exc
+        arrays[name] = arr if arr.flags.aligned else arr.copy()
 
     # A missing key keeps the field's default; a key naming no field is ignored.
     found = {k: manifest[k] for k in _CHECKPOINT_KEYS if k in manifest}
@@ -567,7 +581,9 @@ def model_from_checkpoint(ckpt: Checkpoint) -> GroundingModel:
 
     The model takes ownership of the checkpoint's float32 arrays: they
     become its parameter values without a copy, so an in-place update of
-    the model (an optimizer step) also changes `ckpt.params`."""
+    the model (an optimizer step) also changes `ckpt.params`. Arrays from
+    `load_checkpoint` are copy-on-write views of the file's mapping, so
+    such an update changes private pages, never the file."""
     try:
         config = ModelConfig.from_dict(ckpt.config["model"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -186,6 +186,14 @@ def test_feature_file_trailing_bytes(tmp_path):
         load_feature_file(bad)
 
 
+def test_feature_file_loads_into_an_aligned_array_of_its_own(tmp_path):
+    path = tmp_path / "x.grnd"
+    write_feature_file(path, np.ones((3, 5), dtype=np.float32))
+    loaded = load_feature_file(path)
+    flags = loaded.flags
+    assert flags.c_contiguous and flags.aligned and flags.writeable and flags.owndata
+
+
 # -- JSONL annotations ------------------------------------------------------------------------
 
 

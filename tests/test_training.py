@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import mmap
 import os
 import re
 import stat
@@ -1133,7 +1134,8 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
 def test_checkpoint_file_bytes_are_pinned(tmp_path):
     # An F-ordered array (converted on write), C-contiguous arrays (written
     # from their own memory), a 0-d and an empty one, with an optimizer
-    # block. The digest pins the file format byte for byte.
+    # block. The digest pins the file format byte for byte, the manifest's
+    # padding to a 64-byte payload start included.
     params = {"w": np.arange(6, dtype=np.float32).reshape(2, 3).T * np.float32(0.5),
               "b": np.array([1.5, -2.0, 0.1], dtype=np.float32),
               "s": np.array(0.75, dtype=np.float32), "e": np.zeros((0, 2), dtype=np.float32)}
@@ -1146,7 +1148,7 @@ def test_checkpoint_file_bytes_are_pinned(tmp_path):
     path = tmp_path / "pinned.gckp"
     save_checkpoint(ckpt, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "b034e15bd631ff9489f84fcb301b4c50374a66a11f38680fb7580855fcebe282")
+        "aad6122f3b0d7ef8fbd6cdd95b472016c17cd6ccf3db94660fe3d1d69d7d0e13")
 
 
 def test_save_checkpoint_syncs_the_file_before_the_rename_and_the_directory_after(
@@ -1372,6 +1374,106 @@ def test_model_from_checkpoint_adopts_arrays_without_initializing(tmp_path, monk
     adam_step(named, grads, AdamState.init(named), lr=1e-3)
     for name, t in named.items():
         assert not np.array_equal(t.values, saved[name]), name
+
+
+def _mapping_of(arr: np.ndarray):
+    """The object at the end of a view's base chain."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+def _saved_tiny_checkpoint(path, seed=10):
+    model = tiny_model(seed=seed)
+    named = model.named_parameters()
+    ckpt = Checkpoint(params={n: t.values.copy() for n, t in named.items()},
+                      config={"model": model.config.to_dict()}, epoch=0, best_metric=0.0,
+                      best_epoch=0, optimizer=AdamState.init(named))
+    save_checkpoint(ckpt, path)
+    return ckpt
+
+
+def test_checkpoint_loads_as_aligned_views_of_its_mapped_file(tmp_path):
+    path = tmp_path / "model.gckp"
+    saved = _saved_tiny_checkpoint(path)
+    _, _, manifest_len = training._GCKP_HEADER.unpack_from(path.read_bytes())
+    assert (training._GCKP_HEADER.size + manifest_len) % 64 == 0
+    ckpt = load_checkpoint(path)
+    loaded = {**ckpt.params, **{f"adam.m.{n}": a for n, a in ckpt.optimizer.m.items()},
+              **{f"adam.v.{n}": a for n, a in ckpt.optimizer.v.items()}}
+    assert len(loaded) == 3 * len(saved.params)
+    for name, arr in loaded.items():
+        flags = arr.flags
+        assert flags.c_contiguous and flags.aligned and flags.writeable, name
+        assert isinstance(_mapping_of(arr), mmap.mmap), name
+    for name, arr in saved.params.items():
+        assert ckpt.params[name].tobytes() == arr.tobytes(), name
+    model = model_from_checkpoint(ckpt)
+    for name, t in model.named_parameters().items():
+        assert t.values is ckpt.params[name], name
+
+
+def test_checkpoint_in_the_unpadded_layout_loads_as_aligned_copies(tmp_path):
+    # Files saved before the payload was padded: the manifest ends where
+    # its JSON ends, so the payload may start off a 4-byte boundary.
+    # The config's note puts the payload's start off a 4-byte boundary.
+    path = tmp_path / "model.gckp"
+    saved = dataclasses.replace(_small_checkpoint(), config={"model": {}, "note": "x"})
+    save_checkpoint(saved, path)
+    manifest, payload = _split_gckp(path.read_bytes())
+    blob = _join_gckp(manifest, payload)
+    assert blob.endswith(payload) and (len(blob) - len(payload)) % 4 != 0
+    path.write_bytes(blob)
+    ckpt = load_checkpoint(path)
+    for group, want in ((ckpt.params, saved.params), (ckpt.optimizer.m, saved.optimizer.m),
+                        (ckpt.optimizer.v, saved.optimizer.v)):
+        assert set(group) == set(want)
+        for name, arr in group.items():
+            assert arr.tobytes() == want[name].astype(np.float32).tobytes(), name
+            assert arr.flags.aligned and arr.flags.writeable and arr.flags.owndata, name
+    assert ckpt.history == saved.history and ckpt.optimizer.step == saved.optimizer.step
+
+
+def test_adam_on_a_loaded_checkpoint_leaves_its_file_unchanged(tmp_path):
+    path = tmp_path / "model.gckp"
+    saved = _saved_tiny_checkpoint(path)
+    before = path.read_bytes()
+    ckpt = load_checkpoint(path)
+    model = model_from_checkpoint(ckpt)
+    named = model.named_parameters()
+    grads = {n: np.full_like(t.values, 0.1) for n, t in named.items()}
+    adam_step(named, grads, ckpt.optimizer, lr=1e-3)
+    for name, t in named.items():
+        assert not np.array_equal(t.values, saved.params[name]), name
+    assert path.read_bytes() == before
+    for name, arr in load_checkpoint(path).params.items():
+        assert arr.tobytes() == saved.params[name].tobytes(), name
+
+
+def test_replacing_a_loaded_checkpoint_leaves_the_loaded_arrays_unchanged(tmp_path):
+    path = tmp_path / "model.gckp"
+    first = _saved_tiny_checkpoint(path, seed=10)
+    held = load_checkpoint(path)
+    second = _saved_tiny_checkpoint(path, seed=11)
+    for name, arr in held.params.items():
+        assert arr.tobytes() == first.params[name].tobytes(), name
+    for name, arr in load_checkpoint(path).params.items():
+        assert arr.tobytes() == second.params[name].tobytes(), name
+
+
+def test_checkpoint_that_shrinks_after_validation_raises_format_error(tmp_path, monkeypatch):
+    # The size is read once; a file truncated after that is refused when it
+    # is mapped, not with SIGBUS when a tensor is first read.
+    path = tmp_path / "model.gckp"
+    _saved_tiny_checkpoint(path)
+    size = path.stat().st_size
+    os.truncate(path, size - 8)
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        real_fstat(fd)[:6] + (size,) + real_fstat(fd)[7:]))
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(path)
 
 
 def test_restore_params_converts_other_dtypes(tmp_path):

@@ -514,7 +514,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     Replace a checkpoint by rename, as `save_checkpoint` does; rewriting
     one in place while a process holds arrays loaded from it is
-    undefined, and truncating it ends that process with SIGBUS."""
+    undefined, and truncating it ends that process with SIGBUS. A
+    replaced file keeps its disk space until the last array loaded from
+    it is gone: a resumed `fit` holds `last.gckp`'s for the whole run."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_GCKP_HEADER.size)
@@ -554,8 +556,6 @@ def load_checkpoint(path) -> Checkpoint:
             mapping = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY)
         except ValueError as exc:
             raise FormatError(f"{path}: truncated since it was opened: {exc}") from exc
-    if hasattr(mmap, "MADV_WILLNEED"):
-        mapping.madvise(mmap.MADV_WILLNEED)
     arrays: dict[str, np.ndarray] = {}
     for name, shape, offset in entries:
         try:

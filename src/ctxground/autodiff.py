@@ -27,6 +27,7 @@ operand of an op has the output's dtype; a mix raises TypeError.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
@@ -54,6 +55,9 @@ __all__ = [
     "backward",
     "topo_order",
     "zero_grads",
+    "arena_view",
+    "arena_slots",
+    "zeros_arena",
     "finite_diff_check",
 ]
 
@@ -323,12 +327,12 @@ def _gelu_cdf(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     if cdf.dtype == np.float64:
         erf(cdf, out=cdf)
     else:
-        np.clip(cdf, -4.0, 4.0, out=cdf)
+        cdf.clip(-4.0, 4.0, out=cdf)  # np.clip's one pass, without its dispatch wrapper
         np.multiply(cdf, cdf, out=z2)
         _horner(z2, _ERF_P, p)
         p *= cdf
         np.divide(p, _horner(z2, _ERF_Q, cdf), out=cdf)
-        np.clip(cdf, -1.0, 1.0, out=cdf)
+        cdf.clip(-1.0, 1.0, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf
@@ -801,10 +805,46 @@ def backward(loss: Tensor) -> None:
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     """Clear each tensor's `.grad`. The array stays parked on the tensor's
     node and the next backward writes the tensor's first gradient into it,
-    so a caller that keeps a gradient array across this call must copy it."""
+    so a caller that keeps a gradient array across this call must copy it.
+    Nodes with no array to park, as before a first step, get `zeros_arena`."""
+    bare = []
     for t in tensors:
         if t.grad is not None:
             t.node.parked, t.node.grad = t.grad, None
+        elif t.node is not None and t.node.parked is None:
+            bare.append(t.node)
+    for node, view in zip(bare, zeros_arena((node.shape, node.dtype) for node in bare)):
+        node.parked = view
+
+
+# (arena, element offset, weak reference) of each live `arena_view`, by id;
+# an entry goes with its view, so it is never stale.
+_SLOTS: dict[int, tuple] = {}
+
+
+def arena_view(arena: np.ndarray, offset: int, shape: tuple) -> np.ndarray:
+    """The `shape` view at element `offset` of the flat array `arena`;
+    `arena_slots` finds its place while it lives."""
+    view = arena[offset:offset + math.prod(shape)].reshape(shape)
+    _SLOTS[id(view)] = (arena, offset, weakref.ref(view, lambda _, k=id(view): _SLOTS.pop(k, None)))
+    return view
+
+
+def arena_slots(arrays) -> list[tuple | None]:
+    """(arena, element offset, ...) of each of `arrays` that is an
+    `arena_view`; None for any other array."""
+    return list(map(_SLOTS.get, map(id, arrays)))
+
+
+def zeros_arena(specs) -> list[np.ndarray]:
+    """Zeroed C-order arrays of the (shape, dtype) pairs `specs`, in order:
+    consecutive `arena_view`s of one flat array when they share a dtype."""
+    specs = list(specs)
+    if len({dtype for _, dtype in specs}) != 1:
+        return [np.zeros(shape, dtype) for shape, dtype in specs]
+    starts = np.cumsum([0] + [math.prod(shape) for shape, _ in specs]).tolist()
+    arena = np.zeros(starts[-1], specs[0][1])
+    return [arena_view(arena, lo, shape) for lo, (shape, _) in zip(starts, specs)]
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import (
+    Node,
     Tensor,
     attention,
     constant,
@@ -24,8 +25,8 @@ from .autodiff import (
     feed_forward,
     layer_norm,
     linear,
-    parameter,
     take_rows,
+    zeros_arena,
 )
 from .data import _check_fields, _is_int, _is_number, check_boxes
 
@@ -44,7 +45,7 @@ __all__ = [
     "ImageBranchParams",
     "BranchInput",
     "ParamMaker",
-    "random_params",
+    "fresh",
     "unset_params",
     "build_text_branch",
     "build_image_branch",
@@ -197,26 +198,36 @@ class ImageBranchParams:
 ParamMaker = Callable[[tuple, str], Tensor]
 
 
-def random_params(rng: np.random.Generator, dtype=np.float32,
-                  std: float = INIT_STD) -> ParamMaker:
-    """Fresh values: normal(0, std) weights drawn from `rng` in build
-    order, zero biases and unit gains."""
+def fresh(build: Callable[[ParamMaker], object], rng: np.random.Generator, dtype=np.float32,
+          std: float = INIT_STD):
+    """`build(make)` with fresh values: normal(0, std) weights drawn from
+    `rng` in build order, zero biases and unit gains, written straight
+    into the parameters' `zeros_arena` once `build` has made them."""
+    made, unset = [], unset_params()  # (placeholder, fill) in build order
+
     def make(shape, fill):
+        made.append((unset(shape, fill), fill))
+        return made[-1][0]
+
+    built = build(make)
+    for (t, fill), view in zip(made, zeros_arena((t.shape, dtype) for t, _ in made)):
         if fill == "normal":
-            values = rng.normal(0.0, std, shape)
-        else:
-            values = np.zeros(shape) if fill == "zeros" else np.ones(shape)
-        return parameter(values, dtype=dtype)
-    return make
+            view[...] = rng.normal(0.0, std, view.shape)
+        elif fill == "ones":
+            view.fill(1)
+        t.values, t.node = view, Node(view)
+    return built
 
 
 def unset_params() -> ParamMaker:
-    """Placeholders for a model whose values are assigned right after it
-    is built: each tensor is a read-only view of one float32 zero, so
-    building draws nothing and allocates nothing the size of the model."""
+    """Placeholders for a model whose values and nodes are assigned right
+    after it is built: each tensor is a read-only zero-stride view of one
+    float32 zero, so building draws nothing and allocates nothing the
+    size of the model."""
     def make(shape, fill):
-        tensor = parameter(np.zeros((), dtype=np.float32))
-        tensor.values = np.broadcast_to(tensor.values, shape)
+        tensor = Tensor.__new__(Tensor)
+        tensor.values = np.ndarray(shape, np.float32, bytes(4), strides=(0,) * len(shape))
+        tensor.node = None
         return tensor
     return make
 
@@ -281,13 +292,13 @@ def build_image_branch(cfg: BranchConfig, feature_dim: int, make: ParamMaker) ->
 def init_text_branch(cfg: BranchConfig, vocab_size: int, rng: np.random.Generator,
                      dtype=np.float32, std: float = INIT_STD) -> TextBranchParams:
     """Randomly initialized text branch (normal, std 0.02); no pretrained import."""
-    return build_text_branch(cfg, vocab_size, random_params(rng, dtype, std))
+    return fresh(lambda make: build_text_branch(cfg, vocab_size, make), rng, dtype, std)
 
 
 def init_image_branch(cfg: BranchConfig, feature_dim: int, rng: np.random.Generator,
                       dtype=np.float32, std: float = INIT_STD) -> ImageBranchParams:
     """Randomly initialized image branch (normal, std 0.02)."""
-    return build_image_branch(cfg, feature_dim, random_params(rng, dtype, std))
+    return fresh(lambda make: build_image_branch(cfg, feature_dim, make), rng, dtype, std)
 
 
 # -- inputs -------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .encoder import (
     default_image_config,
     default_text_config,
     encode_branch,
+    fresh,
     model_label,
-    random_params,
 )
 from .head import (
     GroundingLogits,
@@ -128,8 +128,10 @@ class GroundingModel:
     def initialize(cls, config: ModelConfig, seed: int, dtype=np.float32,
                    init_std: float = INIT_STD) -> "GroundingModel":
         """Fresh model: normal(0, init_std) weights drawn from one
-        generator seeded with `seed`, zero biases, unit gains."""
-        return cls.build(config, random_params(np.random.default_rng(seed), dtype, init_std))
+        generator seeded with `seed`, zero biases, unit gains, in one
+        arena in `named_parameters` order (`fresh`)."""
+        return fresh(lambda make: cls.build(config, make), np.random.default_rng(seed), dtype,
+                     init_std)
 
     @property
     def label(self) -> str:

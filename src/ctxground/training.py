@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Node, NonFiniteError, Tensor, backward, zero_grads
+from .autodiff import (Node, NonFiniteError, Tensor, _first_grad, arena_slots, arena_view,
+                       backward, zero_grads, zeros_arena)
 from .data import (FormatError, SampleRecord, _check_fields, _is_count, _is_int, _is_number,
                    collate_batch)
 from .encoder import unset_params
@@ -128,11 +129,11 @@ class AdamState:
 
     @classmethod
     def init(cls, named_params: dict[str, Tensor]) -> "AdamState":
-        """Zero moments at step 0."""
-        return cls(
-            m={n: np.zeros_like(t.values) for n, t in named_params.items()},
-            v={n: np.zeros_like(t.values) for n, t in named_params.items()},
-        )
+        """Zero moments at step 0; `m` and `v` are each one arena's
+        consecutive views, in parameter order (`zeros_arena`)."""
+        specs = [(t.shape, t.dtype) for t in named_params.values()]
+        return cls(m=dict(zip(named_params, zeros_arena(specs))),
+                   v=dict(zip(named_params, zeros_arena(specs))))
 
 
 @dataclass
@@ -166,6 +167,24 @@ def _layout(sizes) -> list[list[tuple[str, int, int]]]:
             lo = hi
         start += size
     return blocks
+
+
+def _runs(columns: dict[str, tuple]) -> dict[str, tuple]:
+    """The parameters of `columns` ({name: its arrays, one per column}) as
+    {first name: (one flat view per column, names, their starts in the
+    concatenation)}: one run for all when each column's arrays are one
+    arena's consecutive views (`arena_slots`), in order, else one each.
+    `_layout` cuts a run at the blocks where it cuts its arrays."""
+    names, arrays = list(columns), list(columns.values())
+    starts = np.cumsum([0] + [a[0].size for a in arrays]).tolist()
+    merged = []
+    for col in zip(*arrays):
+        slots = arena_slots(col)
+        if None in slots or len({id(s[0]) for s in slots}) > 1 or (
+                [s[1] - slots[0][1] for s in slots] != starts[:-1]):
+            return {n: (tuple(a.reshape(-1) for a in col), [n], [0]) for n, col in columns.items()}
+        merged.append(slots[0][0][slots[0][1]:slots[0][1] + starts[-1]])
+    return {names[0]: (tuple(merged), names, starts[:-1])} if names else {}
 
 
 def _in_halves(work, blocks: list) -> list:
@@ -205,7 +224,8 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
     """The global L2 norm of all gradients; nothing is written to them.
 
     The gradients are taken in `grads` order as one concatenation, cut
-    into the blocks of `_layout`, so a block may span parameters. Each
+    into the blocks of `_layout`, so a block may span parameters; an
+    arena's views (`_runs`) are read as one range per block. Each
     block is gathered into a float64 buffer, its squares are summed by
     `np.einsum`, which calls no BLAS, and the block sums are added in
     block order; the norm therefore depends neither on the BLAS thread
@@ -213,8 +233,8 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
     means a gradient holds a NaN or Inf (finite float32 squares cannot
     overflow a float64 sum), which raises naming the first such
     parameter."""
-    flat = {name: g.reshape(-1) for name, g in grads.items()}
-    blocks = _layout((name, g.size) for name, g in flat.items())
+    flat = {key: run[0][0] for key, run in _runs({n: (g,) for n, g in grads.items()}).items()}
+    blocks = _layout((key, g.size) for key, g in flat.items())
     total = 0.0
     for part in _in_halves(lambda part: _norm_blocks(part, flat), blocks):
         for partial in part:
@@ -274,9 +294,11 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     update, so a refused call changes nothing.
 
     `_in_halves` updates the `_layout` blocks on two threads; the update
-    is elementwise, so neither blocks nor cut change a value. Each range's
-    update is checked for NaN/Inf before it is applied; when both halves
-    hit one, the error of the earlier parameter is raised."""
+    is elementwise, so neither blocks, cut nor `_runs` merging change a
+    value. Each range's update is checked for NaN/Inf before it is
+    applied, and an error names the first parameter of the range with a
+    non-finite update; when both halves hit one, the error of the earlier
+    parameter is raised."""
     step = state.step + 1
     beta1, beta2 = ADAM_CONSTANTS["beta1"], ADAM_CONSTANTS["beta2"]
     scalars = (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** step,
@@ -285,7 +307,7 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
     # ufuncs would round Python floats to, at less dispatch cost per call.
     dtype = next((p.values.dtype for p in named_params.values()), None)
     typed = tuple(np.array(x, dtype=dtype) for x in scalars)
-    flat = {}  # name: flat views of the parameter, its moments and its gradient
+    columns = {}  # name: the parameter, its moments and its gradient
     for name, p in named_params.items():
         pv, m, v, g = p.values, state.m[name], state.v[name], grads[name]
         if g.shape != pv.shape:
@@ -295,22 +317,24 @@ def adam_step(named_params: dict[str, Tensor], grads: dict[str, np.ndarray],
                              f"{m.dtype}, {v.dtype}, {g.dtype}; a call takes one dtype, {dtype}")
         if not (pv.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError(f"parameter {name!r} and its Adam moments must be C-contiguous")
-        flat[name] = (pv.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1))
+        columns[name] = (pv, m, v, g)
     state.step = step
-    blocks = _layout((name, p.values.size) for name, p in named_params.items())
+    flat = _runs(columns)
+    blocks = _layout((key, run[0][0].size) for key, run in flat.items())
     _in_halves(lambda part: _adam_blocks(part, flat, typed), blocks)
     return state
 
 
 def _adam_blocks(blocks: list, flat: dict[str, tuple], typed: tuple) -> None:
     """Apply the Adam update to each range of each `_layout` block of the
-    flat (p, m, v, g) views `flat`, with the 0-d scalars `typed`, through
-    one scratch sized to the largest block; the gradients are only read."""
+    `_runs` of flat (p, m, v, g) views `flat`, with the 0-d scalars
+    `typed`, through one scratch sized to the largest block; the
+    gradients are only read."""
     b1, one_minus_b1, b2, one_minus_b2, correct1, rate, correct2, eps, scale = typed
     width = sum(hi - lo for _, lo, hi in blocks[0]) if blocks else 0
     scratch = np.empty((2, width), dtype=b1.dtype)
-    for name, lo, hi in (r for block in blocks for r in block):
-        pf, mf, vf, gf = flat[name]
+    for key, lo, hi in (r for block in blocks for r in block):
+        (pf, mf, vf, gf), names, starts = flat[key]
         pb, mb, vb, gb = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
         s1, s2 = scratch[:, :pb.size]
         # g = grad_scale * gradient, in s2 until the v / correct2 step
@@ -332,6 +356,8 @@ def _adam_blocks(blocks: list, flat: dict[str, tuple], typed: tuple) -> None:
         np.add(s2, eps, out=s2)
         np.divide(s1, s2, out=s1)
         if not np.isfinite(s1).all():
+            bad = starts[0] + lo + int(np.argmin(np.isfinite(s1)))
+            name = names[np.searchsorted(starts, bad, "right") - 1]
             raise NonFiniteError(f"non-finite Adam update for parameter {name!r}")
         np.subtract(pb, s1, out=pb)
 
@@ -345,7 +371,10 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
     epoch's trailing group may be smaller), is the norm of their average.
     Adam applies the average and the clip scale as one `grad_scale`; no
     pass writes a gradient. For a power-of-two `n` the result is that of
-    averaging and clipping in place, then `adam_step`, bit for bit."""
+    averaging and clipping in place, then `adam_step`, bit for bit. The
+    gradients are the arrays `zero_grads` parks, one arena's views from
+    a model's first step on; a parameter no backward reached gets its
+    array zero-filled."""
     micro_batches = list(micro_batches)
     if not micro_batches:
         raise ValueError("train_step needs at least one micro-batch")
@@ -356,9 +385,10 @@ def train_step(micro_batches, model: GroundingModel, state: AdamState,
         loss, _ = model.batch_loss(mb, rng=rng)
         backward(loss)
         losses.append(loss.item())
-    # The accumulated gradients, read by the norm and Adam passes.
-    grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
-             for n, t in named.items()}
+    for t in named.values():
+        if t.grad is None:  # unreached: zeros, never the parked array's last values
+            _first_grad(t.node).fill(0)
+    grads = {n: t.grad for n, t in named.items()}
     n = len(micro_batches)
     norm = global_norm(grads) / n
     clip = _clip_scale(norm, cfg.clip_norm)
@@ -505,18 +535,17 @@ def _check_manifest(manifest: dict, shapes: list[tuple[str, tuple]], where) -> N
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a GCKP file. The manifest is validated first; then the file
-    is mapped copy-on-write and each tensor is a writable float32 view of
-    the mapping, so nothing is read until it is touched, and a write to
-    an array makes a private page and never reaches the file. A tensor
-    that is not 4-byte aligned (a file saved before the payload was
-    padded to 64 bytes) is copied into its own array. A malformed or
+    is mapped copy-on-write and each tensor is a writable float32
+    `arena_view` of the mapping, read as one flat arena from byte 0, so
+    nothing is read until it is touched, and a write to an array
+    makes a private page and never reaches the file. A payload that is
+    not 4-byte aligned (a file saved before it was padded to 64 bytes) is
+    copied, tensor by tensor, into arrays of their own. A malformed or
     truncated file raises FormatError.
 
     Replace a checkpoint by rename, as `save_checkpoint` does; rewriting
     one in place while a process holds arrays loaded from it is
-    undefined, and truncating it ends that process with SIGBUS. A
-    replaced file keeps its disk space until the last array loaded from
-    it is gone: a resumed `fit` holds `last.gckp`'s for the whole run."""
+    undefined, and truncating it ends that process with SIGBUS."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_GCKP_HEADER.size)
@@ -544,9 +573,9 @@ def load_checkpoint(path) -> Checkpoint:
             if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
                 raise FormatError(f"{path}: tensor {name!r} shape {shape!r} is not a list "
                                   f"of non-negative integers")
-            if not _is_count(offset):
+            if not _is_count(offset) or offset % 4:
                 raise FormatError(f"{path}: tensor {name!r} offset {offset!r} is not a "
-                                  f"non-negative integer")
+                                  f"non-negative multiple of 4")
             if offset + 4 * math.prod(shape) > size - start:
                 raise FormatError(f"{path}: truncated payload for tensor {name!r}")
             entries.append((name, tuple(shape), offset))
@@ -556,13 +585,15 @@ def load_checkpoint(path) -> Checkpoint:
             mapping = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY)
         except ValueError as exc:
             raise FormatError(f"{path}: truncated since it was opened: {exc}") from exc
+    arena = np.frombuffer(mapping, "<f4", size // 4) if start % 4 == 0 else None
     arrays: dict[str, np.ndarray] = {}
     for name, shape, offset in entries:
         try:
-            arr = np.frombuffer(mapping, "<f4", math.prod(shape), start + offset).reshape(shape)
+            arrays[name] = (arena_view(arena, (start + offset) // 4, shape) if arena is not None
+                            else np.frombuffer(mapping, "<f4", math.prod(shape),
+                                               start + offset).reshape(shape).copy())
         except ValueError as exc:  # a zero-size shape beyond numpy's limits
             raise FormatError(f"{path}: tensor {name!r}: {exc}") from exc
-        arrays[name] = arr if arr.flags.aligned else arr.copy()
 
     # A missing key keeps the field's default; a key naming no field is ignored.
     found = {k: manifest[k] for k in _CHECKPOINT_KEYS if k in manifest}
@@ -582,8 +613,8 @@ def model_from_checkpoint(ckpt: Checkpoint) -> GroundingModel:
     The model takes ownership of the checkpoint's float32 arrays: they
     become its parameter values without a copy, so an in-place update of
     the model (an optimizer step) also changes `ckpt.params`. Arrays from
-    `load_checkpoint` are copy-on-write views of the file's mapping, so
-    such an update changes private pages, never the file."""
+    `load_checkpoint` are copy-on-write views of the file's mapping, one
+    arena, so such an update changes private pages, never the file."""
     try:
         config = ModelConfig.from_dict(ckpt.config["model"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -598,6 +629,15 @@ def _restore_params(model: GroundingModel, params: dict[str, np.ndarray]) -> Non
     no gradient. An array of the parameter's dtype that is C-contiguous and
     writable is adopted as it is; any other is converted with one copy.
     Names and shapes are checked before any parameter changes."""
+    for name, tensor in _matching(model, params).items():
+        arr = params[name]
+        if not (arr.dtype == tensor.dtype and arr.flags.c_contiguous and arr.flags.writeable):
+            arr = np.array(arr, dtype=tensor.dtype, order="C")
+        tensor.values, tensor.node = arr, Node(arr)
+
+
+def _matching(model: GroundingModel, params: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """The model's named parameters, once `params` has their names and shapes."""
     named = model.named_parameters()
     if set(named) != set(params):
         missing = set(named) ^ set(params)
@@ -607,11 +647,21 @@ def _restore_params(model: GroundingModel, params: dict[str, np.ndarray]) -> Non
             raise ValueError(
                 f"checkpoint shape {params[name].shape} does not match {name!r} {tensor.shape}"
             )
-    for name, tensor in named.items():
-        arr = params[name]
-        if not (arr.dtype == tensor.dtype and arr.flags.c_contiguous and arr.flags.writeable):
-            arr = np.array(arr, dtype=tensor.dtype, order="C")
-        tensor.values, tensor.node = arr, Node(arr)
+    return named
+
+
+def _copy_out(pairs) -> None:
+    """Copy each (target, source) pair of arrays. A source that
+    `load_checkpoint` mapped then has its file's pages dropped from the
+    process (`MADV_DONTNEED`; the mapping is never written, so a page read
+    again is the same), so copying a checkpoint holds about one copy."""
+    for target, source in pairs:
+        np.copyto(target, source)
+        slot = arena_slots([source])[0]
+        if slot is not None and isinstance(slot[0].base, memoryview):  # the mapping, from byte 0
+            lo, hi = (source.itemsize * n // mmap.PAGESIZE * mmap.PAGESIZE
+                      for n in (slot[1], slot[1] + source.size))
+            slot[0].base.obj.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 # -- the fit loop -----------------------------------------------------------------
@@ -725,10 +775,15 @@ def fit(model: GroundingModel, train_records: list[SampleRecord],
             rng.bit_generator.state = last.rng_state
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{where}: 'rng_state' is not a PCG64 state: {exc!r}") from exc
-        _restore_params(model, last.params)
-        state = last.optimizer
+        # The resume state is copied into the run's own arrays, and the
+        # mapping goes with `last`: a save that replaces the file frees it.
+        _copy_out([(t.values, last.params[n]) for n, t in _matching(model, last.params).items()]
+                  + [(getattr(state, k)[n], a) for k in "mv"
+                     for n, a in getattr(last.optimizer, k).items()])
+        state.step = last.optimizer.step
         history = best.history = list(last.history)
         start_epoch = last.epoch + 1
+        del last
 
     micro = cfg.micro_batch_size
     for epoch in range(start_epoch, cfg.max_epochs):

@@ -682,6 +682,38 @@ def test_float32_gelu_cdf_stays_in_the_unit_interval():
     assert cdf.min() == 0.0 and cdf.max() == 1.0
 
 
+def _np_clip_gelu_cdf(x, work):
+    """`_gelu_cdf`'s float32 path with its two clamps written as `np.clip`."""
+    cdf, z2, p = work[:, :x.size]
+    np.divide(x, math.sqrt(2.0), out=cdf)
+    np.clip(cdf, -4.0, 4.0, out=cdf)
+    np.multiply(cdf, cdf, out=z2)
+    autodiff._horner(z2, autodiff._ERF_P, p)
+    p *= cdf
+    np.divide(p, autodiff._horner(z2, autodiff._ERF_Q, cdf), out=cdf)
+    np.clip(cdf, -1.0, 1.0, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def test_float32_gelu_cdf_clamps_give_the_bits_of_np_clip():
+    # The clamps call the array's `clip` method, the ufunc under np.clip
+    # without its dispatch wrapper: at the clamp bounds of x / sqrt(2) (+-4)
+    # and of the quotient (+-1), just inside and outside them, at signed
+    # zeros and at large magnitudes.
+    f32 = np.float32
+    edges = []
+    for bound in (f32(4.0), f32(4.0 * math.sqrt(2.0)), f32(1.0), f32(math.sqrt(2.0))):
+        edges += [bound, np.nextafter(bound, f32(0.0)), np.nextafter(bound, f32(np.inf))]
+    big = [f32(1e4), f32(1e30), np.finfo(f32).max, np.finfo(f32).tiny]
+    x = np.array(edges + big, f32)
+    x = np.concatenate([x, -x, np.array([0.0, -0.0], f32),
+                        np.linspace(-6.0, 6.0, 2001, dtype=f32)])
+    cdf = autodiff._gelu_cdf(x, np.empty((3, x.size), f32)).copy()
+    assert cdf.tobytes() == _np_clip_gelu_cdf(x, np.empty((3, x.size), f32)).tobytes()
+
+
 # -- fused feed-forward ----------------------------------------------------------------
 
 
@@ -1162,6 +1194,22 @@ def test_zero_grads_keeps_gradient_arrays_for_the_next_backward():
         assert p.grad is kept
         assert np.array_equal(p.grad, f.grad)
     assert extra.grad is None  # not reached by the second graph
+
+
+def test_zero_grads_parks_an_arena_for_nodes_with_nothing_to_park():
+    # Before a first backward, zero_grads gives each parameter a zeroed view
+    # of one arena, in order; the table of views lets the arena go with them.
+    params = [parameter(np.ones(s), dtype=np.float32) for s in ((2, 3), (4,), ())]
+    before = len(autodiff._SLOTS)
+    zero_grads(params)
+    parked = [p.node.parked for p in params]
+    slots = autodiff.arena_slots(parked)
+    arena = weakref.ref(slots[0][0])
+    assert [s[1] for s in slots] == [0, 6, 10] and all(s[0] is arena() for s in slots)
+    assert all(v.shape == p.shape and not v.any() for v, p in zip(parked, params))
+    assert len(autodiff._SLOTS) == before + 3
+    del params, parked, slots
+    assert arena() is None and len(autodiff._SLOTS) == before
 
 
 def test_backward_rejects_non_scalar_loss():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ctxground.autodiff import constant, finite_diff_check, parameter
 from ctxground.data import PhraseSpan
-from ctxground.encoder import LinearParams, random_params
+from ctxground.encoder import LinearParams, fresh
 from ctxground.head import (
     GroundingLogits,
     HeadParams,
@@ -30,8 +30,8 @@ def span(last, first=None, typ="people"):
 
 
 def make_head(d_text, d_image, d_joint, seed=0, std=0.4):
-    return build_head(d_text, d_image, d_joint,
-                      random_params(np.random.default_rng(seed), np.float64, std))
+    return fresh(lambda make: build_head(d_text, d_image, d_joint, make),
+                 np.random.default_rng(seed), np.float64, std)
 
 
 def one_sample_logits(entities, objects, mask, head):

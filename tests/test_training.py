@@ -932,6 +932,166 @@ def test_train_step_rejects_empty_group():
                    np.random.default_rng(0))
 
 
+def _hide_from_the_graph(model, name, steps):
+    """Make `model.batch_loss` read a constant copy of parameter `name` on
+    the calls numbered in `steps`, so that no backward of those calls
+    reaches the parameter."""
+    *path, leaf = name.split(".")
+    owner = model.params
+    for field_name in path:
+        owner = getattr(owner, field_name)
+    real, tensor, calls = model.batch_loss, getattr(owner, leaf), itertools.count()
+
+    def batch_loss(batch, rng=None):
+        if next(calls) in steps:
+            setattr(owner, leaf, autodiff.constant(tensor.values))
+        try:
+            return real(batch, rng=rng)
+        finally:
+            setattr(owner, leaf, tensor)
+
+    model.batch_loss = batch_loss
+
+
+def test_a_parameter_no_backward_reaches_gets_zeros_not_its_last_gradient():
+    # Step 1 does not reach "head.key.weight", whose arena slot still holds
+    # step 0's gradient: the norm and Adam must read zeros there, as in the
+    # reference's freshly allocated `np.zeros_like`.
+    records = tiny_records(8, seed=9)
+    batches = [collate_batch(records[i:i + 2]) for i in range(0, 8, 2)]
+    cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.25, batch_size=2, accumulation_steps=1,
+                      max_epochs=1, dropout_p=0.0)
+    hidden = "head.key.weight"
+    model, ref = tiny_model(seed=4), tiny_model(seed=4)
+    for net in (model, ref):
+        _hide_from_the_graph(net, hidden, {1})
+    named, ref_named = model.named_parameters(), ref.named_parameters()
+    state, ref_state = AdamState.init(named), AdamState.init(ref_named)
+    for step in range(3):
+        if step == 1:
+            assert np.any(named[hidden].node.parked)  # step 0's gradient, parked
+        metrics = train_step([batches[step]], model, state, cfg, np.random.default_rng(step))
+        for t in ref_named.values():
+            t.grad = None
+        loss, _ = ref.batch_loss(batches[step], rng=np.random.default_rng(step))
+        backward(loss)
+        assert (ref_named[hidden].grad is None) == (step == 1)
+        grads = {n: np.zeros_like(t.values) if t.grad is None else t.grad
+                 for n, t in ref_named.items()}
+        norm = clipped_adam_ref(ref_named, grads, ref_state, cfg.learning_rate, cfg.clip_norm)
+        assert metrics.grad_norm == norm, step
+        for name, t in named.items():
+            assert np.array_equal(t.values, ref_named[name].values), (step, name)
+            assert np.array_equal(state.m[name], ref_state.m[name]), (step, name)
+            assert np.array_equal(state.v[name], ref_state.v[name]), (step, name)
+        if step == 1:
+            assert not np.any(named[hidden].node.parked)  # zero-filled, then parked again
+
+
+def _one_arena(arrays, start=0):
+    """Assert that `arrays` are consecutive views of one flat arena, in
+    order, from its element `start`, at the addresses `arena_slots` records."""
+    slots = autodiff.arena_slots(arrays)
+    assert None not in slots
+    arena, offset = slots[0][0], start
+    address = arena.__array_interface__["data"][0]
+    for a, (base, at, _) in zip(arrays, slots):
+        assert base is arena and at == offset and a.flags.c_contiguous
+        assert a.__array_interface__["data"][0] == address + at * arena.itemsize
+        offset += a.size
+    return arena
+
+
+def _step_arrays(model, state):
+    """Parameters, moments and parked gradients, each in parameter order."""
+    named = model.named_parameters()
+    return ([t.values for t in named.values()], list(state.m.values()),
+            list(state.v.values()), [t.node.parked for t in named.values()])
+
+
+def test_parameters_moments_and_gradients_live_in_arenas_in_parameter_order(
+        tmp_path, monkeypatch):
+    model = tiny_model(seed=5)
+    named = model.named_parameters()
+    state = AdamState.init(named)
+    assert list(state.m) == list(state.v) == list(named)
+    arenas = [_one_arena(arrays) for arrays in _step_arrays(model, state)[:3]]
+    cfg = fit_cfg(batch_size=4, accumulation_steps=2, max_epochs=2)
+    batches = [collate_batch(tiny_records(4, seed=s)) for s in (1, 2)]
+    train_step(batches, model, state, cfg, np.random.default_rng(0))
+    grads = _step_arrays(model, state)[3]
+    arenas.append(_one_arena(grads))
+    autodiff.zero_grads(named.values())
+    train_step(batches, model, state, cfg, np.random.default_rng(1))
+    after = _step_arrays(model, state)
+    assert all(_one_arena(arrays) is arena for arrays, arena in zip(after, arenas))
+    assert all(g is h for g, h in zip(after[3], grads))  # parked again, not reallocated
+
+    # A round-trip: the loaded tensors are views of the file's one arena.
+    path = tmp_path / "model.gckp"
+    save_checkpoint(Checkpoint(params={n: t.values for n, t in named.items()},
+                               config={"model": model.config.to_dict()}, epoch=0,
+                               best_metric=0.0, best_epoch=0, optimizer=state), path)
+    ckpt = load_checkpoint(path)
+    restored = model_from_checkpoint(ckpt)
+    loaded = _one_arena([t.values for t in restored.named_parameters().values()],
+                        start=autodiff.arena_slots([ckpt.params[next(iter(named))]])[0][1])
+    for k in "mv":
+        moments = list(getattr(ckpt.optimizer, k).values())
+        assert _one_arena(moments, start=autodiff.arena_slots(moments)[0][1]) is loaded
+
+    # A resume: the run's model and moments keep arenas of their own.
+    records = tiny_records(8, seed=13)
+    fit(tiny_model(seed=11), records, records, cfg, checkpoint_dir=tmp_path / "run")
+    resumed, seen = tiny_model(seed=11), []
+    own = _one_arena([t.values for t in resumed.named_parameters().values()])
+    real_step = training.train_step
+    monkeypatch.setattr(training, "train_step", lambda group, net, st, *rest: (
+        seen.append((net, st)), real_step(group, net, st, *rest))[1])
+    fit(resumed, records, records, fit_cfg(batch_size=4, accumulation_steps=2, max_epochs=3),
+        checkpoint_dir=tmp_path / "run", resume=True)
+    net, st = seen[-1]
+    assert net is resumed and st.step > 0
+    arrays = _step_arrays(net, st)
+    assert _one_arena(arrays[0]) is own
+    for group in arrays[1:]:
+        _one_arena(group)
+
+
+@pytest.mark.parametrize("where", ["first-element", "inside", "last-element"])
+def test_non_finite_gradient_in_an_arena_names_its_parameter_as_separate_arrays_do(where):
+    model = tiny_model(seed=3)
+    named = model.named_parameters()
+    state = AdamState.init(named)
+    train_step([collate_batch(tiny_records(4))], model, state,
+               fit_cfg(batch_size=4, accumulation_steps=1), np.random.default_rng(0))
+    grads = {n: t.node.parked for n, t in named.items()}  # the gradient arena
+    columns = {n: (t.values, state.m[n], state.v[n], grads[n]) for n, t in named.items()}
+    assert len(training._runs(columns)) == 1  # one merged range
+    names = list(named)
+    name, index = {"first-element": (names[7], 0), "inside": (names[20], 5),
+                   "last-element": (names[-1], -1)}[where]
+    grads[name].reshape(-1)[index] = np.nan
+    separate = {n: g.copy() for n, g in grads.items()}
+    with pytest.raises(NonFiniteError) as merged, np.errstate(invalid="ignore"):
+        training.global_norm(grads)
+    with pytest.raises(NonFiniteError) as apart, np.errstate(invalid="ignore"):
+        training.global_norm(separate)
+    assert str(merged.value) == str(apart.value) == f"non-finite gradient for parameter {name!r}"
+
+    apart_named = {n: parameter(t.values.copy()) for n, t in named.items()}
+    apart_state = AdamState(m={n: a.copy() for n, a in state.m.items()},
+                            v={n: a.copy() for n, a in state.v.items()}, step=state.step)
+    before = named[name].values.copy()
+    with pytest.raises(NonFiniteError) as merged, np.errstate(invalid="ignore"):
+        adam_step(named, grads, state, lr=1e-3)
+    with pytest.raises(NonFiniteError) as apart, np.errstate(invalid="ignore"):
+        adam_step(apart_named, separate, apart_state, lr=1e-3)
+    assert str(merged.value) == str(apart.value) == (
+        f"non-finite Adam update for parameter {name!r}")
+    assert named[name].values.tobytes() == before.tobytes()  # checked before it is applied
+
+
 # -- fit -------------------------------------------------------------------------------
 
 
@@ -1549,6 +1709,26 @@ def test_split_run_training_equals_uninterrupted(tmp_path):
         assert full.best.params[name].tobytes() == split.best.params[name].tobytes(), name
     assert ((tmp_path / "full" / "last.gckp").read_bytes()
             == (tmp_path / "split" / "last.gckp").read_bytes())
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads Linux's /proc/self/maps")
+def test_a_resumed_run_holds_no_mapping_of_the_checkpoint_it_replaced(tmp_path):
+    # The resumed epoch replaces last.gckp by rename; an array still mapped
+    # from the loaded file would show it as "(deleted)" and keep its space.
+    records = tiny_records(8, seed=13)
+    fit(tiny_model(seed=11), records, records, fit_cfg(max_epochs=2, patience=50),
+        checkpoint_dir=tmp_path)
+    model, pinned = tiny_model(seed=11), []
+
+    def log(_):  # after epoch 2's save, in epoch 3
+        pinned.extend(line for line in Path("/proc/self/maps").read_text().splitlines()
+                      if str(tmp_path) in line and "(deleted)" in line)
+
+    result = fit(model, records, records, fit_cfg(max_epochs=4, patience=50),
+                 checkpoint_dir=tmp_path, resume=True, log=log)
+    assert [h["epoch"] for h in result.history] == [0, 1, 2, 3]
+    log(None)  # the model is still alive here
+    assert pinned == []
 
 
 @pytest.mark.parametrize("changed, model_dropout, overrides", [

@@ -5,7 +5,8 @@
 Runs two `train_step`s of the default model (dropout 0.4) on synthetic
 samples of 20 tokens x 100 objects x 4 phrases, each step over ACCUM
 micro-batches of MICRO samples, and prints after each step its loss,
-its wall time and the process's max RSS (`ru_maxrss`) so far. Run it
+its wall time, its minor page faults (the `ru_minflt` delta) and the
+process's max RSS (`ru_maxrss`) so far. Run it
 from the root of a source checkout, one shape per fresh process, so
 that each max RSS belongs to one shape. The ulimit caps the address
 space at about 6.7 GiB; a step that needs more fails in numpy's
@@ -48,6 +49,7 @@ def main(argv=None) -> None:
     rng = np.random.default_rng(SEED)
     print(f"{a.accum} x {a.micro} x 100, dropout {net.config.text.dropout_p}", flush=True)
     for step in range(STEPS):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         # As `fit` does: a step collates only its own micro-batches, which
         # die when it returns, before the next step's are collated.
@@ -55,9 +57,10 @@ def main(argv=None) -> None:
                                        for lo in range(0, len(records), a.micro)],
                                       net, state, cfg, rng)
         seconds = time.perf_counter() - t0
-        max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         print(f"step {step}: loss {metrics.loss:.6f}  {seconds:.2f} s  "
-              f"max RSS {max_rss_mb:.0f} MB", flush=True)
+              f"{usage.ru_minflt - faults} minor faults  "
+              f"max RSS {usage.ru_maxrss / 1024:.0f} MB", flush=True)
 
 
 if __name__ == "__main__":
